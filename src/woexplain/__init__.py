@@ -7,7 +7,6 @@ evidence scores, sequenced over nested contrastive hypotheses.
 
 from .contrast import ContrastParams, best_contrast, regularizer, score_subset
 from .core import (
-    QuadratureGrid,
     bayes_decomposition,
     information_value,
     posterior_log_odds,
@@ -47,7 +46,6 @@ from .gaussian import (
     predicted_class,
     save_model,
     set_conditional_log_likelihood,
-    set_log_likelihood,
 )
 from .types import (
     AttributePartition,
@@ -74,7 +72,6 @@ __all__ = [
     "HypothesisSet",
     "InvariantCheck",
     "OracleSpec",
-    "QuadratureGrid",
     "as_evidence",
     "as_hypothesis",
     "bayes_decomposition",
@@ -101,7 +98,6 @@ __all__ = [
     "score_attributes",
     "score_subset",
     "set_conditional_log_likelihood",
-    "set_log_likelihood",
     "woe",
     "woe_chain",
     "woe_conditional",

@@ -19,16 +19,15 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .core import woe
+from .core import _checked_evidence, woe
 from .errors import (
     EmptyContrastError,
     InvalidHypothesisError,
     InvalidParameterError,
 )
-from .gaussian import DensityBackend
-from .types import HypothesisSet, as_evidence, as_hypothesis
+from .gaussian import DensityBackend, mixture_log_ratio
+from .types import HypothesisSet, as_hypothesis
 
 
 @dataclass(frozen=True)
@@ -92,24 +91,19 @@ def best_contrast(full_set, c_star: int, evidence, model: DensityBackend,
         raise InvalidHypothesisError(f"predicted class {c} is not in the class universe")
     if len(v) < 2:
         raise EmptyContrastError("need at least two classes to form a contrast")
-    e = as_evidence(evidence)
+    e = _checked_evidence(evidence, model)
 
     # every candidate reuses the same per-class joint log likelihoods
-    idx = e.observed_indices
-    x = e.values[list(idx)]
-    lls = {cl: model.class_conditional_log_density(cl, idx, x) for cl in v}
-
-    def side(labels: tuple[int, ...]) -> float:
-        # same arithmetic as set_log_likelihood, fed from the cache
-        if len(labels) == 1:
-            return lls[labels[0]]
-        base = np.array([np.log(model.priors[cl]) for cl in labels])
-        vals = np.array([lls[cl] for cl in labels])
-        return float(logsumexp(base + vals) - logsumexp(base))
+    idx = list(e.observed_indices)
+    joint = model.log_density_terms(idx, e.values[idx]).sum(axis=1)
+    log_prior = np.log(model.priors)
 
     def objective(u_labels: tuple[int, ...]) -> float:
-        rest = tuple(cl for cl in v if cl not in u_labels)
-        return side(u_labels) - side(rest) - _penalty(len(u_labels), len(v), params.alpha_reg)
+        u = list(u_labels)
+        rest = [cl for cl in v if cl not in u_labels]
+        return (mixture_log_ratio(log_prior[u], joint[u])
+                - mixture_log_ratio(log_prior[rest], joint[rest])
+                - _penalty(len(u_labels), len(v), params.alpha_reg))
 
     if len(v) <= params.max_exhaustive_classes:
         others = [cl for cl in v if cl != c]

@@ -20,26 +20,18 @@ for any ordered partition S_1..S_m of the evidence coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     DegenerateDensityError,
     DegeneratePriorError,
     InvalidHypothesisError,
-    InvalidParameterError,
     InvalidPartitionError,
     MissingEvidenceError,
 )
-from .gaussian import (
-    LOG_2PI,
-    DensityBackend,
-    set_conditional_log_likelihood,
-    set_log_likelihood,
-)
+from .gaussian import DensityBackend, mixture_log_ratio
 from .types import Evidence, HypothesisSet, as_evidence, as_hypothesis
 
 
@@ -71,13 +63,33 @@ def _require_observed(e: Evidence, indices: Sequence[int], what: str) -> None:
             raise MissingEvidenceError(f"{what} feature {int(i)} is not observed")
 
 
+def _chain(a: HypothesisSet, b: HypothesisSet, groups, e: Evidence,
+           model: DensityBackend) -> list[float]:
+    """woe(A/B : e_g | e of the groups before g) for each group g in turn.
+
+    One call of the density primitive along the concatenated groups gives
+    every class's conditional log density of each group (delta); the
+    mixture base of each class is its log prior plus the deltas before.
+    """
+    order = [i for g in groups for i in g]
+    terms = model.log_density_terms(order, e.values[order])
+    a, b = list(a), list(b)
+    base = np.log(model.priors)
+    scores, start = [], 0
+    for g in groups:
+        delta = terms[:, start:start + len(g)].sum(axis=1)
+        scores.append(mixture_log_ratio(base[a], delta[a])
+                      - mixture_log_ratio(base[b], delta[b]))
+        base = base + delta
+        start += len(g)
+    return scores
+
+
 def woe(entailed, contrast, evidence, model: DensityBackend) -> float:
     """woe(A/B : e) over all observed coordinates of the evidence."""
     a, b = _checked_pair(entailed, contrast, model)
     e = _checked_evidence(evidence, model)
-    idx = e.observed_indices
-    x = e.values[list(idx)]
-    return set_log_likelihood(model, a, idx, x) - set_log_likelihood(model, b, idx, x)
+    return _chain(a, b, [e.observed_indices], e, model)[0]
 
 
 def woe_conditional(
@@ -103,11 +115,7 @@ def woe_conditional(
         raise InvalidPartitionError(f"feature {shared} is in both target and prefix")
     _require_observed(e, t_idx, "target")
     _require_observed(e, p_idx, "prefix")
-    x_t = e.values[list(t_idx)]
-    x_p = e.values[list(p_idx)]
-    return set_conditional_log_likelihood(
-        model, a, t_idx, x_t, p_idx, x_p
-    ) - set_conditional_log_likelihood(model, b, t_idx, x_t, p_idx, x_p)
+    return _chain(a, b, [g for g in (p_idx, t_idx) if g], e, model)[-1]
 
 
 def woe_chain(
@@ -123,6 +131,7 @@ def woe_chain(
     The scores sum to woe(entailed, contrast, evidence, model) regardless
     of the order; individual terms do depend on it.
     """
+    a, b = _checked_pair(entailed, contrast, model)
     e = _checked_evidence(evidence, model)
     groups = [tuple(int(i) for i in g) for g in ordering]
     flat: list[int] = []
@@ -138,12 +147,7 @@ def woe_chain(
             "ordering must partition the observed coordinates "
             f"{list(e.observed_indices)}, got {sorted(flat)}"
         )
-    scores = []
-    prefix: list[int] = []
-    for g in groups:
-        scores.append(woe_conditional(entailed, contrast, g, tuple(prefix), e, model))
-        prefix.extend(g)
-    return scores
+    return _chain(a, b, groups, e, model)
 
 
 def prior_log_odds(entailed, contrast, model: DensityBackend) -> float:
@@ -159,22 +163,21 @@ def prior_log_odds(entailed, contrast, model: DensityBackend) -> float:
 def posterior_log_odds(entailed, contrast, evidence, model: DensityBackend) -> float:
     """log P(Y in A | e) - log P(Y in B | e), straight from Bayes rule.
 
-    Computed from unnormalized per-class joint scores, not from woe, so
-    the decomposition identity below is a real cross-check.
+    Each side is the log share of A u B's posterior mass held by A (or
+    B), read off the per-class joint scores log P(c) + log P(e | c) with
+    mixture_log_ratio: a delta of 0 on the side's classes and -inf on the
+    other's. woe is not involved, so the decomposition identity below
+    checks the mixture bookkeeping.
     """
     a, b = _checked_pair(entailed, contrast, model)
     e = _checked_evidence(evidence, model)
     idx = list(e.observed_indices)
-    x = e.values[idx]
-
-    def side(h: HypothesisSet) -> float:
-        scores = [
-            np.log(model.priors[c]) + model.class_conditional_log_density(c, idx, x)
-            for c in h
-        ]
-        return float(logsumexp(scores))
-
-    return side(a) - side(b)
+    both = list(a) + list(b)
+    terms = model.log_density_terms(idx, e.values[idx])[both]
+    joint = np.log(model.priors[both]) + terms.sum(axis=1)
+    in_a = np.arange(len(both)) < len(a)
+    return (mixture_log_ratio(joint, np.where(in_a, 0.0, -np.inf))
+            - mixture_log_ratio(joint, np.where(in_a, -np.inf, 0.0)))
 
 
 def bayes_decomposition(
@@ -191,42 +194,19 @@ def bayes_decomposition(
     return prior, total, post
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Uniform 1-D grid spec for numeric integrals over feature marginals.
-
-    span_sigmas is measured from each class mean, so the grid always
-    covers that many standard deviations of both marginals.
-    """
-
-    points: int = 4001
-    span_sigmas: float = 10.0
-
-    def __post_init__(self):
-        if int(self.points) != self.points or self.points < 2:
-            raise InvalidParameterError(f"grid needs at least 2 points, got {self.points!r}")
-        if not self.span_sigmas >= 8.0:
-            raise InvalidParameterError(
-                f"grid must span at least 8 standard deviations, got {self.span_sigmas!r}"
-            )
-        object.__setattr__(self, "points", int(self.points))
-        object.__setattr__(self, "span_sigmas", float(self.span_sigmas))
-
-
-def information_value(
-    feature: int,
-    class_a: int,
-    class_b: int,
-    model: DensityBackend,
-    grid: QuadratureGrid = QuadratureGrid(),
-) -> float:
+def information_value(feature: int, class_a: int, class_b: int,
+                      model: DensityBackend) -> float:
     """Information Value of one feature for separating two classes.
 
         IV = integral of log[p_a(x)/p_b(x)] (p_a(x) - p_b(x)) dx
 
     over the feature's marginal densities. This is the symmetrized KL
-    divergence, so it is nonnegative, and zero exactly when the two
-    marginals coincide.
+    divergence (J-divergence), so it is nonnegative, and zero exactly when
+    the two marginals coincide. For normal marginals it has the closed form
+
+        IV = ((var_a + d^2) / var_b + (var_b + d^2) / var_a) / 2 - 1
+
+    with d the difference of the two means.
     """
     mu_a, var_a = model.marginal_moments(class_a, feature)
     mu_b, var_b = model.marginal_moments(class_b, feature)
@@ -235,11 +215,5 @@ def information_value(
             raise DegenerateDensityError(
                 f"marginal variance of feature {feature} under class {label} is not positive"
             )
-    sd_a, sd_b = math.sqrt(var_a), math.sqrt(var_b)
-    lo = min(mu_a - grid.span_sigmas * sd_a, mu_b - grid.span_sigmas * sd_b)
-    hi = max(mu_a + grid.span_sigmas * sd_a, mu_b + grid.span_sigmas * sd_b)
-    xs = np.linspace(lo, hi, grid.points)
-    log_pa = -0.5 * (LOG_2PI + math.log(var_a) + (xs - mu_a) ** 2 / var_a)
-    log_pb = -0.5 * (LOG_2PI + math.log(var_b) + (xs - mu_b) ** 2 / var_b)
-    integrand = (log_pa - log_pb) * (np.exp(log_pa) - np.exp(log_pb))
-    return float(np.trapezoid(integrand, xs))
+    d2 = (mu_a - mu_b) ** 2
+    return 0.5 * ((var_a + d2) / var_b + (var_b + d2) / var_a) - 1.0

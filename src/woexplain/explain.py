@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .contrast import ContrastParams, best_contrast
-from .core import bayes_decomposition, woe_conditional
+from .core import bayes_decomposition, woe_chain, woe_conditional
 from .errors import (
     InvalidHypothesisError,
     InvalidParameterError,
@@ -132,10 +132,6 @@ class ExplanationStep:
     attributes: tuple[AttributeScore, ...]
 
     @property
-    def base_log_odds(self) -> float:
-        return self.posterior_log_odds
-
-    @property
     def displayed_mask(self) -> tuple[bool, ...]:
         return tuple(a.displayed for a in self.attributes)
 
@@ -202,15 +198,6 @@ def _greedy_groups(entailed, contrast, e: Evidence, model: DensityBackend,
     return tuple(groups)
 
 
-def _chain_scores(entailed, contrast, groups, e, model) -> list[float]:
-    prefix: list[int] = []
-    scores = []
-    for g in groups:
-        scores.append(woe_conditional(entailed, contrast, g, tuple(prefix), e, model))
-        prefix.extend(g)
-    return scores
-
-
 def score_attributes(entailed, contrast, evidence, model: DensityBackend,
                      params: ExplainerParams) -> tuple[AttributeScore, ...]:
     """Per-attribute WoE scores for one entailed/contrast split.
@@ -247,11 +234,11 @@ def score_attributes(entailed, contrast, evidence, model: DensityBackend,
         conditional = True
         if params.ordering_policy == FIXED:
             order = list(range(len(groups)))
-            scores = _chain_scores(a, b, [groups[k] for k in order], e, model)
+            scores = woe_chain(a, b, [groups[k] for k in order], e, model)
         elif params.ordering_policy == RANDOM:
             rng = np.random.default_rng(params.ordering_seed)
             order = [int(k) for k in rng.permutation(len(groups))]
-            scores = _chain_scores(a, b, [groups[k] for k in order], e, model)
+            scores = woe_chain(a, b, [groups[k] for k in order], e, model)
         else:
             # greedy: next attribute is the one with largest |conditional woe|
             order, scores = [], []

@@ -1,27 +1,28 @@
 """Class-conditional Gaussian density models.
 
 One Gaussian per class, diagonal or full covariance, plus class priors.
-This is the likelihood backend for every weight-of-evidence computation:
-it answers log P(x_target | x_prefix, Y = c) in closed form for arbitrary
-coordinate splits, and extends to composite hypotheses Y in C through a
-posterior-weighted mixture so that chained conditional scores telescope
+This is the likelihood backend for every weight-of-evidence computation.
+Its one density primitive, log_density_terms, factors each class
+covariance permuted into a coordinate order once (Cholesky) and returns
+every sequential conditional log density along that order, so any
+conditional log P(x_target | x_prefix, Y = c) is a sum of terms. Composite
+hypotheses Y in C are prior-weighted mixtures combined by
+mixture_log_ratio, which makes chained conditional scores telescope
 exactly.
 
-All probability arithmetic happens in log space; sums of likelihoods go
-through log-sum-exp.
+All probability arithmetic happens in log space.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.special import logsumexp
+# unused here; perfbench/tracing.py counts factorizations through gaussian.cho_factor
+from scipy.linalg import cho_factor  # noqa: F401
 
 from .errors import (
     InsufficientDataError,
@@ -52,8 +53,9 @@ DEGENERATE_FLOOR = 1e-12
 class DensityBackend(Protocol):
     """What the scoring layer needs from a likelihood model.
 
-    Any object with per-class conditional log densities, marginal moments,
-    and priors can drive the weight-of-evidence machinery.
+    Any object with per-class sequential log density terms (see
+    GaussianClassModel.log_density_terms), marginal moments, and priors
+    can drive the weight-of-evidence machinery.
     """
 
     @property
@@ -65,14 +67,7 @@ class DensityBackend(Protocol):
     @property
     def priors(self) -> np.ndarray: ...
 
-    def class_conditional_log_density(
-        self,
-        label: int,
-        target: Sequence[int],
-        x_target: Sequence[float],
-        prefix: Sequence[int] = (),
-        x_prefix: Sequence[float] = (),
-    ) -> float: ...
+    def log_density_terms(self, order: Sequence[int], values: Sequence[float]) -> np.ndarray: ...
 
     def marginal_moments(self, label: int, feature: int) -> tuple[float, float]: ...
 
@@ -145,22 +140,6 @@ class GaussianClassModel:
     def n_features(self) -> int:
         return self.means.shape[1]
 
-    @cached_property
-    def _log_priors(self) -> np.ndarray:
-        lp = np.log(self.priors)
-        lp.setflags(write=False)
-        return lp
-
-    @cached_property
-    def _full_cholesky(self) -> np.ndarray:
-        """Lower Cholesky factor of every full covariance, computed once."""
-        try:
-            return np.linalg.cholesky(self.covariances)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalConditioningError(
-                "a class covariance is not positive definite"
-            ) from exc
-
     def validate(self) -> "GaussianClassModel":
         """Check numeric invariants; raise InvalidModelError on any violation.
 
@@ -212,6 +191,37 @@ class GaussianClassModel:
             var = float(self.covariances[c, i, i])
         return mean, var
 
+    def log_density_terms(self, order: Sequence[int], values: Sequence[float]) -> np.ndarray:
+        """Sequential conditional log densities of every class along `order`.
+
+        Returns a (K, len(order)) array whose entry [c, i] is
+        log P(X_{o_i} = v_i | X_{o_1..o_{i-1}} = v_1..v_{i-1}, Y = c), so
+        the prefix sums of row c are the joint log densities of every
+        prefix of the order. The covariances, permuted into the order, are
+        factored once as S = L L^T, batched over classes; with
+        z = L^-1 (v - mu) the i-th term is -(log 2 pi + 2 log L_ii + z_i^2)/2
+        (Rasmussen & Williams, GPML, App. A). Diagonal mode is the case
+        L = diag(sqrt(var)).
+        """
+        idx = list(_index_tuple(order, self.n_features, "order"))
+        v = np.asarray(values, dtype=float).reshape(-1)
+        if v.size != len(idx):
+            raise InvalidDataError(f"{v.size} values for {len(idx)} ordered indices")
+        dev = v - self.means[:, idx]
+        if self.mode == DIAGONAL:
+            var = self.covariances[:, idx]
+            return -0.5 * (LOG_2PI + np.log(var) + dev * dev / var)
+        try:
+            chol = np.linalg.cholesky(self.covariances[:, idx][:, :, idx])
+        except np.linalg.LinAlgError as exc:
+            raise NumericalConditioningError(
+                "a class covariance is not positive definite"
+            ) from exc
+        # batched over classes; scipy's solve_triangular takes one matrix at scipy 1.10
+        z = np.linalg.solve(chol, dev[..., None])[..., 0]
+        log_var = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2))
+        return -0.5 * (LOG_2PI + log_var + z * z)
+
     def class_conditional_log_density(
         self,
         label: int,
@@ -222,92 +232,30 @@ class GaussianClassModel:
     ) -> float:
         """log P(X_target = x_target | X_prefix = x_prefix, Y = label).
 
-        In full mode the conditional distribution comes from the Schur
-        complement of the class covariance:
-
-            mu_cond  = mu_T + S_TP S_PP^-1 (x_P - mu_P)
-            cov_cond = S_TT - S_TP S_PP^-1 S_PT
-
-        In diagonal mode features are independent within a class, so the
-        prefix has no effect. An empty target yields log 1 = 0.
+        The sum of the target's log_density_terms along prefix then
+        target. In diagonal mode the prefix has no effect. An empty target
+        yields log 1 = 0.
         """
-        c = self.check_label(label)
-        n = self.n_features
-        t_idx = _index_tuple(target, n, "target")
-        p_idx = _index_tuple(prefix, n, "prefix")
-        if set(t_idx) & set(p_idx):
-            shared = sorted(set(t_idx) & set(p_idx))[0]
-            raise InvalidPartitionError(f"feature {shared} is in both target and prefix")
-        if not t_idx:
-            return 0.0
-        x_t = np.asarray(x_target, dtype=float).reshape(-1)
-        if x_t.size != len(t_idx):
-            raise InvalidDataError(f"{x_t.size} target values for {len(t_idx)} target indices")
-        x_p = np.asarray(x_prefix, dtype=float).reshape(-1)
-        if x_p.size != len(p_idx):
-            raise InvalidDataError(f"{x_p.size} prefix values for {len(p_idx)} prefix indices")
-
-        if self.mode == DIAGONAL:
-            var = self.covariances[c, list(t_idx)]
-            dev = x_t - self.means[c, list(t_idx)]
-            return float(-0.5 * np.sum(LOG_2PI + np.log(var) + dev * dev / var))
-
-        t = list(t_idx)
-        if not p_idx:
-            mean = self.means[c, t]
-            if len(t_idx) == n and t_idx == tuple(range(n)):
-                chol = self._full_cholesky[c]
-            else:
-                chol = _chol_or_raise(self.covariances[c][np.ix_(t, t)], c)
-            return _gauss_log_density(x_t, mean, chol)
-
-        p = list(p_idx)
-        cov = self.covariances[c]
-        s_pp = cov[np.ix_(p, p)]
-        s_tp = cov[np.ix_(t, p)]
-        try:
-            factor = cho_factor(s_pp, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalConditioningError(
-                f"prefix covariance of class {c} is not positive definite"
-            ) from exc
-        mean = self.means[c, t] + s_tp @ cho_solve(factor, x_p - self.means[c, p],
-                                                   check_finite=False)
-        cov_cond = cov[np.ix_(t, t)] - s_tp @ cho_solve(factor, s_tp.T, check_finite=False)
-        # the Schur complement drifts off symmetric by rounding; restore it
-        cov_cond = 0.5 * (cov_cond + cov_cond.T)
-        return _gauss_log_density(x_t, mean, _chol_or_raise(cov_cond, c))
+        return set_conditional_log_likelihood(
+            self, self.check_label(label), target, x_target, prefix, x_prefix
+        )
 
 
-def _chol_or_raise(cov: np.ndarray, label: int):
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalConditioningError(
-            f"conditional covariance of class {label} is not positive definite"
-        ) from exc
+def mixture_log_ratio(base: np.ndarray, delta: np.ndarray) -> float:
+    """lse(base + delta) - lse(base) over the classes of one hypothesis.
 
-
-def _gauss_log_density(x: np.ndarray, mean: np.ndarray, chol: np.ndarray) -> float:
-    """Multivariate normal log density from a lower Cholesky factor."""
-    z = solve_triangular(chol, x - mean, lower=True, check_finite=False)
-    log_det = 2.0 * float(np.sum(np.log(np.diagonal(chol))))
-    return float(-0.5 * (x.size * LOG_2PI + log_det + z @ z))
-
-
-def _hypothesis_base(
-    model: DensityBackend,
-    classes: Sequence[int],
-    prefix: Sequence[int],
-    x_prefix: Sequence[float],
-) -> np.ndarray:
-    """Unnormalized log weight of each class: log prior plus prefix likelihood."""
-    base = np.array([np.log(model.priors[c]) for c in classes])
-    if len(tuple(prefix)):
-        base = base + np.array([
-            model.class_conditional_log_density(c, prefix, x_prefix) for c in classes
-        ])
-    return base
+    base holds each member class's unnormalized log weight: its log prior
+    plus the log density of the evidence already conditioned on. delta
+    holds the log density of the new evidence given that. The result is
+    the log density of the new evidence under the weighted class mixture.
+    A single class is no mixture: its delta comes back as is.
+    """
+    if base.size == 1:
+        return float(delta[0])
+    new = base + delta
+    top_new, top_old = new.max(), base.max()
+    return float(top_new - top_old + np.log(np.exp(new - top_new).sum())
+                 - np.log(np.exp(base - top_old).sum()))
 
 
 def set_conditional_log_likelihood(
@@ -321,44 +269,31 @@ def set_conditional_log_likelihood(
     """log P(X_target = x_target | X_prefix = x_prefix, Y in C).
 
     The composite hypothesis is a mixture of its member classes with
-    weights w_c proportional to P(c) P(x_prefix | c), renormalized over C.
-    Equivalently:
-
-        log sum_c exp(b_c + v_c) - log sum_c exp(b_c)
-
-    with b_c = log P(c) + log P(x_prefix | c) and v_c the conditional
-    target log density. This form makes chained scores telescope.
+    weights w_c proportional to P(c) P(x_prefix | c), renormalized over C:
+    mixture_log_ratio with base b_c = log P(c) + log P(x_prefix | c) and
+    delta the conditional target log density. This form makes chained
+    scores telescope.
     """
-    h = as_hypothesis(hypothesis).check_against(model.n_classes)
-    cs = list(h)
-    if len(cs) == 1:
-        # one-element mixture: the weight is 1, skip the arithmetic
-        return float(model.class_conditional_log_density(
-            cs[0], target, x_target, prefix, x_prefix
-        ))
-    base = _hypothesis_base(model, cs, prefix, x_prefix)
-    vals = np.array([
-        model.class_conditional_log_density(c, target, x_target, prefix, x_prefix)
-        for c in cs
-    ])
-    return float(logsumexp(base + vals) - logsumexp(base))
-
-
-def set_log_likelihood(
-    model: DensityBackend,
-    hypothesis: "HypothesisSet | int | Iterable[int]",
-    indices: Sequence[int],
-    values: Sequence[float],
-) -> float:
-    """log P(X_indices = values | Y in C), the prior-weighted class mixture."""
-    return set_conditional_log_likelihood(model, hypothesis, indices, values)
+    h = list(as_hypothesis(hypothesis).check_against(model.n_classes))
+    t_idx, p_idx = tuple(target), tuple(prefix)
+    x_t = np.asarray(x_target, dtype=float).reshape(-1)
+    if x_t.size != len(t_idx):
+        raise InvalidDataError(f"{x_t.size} target values for {len(t_idx)} target indices")
+    x_p = np.asarray(x_prefix, dtype=float).reshape(-1)
+    if x_p.size != len(p_idx):
+        raise InvalidDataError(f"{x_p.size} prefix values for {len(p_idx)} prefix indices")
+    terms = model.log_density_terms(p_idx + t_idx, np.concatenate([x_p, x_t]))
+    base = np.log(model.priors) + terms[:, :len(p_idx)].sum(axis=1)
+    delta = terms[:, len(p_idx):].sum(axis=1)
+    return mixture_log_ratio(base[h], delta[h])
 
 
 def posterior(model: DensityBackend, evidence: "Evidence | Sequence[float]") -> np.ndarray:
     """P(Y = c | x) for every class, via log-space Bayes rule.
 
     Requires a fully observed input. Stable for inputs far from every
-    class mean because normalization happens before exponentiation.
+    class mean because the joint scores are shifted by their maximum
+    before exponentiation.
     """
     e = as_evidence(evidence)
     if e.n_features != model.n_features:
@@ -368,13 +303,9 @@ def posterior(model: DensityBackend, evidence: "Evidence | Sequence[float]") -> 
     if not e.fully_observed:
         missing = int(np.flatnonzero(~e.observed_mask)[0])
         raise MissingEvidenceError(f"posterior needs all features, feature {missing} unobserved")
-    coords = tuple(range(model.n_features))
-    scores = np.array([
-        np.log(model.priors[c]) + model.class_conditional_log_density(c, coords, e.values)
-        for c in range(model.n_classes)
-    ])
-    log_post = scores - logsumexp(scores)
-    probs = np.exp(log_post)
+    terms = model.log_density_terms(range(model.n_features), e.values)
+    scores = np.log(model.priors) + terms.sum(axis=1)
+    probs = np.exp(scores - scores.max())
     return probs / probs.sum()
 
 

@@ -24,6 +24,7 @@ from woexplain.errors import (
     EmptyContrastError,
     InvalidHypothesisError,
     InvalidParameterError,
+    MissingEvidenceError,
 )
 
 from oracles import random_model, woe_between
@@ -48,9 +49,9 @@ def brute_force_best(model, v, c_star, params, x):
 class FlatBackend:
     """Every class has the same density everywhere, so every split ties.
 
-    The log density is exactly 0.0, which makes all mixture sides equal
-    bit for bit and leaves only the regularizer and the tie-break to
-    decide the winner.
+    Every log density term is exactly 0.0, which makes all mixture sides
+    equal bit for bit and leaves only the regularizer and the tie-break
+    to decide the winner.
     """
 
     def __init__(self, n_classes, n_features=2):
@@ -58,8 +59,8 @@ class FlatBackend:
         self.n_features = n_features
         self.priors = np.full(n_classes, 1.0 / n_classes)
 
-    def class_conditional_log_density(self, c, target, x_t, prefix=(), x_p=()):
-        return 0.0
+    def log_density_terms(self, order, values):
+        return np.zeros((self.n_classes, len(order)))
 
     def marginal_moments(self, c, feature):
         return 0.0, 1.0
@@ -273,3 +274,11 @@ class TestBestContrast:
             best_contrast([0, 1], 3, x, model, ContrastParams())
         with pytest.raises(EmptyContrastError):
             best_contrast([2], 2, x, model, ContrastParams())
+
+    def test_evidence_length_must_match_model(self):
+        """A short or long vector is rejected, not truncated or misread."""
+        rng = np.random.default_rng(52)
+        model = random_model(rng, 4, 3)
+        for x in ([0.0, 0.0], [0.0, 0.0, 0.0, 0.0]):
+            with pytest.raises(MissingEvidenceError, match="model expects 3"):
+                best_contrast(range(4), 0, x, model, ContrastParams())

@@ -14,7 +14,6 @@ from scipy import stats
 from woexplain import (
     Evidence,
     GaussianClassModel,
-    QuadratureGrid,
     bayes_decomposition,
     information_value,
     posterior_log_odds,
@@ -27,7 +26,6 @@ from woexplain.errors import (
     DegenerateDensityError,
     DegeneratePriorError,
     InvalidHypothesisError,
-    InvalidParameterError,
     InvalidPartitionError,
     MissingEvidenceError,
     UnknownLabelError,
@@ -395,17 +393,3 @@ class TestInformationValue:
         )
         with pytest.raises(DegenerateDensityError):
             information_value(0, 0, 1, model)
-
-    def test_grid_validation(self):
-        with pytest.raises(InvalidParameterError):
-            QuadratureGrid(points=1)
-        with pytest.raises(InvalidParameterError):
-            QuadratureGrid(span_sigmas=4.0)
-        grid = QuadratureGrid(points=2001, span_sigmas=9.0)
-        assert (grid.points, grid.span_sigmas) == (2001, 9.0)
-
-    def test_widening_the_grid_changes_little(self):
-        model = self.unit_model(1.0, 2.0)
-        narrow = information_value(0, 0, 1, model, QuadratureGrid())
-        wide = information_value(0, 0, 1, model, QuadratureGrid(points=8001, span_sigmas=14.0))
-        assert_allclose(narrow, wide, rtol=1e-6)

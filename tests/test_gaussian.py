@@ -1,10 +1,10 @@
 """Density backend checks against independent oracles.
 
-Conditionals computed by the package (Schur-complement conditioning,
-hand-rolled Cholesky densities) are cross-checked against scipy.stats
-evaluations combined through the probability chain rule, closed-form
-bivariate conditioning, and direct quadrature, so the two sides share
-no linear algebra.
+Conditionals computed by the package (sequential terms from one Cholesky
+factor per class of the covariance permuted into the scoring order) are
+cross-checked against scipy.stats evaluations combined through the
+probability chain rule, closed-form bivariate conditioning, and direct
+quadrature, so the two sides share no linear algebra.
 """
 
 import json
@@ -26,7 +26,6 @@ from woexplain import (
     posterior,
     save_model,
     set_conditional_log_likelihood,
-    set_log_likelihood,
 )
 from woexplain.errors import (
     InsufficientDataError,
@@ -47,6 +46,28 @@ from oracles import (
 )
 
 
+class TestLogDensityTerms:
+    def test_prefix_sums_are_joint_densities(self):
+        """Row c's prefix sums give class c's joint density of every prefix."""
+        rng = np.random.default_rng(64)
+        for mode in ("full", "diagonal"):
+            for _ in range(10):
+                model = random_model(rng, 3, 5, mode=mode)
+                order = [int(i) for i in rng.permutation(5)]
+                x = rng.normal(0.0, 2.0, size=5)
+                sums = np.cumsum(model.log_density_terms(order, x), axis=1)
+                for c in range(3):
+                    for m in range(1, 6):
+                        oracle = oracle_joint_logpdf(model, c, order[:m], x[:m])
+                        assert_allclose(sums[c, m - 1], oracle, rtol=1e-10)
+
+    def test_empty_order(self):
+        rng = np.random.default_rng(65)
+        for mode in ("full", "diagonal"):
+            terms = random_model(rng, 3, 2, mode=mode).log_density_terms((), [])
+            assert terms.shape == (3, 0)
+
+
 class TestClassConditionalLogDensity:
     def test_joint_matches_scipy(self):
         """Marginal densities over arbitrary index subsets match scipy."""
@@ -60,7 +81,7 @@ class TestClassConditionalLogDensity:
             assert_allclose(ours, oracle_joint_logpdf(model, c, target, x), rtol=1e-10)
 
     def test_conditional_matches_chain_rule_oracle(self):
-        """Schur conditioning equals joint-minus-prefix from scipy."""
+        """Cholesky chain conditioning equals joint-minus-prefix from scipy."""
         rng = np.random.default_rng(43)
         for _ in range(25):
             model = random_model(rng, 2, 6)
@@ -166,7 +187,7 @@ class TestSetLikelihood:
         rng = np.random.default_rng(50)
         model = random_model(rng, 4, 3)
         x = rng.normal(size=3)
-        ours = set_log_likelihood(model, [0, 1, 2, 3], (0, 1, 2), x)
+        ours = set_conditional_log_likelihood(model, [0, 1, 2, 3], (0, 1, 2), x)
         lls = np.array([oracle_joint_logpdf(model, c, (0, 1, 2), x) for c in range(4)])
         assert_allclose(ours, logsumexp(np.log(model.priors) + lls), rtol=1e-12)
 
