@@ -14,6 +14,7 @@ from .core import (
     woe,
     woe_chain,
     woe_conditional,
+    woe_conditional_many,
 )
 from .data import (
     Dataset,
@@ -101,6 +102,7 @@ __all__ = [
     "woe",
     "woe_chain",
     "woe_conditional",
+    "woe_conditional_many",
     "write_csv",
     "write_report",
 ]

@@ -31,8 +31,11 @@ from .errors import (
     InvalidPartitionError,
     MissingEvidenceError,
 )
-from .gaussian import DensityBackend, mixture_log_ratio
+from .gaussian import DensityBackend, _index_rows, _index_tuple, mixture_log_ratio
 from .types import Evidence, HypothesisSet, as_evidence, as_hypothesis
+
+# covariance entries (classes x orders x m x m) one stacked density call may gather
+BATCH_ELEMENTS = 1 << 20
 
 
 def _checked_pair(
@@ -61,6 +64,41 @@ def _require_observed(e: Evidence, indices: Sequence[int], what: str) -> None:
     for i in indices:
         if not e.observed_mask[i]:
             raise MissingEvidenceError(f"{what} feature {int(i)} is not observed")
+
+
+def _checked_prefix(prefix: Sequence[int], e: Evidence) -> tuple[int, ...]:
+    p_idx = _index_tuple(prefix, e.n_features, "prefix")
+    _require_observed(e, p_idx, "prefix")
+    return p_idx
+
+
+def _checked_targets(targets: np.ndarray, p_idx: tuple[int, ...],
+                     e: Evidence) -> np.ndarray:
+    """An (M, m) stack of nonempty, in-range, observed targets disjoint from the prefix."""
+    if targets.shape[1] == 0:
+        raise InvalidPartitionError("target attribute must be nonempty")
+    t = _index_rows(targets, e.n_features, "target")
+    in_prefix = np.zeros(e.n_features, dtype=bool)
+    in_prefix[list(p_idx)] = True
+    shared = t[in_prefix[t]]
+    if shared.size:
+        raise InvalidPartitionError(f"feature {int(shared[0])} is in both target and prefix")
+    unseen = t[~e.observed_mask[t]]
+    if unseen.size:
+        raise MissingEvidenceError(f"target feature {int(unseen[0])} is not observed")
+    return t
+
+
+def first_max(keys: np.ndarray, floor: float = -math.inf) -> "int | None":
+    """Index of the first largest key above floor, or None.
+
+    The batched searches pick with this what a loop keeping only strictly
+    better candidates picks: the earliest of the tied best, and never a
+    NaN.
+    """
+    keys = np.where(np.isnan(keys), -np.inf, keys)
+    i = int(np.argmax(keys))
+    return i if keys[i] > floor else None
 
 
 def _chain(a: HypothesisSet, b: HypothesisSet, groups, e: Evidence,
@@ -106,16 +144,51 @@ def woe_conditional(
     """
     a, b = _checked_pair(entailed, contrast, model)
     e = _checked_evidence(evidence, model)
-    t_idx = tuple(int(i) for i in target)
-    p_idx = tuple(int(i) for i in prefix)
-    if not t_idx:
-        raise InvalidPartitionError("target attribute must be nonempty")
-    if set(t_idx) & set(p_idx):
-        shared = sorted(set(t_idx) & set(p_idx))[0]
-        raise InvalidPartitionError(f"feature {shared} is in both target and prefix")
-    _require_observed(e, t_idx, "target")
-    _require_observed(e, p_idx, "prefix")
+    p_idx = _checked_prefix(prefix, e)
+    t_idx = _index_tuple(target, e.n_features, "target")
+    _checked_targets(np.array([t_idx], dtype=np.intp), p_idx, e)
     return _chain(a, b, [g for g in (p_idx, t_idx) if g], e, model)[-1]
+
+
+def woe_conditional_many(
+    entailed,
+    contrast,
+    targets: Sequence[Sequence[int]],
+    prefix: Sequence[int],
+    evidence,
+    model: DensityBackend,
+) -> np.ndarray:
+    """woe_conditional for every target against one shared prefix.
+
+    Equal to woe_conditional target by target, bit for bit, and checked
+    the same way, once per target length. Targets of one length share a
+    stacked call of the density primitive, one order (prefix then
+    target) per row, in chunks of at most BATCH_ELEMENTS covariance
+    entries, so a search scores all its candidates at once. Returns the
+    scores in target order.
+    """
+    a, b = _checked_pair(entailed, contrast, model)
+    e = _checked_evidence(evidence, model)
+    p_idx = _checked_prefix(prefix, e)
+    a, b = list(a), list(b)
+    log_prior = np.log(model.priors)[:, None]
+    by_length: dict[int, list[int]] = {}
+    for j, t in enumerate(targets):
+        by_length.setdefault(len(t), []).append(j)
+    scores = np.empty(len(targets))
+    for length, rows in sorted(by_length.items()):
+        m = len(p_idx) + length
+        orders = np.array([p_idx + tuple(targets[j]) for j in rows]).reshape(len(rows), m)
+        _checked_targets(orders[:, len(p_idx):], p_idx, e)
+        step = max(1, BATCH_ELEMENTS // (model.n_classes * m * m))
+        for start in range(0, len(rows), step):
+            chunk = orders[start:start + step]
+            terms = model.log_density_terms(chunk, e.values[chunk])
+            base = log_prior + terms[:, :, :len(p_idx)].sum(axis=2)
+            delta = terms[:, :, len(p_idx):].sum(axis=2)
+            scores[rows[start:start + step]] = (mixture_log_ratio(base[a].T, delta[a].T)
+                                                - mixture_log_ratio(base[b].T, delta[b].T))
+    return scores
 
 
 def woe_chain(

@@ -14,7 +14,7 @@ import json
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -104,18 +104,33 @@ def _parse_labels(cells: list[str], column: str) -> tuple[np.ndarray, dict[str, 
     return np.array([mapping[c] for c in cells], dtype=int), mapping
 
 
-def _read_records(path: "str | Path") -> list[list[str]]:
+def _read_records(path: "str | Path") -> tuple[list[str], Iterator[list[str]]]:
+    """The checked header and a reader positioned at the first body record.
+
+    The body is parsed only as the reader is consumed.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise CsvParseError(f"file {path} is not valid UTF-8: {exc}") from exc
-    records = list(csv.reader(text.splitlines()))
-    if not records:
+    records = csv.reader(text.splitlines())
+    header = next(records, None)
+    if header is None:
         raise CsvParseError(f"file {path} is empty, expected a header row")
-    records[0] = [h.strip() for h in records[0]]
-    if any(not h for h in records[0]):
+    header = [h.strip() for h in header]
+    if any(not h for h in header):
         raise CsvParseError("header contains an empty column name")
-    return records
+    return header, records
+
+
+def _checked_records(records: Iterator[list[str]]) -> Iterator[list[str]]:
+    """Body records; a record the csv module cannot parse raises CsvParseError."""
+    r = 0
+    try:
+        for r, record in enumerate(records, start=1):
+            yield record
+    except csv.Error as exc:
+        raise CsvParseError(f"malformed CSV record: {exc}", row=r + 1) from exc
 
 
 def csv_header(path: "str | Path") -> tuple[str, ...]:
@@ -136,8 +151,7 @@ def load_csv(
     everything else is ignored. Parse failures report the 1-based data
     row and the column name.
     """
-    records = _read_records(path)
-    header = records[0]
+    header, body = _read_records(path)
 
     label_idx: int | None = None
     if label_column is not None:
@@ -166,7 +180,7 @@ def load_csv(
 
     rows: list[list[float]] = []
     label_cells: list[str] = []
-    for r, record in enumerate(records[1:], start=1):
+    for r, record in enumerate(_checked_records(body), start=1):
         if len(record) != len(header):
             raise CsvParseError(
                 f"expected {len(header)} cells, got {len(record)}", row=r

@@ -25,8 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .contrast import ContrastParams, best_contrast
-from .core import bayes_decomposition, woe_chain, woe_conditional
+from .core import bayes_decomposition, first_max, woe_chain, woe_conditional_many
 from .errors import (
+    DegenerateDensityError,
     InvalidHypothesisError,
     InvalidParameterError,
     InvalidPartitionError,
@@ -149,6 +150,14 @@ class ExplanationReport:
     settings: dict
 
 
+def _checked_best(keys: np.ndarray) -> int:
+    """first_max over a search's keys; a search with no comparable key fails."""
+    best = first_max(keys)
+    if best is None:
+        raise DegenerateDensityError("every candidate attribute scored NaN or -inf")
+    return best
+
+
 def _greedy_groups(entailed, contrast, e: Evidence, model: DensityBackend,
                    size: int) -> tuple[tuple[int, ...], ...]:
     """Discover feature groups by repeated marginal-WoE argmax.
@@ -165,32 +174,21 @@ def _greedy_groups(entailed, contrast, e: Evidence, model: DensityBackend,
             f"attribute_size {size} exceeds the {len(remaining)} observed features"
         )
 
-    def marginal(group: tuple[int, ...]) -> float:
-        return woe_conditional(entailed, contrast, group, (), e, model)
+    def pick(candidates: list[tuple[int, ...]]) -> tuple[int, ...]:
+        scores = woe_conditional_many(entailed, contrast, candidates, (), e, model)
+        return candidates[_checked_best(scores)]
 
     groups: list[tuple[int, ...]] = []
     while len(remaining) > size:
         if math.comb(len(remaining), size) <= MAX_SUBSET_SCAN:
-            best: tuple[int, ...] | None = None
-            best_score = -math.inf
-            for cand in combinations(remaining, size):
-                s = marginal(cand)
-                if s > best_score:
-                    best, best_score = cand, s
+            best = pick(list(combinations(remaining, size)))
         else:
             # grow the group one feature at a time
-            grown: list[int] = []
+            grown: tuple[int, ...] = ()
             for _ in range(size):
-                best_f: int | None = None
-                best_score = -math.inf
-                for f in remaining:
-                    if f in grown:
-                        continue
-                    s = marginal(tuple(sorted(grown + [f])))
-                    if s > best_score:
-                        best_f, best_score = f, s
-                grown.append(best_f)
-            best = tuple(sorted(grown))
+                grown = pick([tuple(sorted(grown + (f,))) for f in remaining
+                              if f not in grown])
+            best = grown
         groups.append(best)
         remaining = [f for f in remaining if f not in best]
     if remaining:
@@ -228,7 +226,7 @@ def score_attributes(entailed, contrast, evidence, model: DensityBackend,
 
     if params.scoring_mode == MARGINAL:
         order = list(range(len(groups)))
-        scores = [woe_conditional(a, b, groups[k], (), e, model) for k in order]
+        scores = woe_conditional_many(a, b, groups, (), e, model)
         conditional = False
     else:
         conditional = True
@@ -242,20 +240,14 @@ def score_attributes(entailed, contrast, evidence, model: DensityBackend,
         else:
             # greedy: next attribute is the one with largest |conditional woe|
             order, scores = [], []
-            prefix: list[int] = []
+            prefix: tuple[int, ...] = ()
             left = list(range(len(groups)))
             while left:
-                best_k: int | None = None
-                best_s = 0.0
-                best_abs = -math.inf
-                for k in left:
-                    s = woe_conditional(a, b, groups[k], tuple(prefix), e, model)
-                    if abs(s) > best_abs:
-                        best_k, best_s, best_abs = k, s, abs(s)
-                order.append(best_k)
-                scores.append(best_s)
-                left.remove(best_k)
-                prefix.extend(groups[best_k])
+                found = woe_conditional_many(a, b, [groups[k] for k in left], prefix, e, model)
+                best = _checked_best(np.abs(found))
+                order.append(left.pop(best))
+                scores.append(found[best])
+                prefix += groups[order[-1]]
 
     return tuple(
         AttributeScore(

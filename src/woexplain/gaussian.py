@@ -55,7 +55,10 @@ class DensityBackend(Protocol):
 
     Any object with per-class sequential log density terms (see
     GaussianClassModel.log_density_terms), marginal moments, and priors
-    can drive the weight-of-evidence machinery.
+    can drive the weight-of-evidence machinery. log_density_terms takes
+    one order, giving (K, m), or a stack of equal-length orders as an
+    (M, m) integer array with values of the same shape, giving (K, M, m);
+    the searches score all their candidates through the stacked form.
     """
 
     @property
@@ -84,6 +87,20 @@ def _index_tuple(indices: Iterable[int], n: int, what: str) -> tuple[int, ...]:
     if len(set(idx)) != len(idx):
         raise InvalidPartitionError(f"duplicate index in {what}: {list(idx)}")
     return idx
+
+
+def _index_rows(rows: np.ndarray, n: int, what: str) -> np.ndarray:
+    """_index_tuple for every row of an (M, m) integer array at once."""
+    if rows.size and rows.dtype.kind not in "iu":
+        raise InvalidPartitionError(f"{what} indices must be integers")
+    bad = rows[(rows < 0) | (rows >= n)]
+    if bad.size:
+        raise InvalidPartitionError(f"{what} index {int(bad[0])} outside 0..{n - 1}")
+    ranked = np.sort(rows, axis=1)
+    dup = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
+    if dup.size:
+        raise InvalidPartitionError(f"duplicate index in {what}: {rows[dup[0]].tolist()}")
+    return rows.astype(np.intp, copy=False)
 
 
 @dataclass(frozen=True)
@@ -202,24 +219,33 @@ class GaussianClassModel:
         z = L^-1 (v - mu) the i-th term is -(log 2 pi + 2 log L_ii + z_i^2)/2
         (Rasmussen & Williams, GPML, App. A). Diagonal mode is the case
         L = diag(sqrt(var)).
+
+        A stack of M equal-length orders, an (M, m) integer array with
+        values of the same shape, gives (K, M, m) from one factorization
+        batched over classes and orders; [:, j] equals the result for
+        order j alone, bit for bit.
         """
-        idx = list(_index_tuple(order, self.n_features, "order"))
-        v = np.asarray(values, dtype=float).reshape(-1)
-        if v.size != len(idx):
-            raise InvalidDataError(f"{v.size} values for {len(idx)} ordered indices")
+        if isinstance(order, np.ndarray) and order.ndim == 2:
+            idx = _index_rows(order, self.n_features, "order")
+            v = np.asarray(values, dtype=float)
+        else:
+            idx = np.array(_index_tuple(order, self.n_features, "order"), dtype=np.intp)
+            v = np.asarray(values, dtype=float).reshape(-1)
+        if v.shape != idx.shape:
+            raise InvalidDataError(f"{v.size} values for {idx.size} ordered indices")
         dev = v - self.means[:, idx]
         if self.mode == DIAGONAL:
             var = self.covariances[:, idx]
             return -0.5 * (LOG_2PI + np.log(var) + dev * dev / var)
         try:
-            chol = np.linalg.cholesky(self.covariances[:, idx][:, :, idx])
+            chol = np.linalg.cholesky(self.covariances[:, idx[..., :, None], idx[..., None, :]])
         except np.linalg.LinAlgError as exc:
             raise NumericalConditioningError(
                 "a class covariance is not positive definite"
             ) from exc
         # batched over classes; scipy's solve_triangular takes one matrix at scipy 1.10
         z = np.linalg.solve(chol, dev[..., None])[..., 0]
-        log_var = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2))
+        log_var = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1))
         return -0.5 * (LOG_2PI + log_var + z * z)
 
     def class_conditional_log_density(
@@ -241,21 +267,32 @@ class GaussianClassModel:
         )
 
 
-def mixture_log_ratio(base: np.ndarray, delta: np.ndarray) -> float:
-    """lse(base + delta) - lse(base) over the classes of one hypothesis.
+def mixture_log_ratio(base: np.ndarray, delta: np.ndarray) -> "float | np.ndarray":
+    """lse(base + delta) - lse(base) over the last axis, one hypothesis's classes.
 
     base holds each member class's unnormalized log weight: its log prior
     plus the log density of the evidence already conditioned on. delta
     holds the log density of the new evidence given that. The result is
     the log density of the new evidence under the weighted class mixture.
-    A single class is no mixture: its delta comes back as is.
+    A single class is no mixture: its delta comes back as is. Leading
+    axes hold independent mixtures; a 1-D input gives a float.
+
+    Rows are made C-contiguous first: numpy sums a contiguous row
+    pairwise but the rows of a Fortran-ordered array (a gathered
+    x[:, idx]) sequentially, and from 8 classes on the two can differ in
+    the last bit.
     """
-    if base.size == 1:
-        return float(delta[0])
-    new = base + delta
-    top_new, top_old = new.max(), base.max()
-    return float(top_new - top_old + np.log(np.exp(new - top_new).sum())
-                 - np.log(np.exp(base - top_old).sum()))
+    if base.shape[-1] == 1:
+        out = delta[..., 0]
+    else:
+        new = np.ascontiguousarray(base + delta)
+        base = np.ascontiguousarray(base)
+        top_new = new.max(axis=-1, keepdims=True)
+        top_old = base.max(axis=-1, keepdims=True)
+        out = (top_new - top_old
+               + np.log(np.exp(new - top_new).sum(axis=-1, keepdims=True))
+               - np.log(np.exp(base - top_old).sum(axis=-1, keepdims=True)))[..., 0]
+    return float(out) if out.ndim == 0 else out
 
 
 def set_conditional_log_likelihood(

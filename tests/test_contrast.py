@@ -1,7 +1,7 @@
 """Contrast-set search: objective values, argmax, ties, and regimes.
 
 The brute-force enumerator used as the search oracle scores candidates
-through the scipy mixture route from oracles.py and applies the
+through scipy.stats densities and scipy's logsumexp and applies the
 documented tie-break through min() over (size, labels), so it shares
 neither the scoring nor the iteration order with the implementation.
 """
@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import logsumexp
 
 from woexplain import (
     ContrastParams,
@@ -27,23 +28,35 @@ from woexplain.errors import (
     MissingEvidenceError,
 )
 
-from oracles import random_model, woe_between
+from oracles import joint_logpdf, random_model
 
 
 def brute_force_best(model, v, c_star, params, x):
-    """Independent argmax: score every subset via scipy, tie-break by min()."""
-    others = [c for c in v if c != c_star]
-    scored = []
-    for mask in range(2 ** len(others)):
-        u = tuple(sorted([c_star] + [o for k, o in enumerate(others) if mask >> k & 1]))
-        if len(u) == len(v):
-            continue
-        rest = tuple(c for c in v if c not in u)
-        score = woe_between(model, u, rest, tuple(range(model.n_features)), x)
-        score -= params.alpha_reg * (len(u) - len(v) / 2.0) ** 2
-        scored.append((u, score))
-    top = max(s for _, s in scored)
-    return min((u for u, s in scored if s == top), key=lambda u: (len(u), u))
+    """Independent argmax: score every subset via scipy, tie-break by min().
+
+    Each class's joint log density comes from scipy.stats once; the
+    mixtures of all subsets are weighted scipy logsumexps over them.
+    """
+    v = list(v)
+    features = tuple(range(model.n_features))
+    joint = np.array([joint_logpdf(model, c, features, x) for c in v])
+    log_w = np.log(model.priors[v])
+    others = [k for k, c in enumerate(v) if c != c_star]
+    masks = np.array([[c == c_star for c in v]] * 2 ** len(others))
+    for bit, k in enumerate(others):
+        masks[:, k] |= (np.arange(len(masks)) >> bit & 1).astype(bool)
+    masks = masks[masks.sum(axis=1) < len(v)]
+
+    def mixture(member):
+        return (logsumexp(log_w + joint, b=member, axis=1)
+                - logsumexp(np.broadcast_to(log_w, member.shape), b=member, axis=1))
+
+    sizes = masks.sum(axis=1)
+    scores = (mixture(masks) - mixture(~masks)
+              - params.alpha_reg * (sizes - len(v) / 2.0) ** 2)
+    top = scores.max()
+    winners = [tuple(c for c, m in zip(v, row) if m) for row in masks[scores == top]]
+    return min(winners, key=lambda u: (len(u), u))
 
 
 class FlatBackend:
@@ -185,6 +198,18 @@ class TestBestContrast:
             oracle = brute_force_best(model, range(6), c_star, params, x)
             assert tuple(ours) == oracle
 
+    def test_matches_brute_force_nine_to_twelve_classes(self):
+        """Up to the exhaustive cap, where mixture sides reach 8+ classes."""
+        rng = np.random.default_rng(53)
+        params = ContrastParams(alpha_reg=0.1)
+        for trial in range(20):
+            k = 9 + trial % 4
+            model = random_model(rng, k, 3, mode=("full", "diagonal")[trial % 2])
+            x = rng.normal(0.0, 2.0, size=3)
+            c_star = int(rng.integers(0, k))
+            ours = best_contrast(range(k), c_star, x, model, params)
+            assert tuple(ours) == brute_force_best(model, range(k), c_star, params, x)
+
     def test_matches_brute_force_on_sub_universe(self):
         """The search also runs on remaining sets smaller than all classes."""
         rng = np.random.default_rng(46)
@@ -218,6 +243,20 @@ class TestBestContrast:
         assert tuple(no_penalty) == (2,)
         even_split = best_contrast(range(4), 2, x, flat, ContrastParams(alpha_reg=1.0))
         assert tuple(even_split) == (0, 2)
+
+    def test_exact_ties_at_twelve_classes_in_both_regimes(self):
+        """A flat landscape at K = 12: the exhaustive argmax and greedy growth
+        both settle ties on the smaller, then lexicographically first, set."""
+        flat = FlatBackend(12)
+        x = [0.0, 0.0]
+        for cap in (12, 4):
+            def search(alpha, c_star):
+                params = ContrastParams(alpha_reg=alpha, max_exhaustive_classes=cap)
+                return tuple(best_contrast(range(12), c_star, x, flat, params))
+
+            assert search(0.0, 7) == (7,)
+            assert search(1.0, 7) == (0, 1, 2, 3, 4, 7)
+            assert search(1.0, 0) == (0, 1, 2, 3, 4, 5)
 
     def test_monotone_regularization(self):
         """Raising alpha never moves the winner further from an even split."""

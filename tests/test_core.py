@@ -21,7 +21,9 @@ from woexplain import (
     woe,
     woe_chain,
     woe_conditional,
+    woe_conditional_many,
 )
+from woexplain.core import first_max
 from woexplain.errors import (
     DegenerateDensityError,
     DegeneratePriorError,
@@ -196,6 +198,71 @@ class TestWoeConditional:
         masked = Evidence(x, observed_mask=np.array([True, True, False]))
         with pytest.raises(MissingEvidenceError):
             woe_conditional([0], [1], (2,), (0,), masked, model)
+
+    def test_out_of_range_index_is_partition_error(self):
+        """Indices are bounds-checked before the observed mask is read."""
+        rng = np.random.default_rng(50)
+        model = random_model(rng, 2, 3)
+        x = np.zeros(3)
+        for score in (woe_conditional, lambda a, b, t, p, e, m: woe_conditional_many(
+                a, b, [t], p, e, m)):
+            with pytest.raises(InvalidPartitionError, match="target index 5 outside 0..2"):
+                score([0], [1], (5,), (), x, model)
+            with pytest.raises(InvalidPartitionError, match="prefix index 3 outside 0..2"):
+                score([0], [1], (0,), (3,), x, model)
+
+
+class TestWoeConditionalMany:
+    def test_equals_scalar_bit_for_bit(self):
+        """K = 12 with 8 classes on one side, ragged targets, short and long prefixes."""
+        rng = np.random.default_rng(51)
+        for mode in ("full", "diagonal"):
+            model = random_model(rng, 12, 20, mode=mode)
+            x = rng.normal(0.0, 2.0, size=20)
+            for a, b in ((range(8), range(8, 12)), (range(4), range(4, 12))):
+                for p_size in (0, 3, 9):
+                    perm = [int(i) for i in rng.permutation(20)]
+                    prefix, free = tuple(perm[:p_size]), perm[p_size:]
+                    targets = [tuple(rng.choice(free, size=int(rng.integers(1, 10)),
+                                                replace=False)) for _ in range(12)]
+                    many = woe_conditional_many(a, b, targets, prefix, x, model)
+                    for t, got in zip(targets, many):
+                        assert got == woe_conditional(a, b, t, prefix, x, model)
+
+    def test_no_targets(self):
+        rng = np.random.default_rng(52)
+        model = random_model(rng, 3, 2)
+        assert woe_conditional_many([0], [1, 2], [], (0,), [0.0, 0.0], model).shape == (0,)
+
+    def test_checks_match_scalar(self):
+        rng = np.random.default_rng(53)
+        model = random_model(rng, 2, 3)
+        x = rng.normal(size=3)
+        masked = Evidence(x, observed_mask=np.array([True, True, False]))
+        with pytest.raises(InvalidPartitionError, match="nonempty"):
+            woe_conditional_many([0], [1], [(1,), ()], (0,), x, model)
+        with pytest.raises(InvalidPartitionError, match="both target and prefix"):
+            woe_conditional_many([0], [1], [(2,), (0, 1)], (1,), x, model)
+        with pytest.raises(MissingEvidenceError):
+            woe_conditional_many([0], [1], [(1,), (2,)], (0,), masked, model)
+        with pytest.raises(MissingEvidenceError):
+            woe_conditional_many([0], [1], [(1,)], (2,), masked, model)
+        with pytest.raises(InvalidHypothesisError):
+            woe_conditional_many([0], [0, 1], [(1,)], (), x, model)
+
+
+def test_first_max_picks_what_a_strict_loop_picks():
+    """The first of the tied best above the floor; NaN is never better."""
+    rng = np.random.default_rng(54)
+    pool = np.array([np.nan, -np.inf, -1.0, 0.0, 2.0, np.inf])
+    for _ in range(200):
+        keys = rng.choice(pool, size=int(rng.integers(1, 7)))
+        floor = float(rng.choice([-np.inf, 0.0, np.nan]))
+        best, incumbent = None, floor
+        for i, k in enumerate(keys):
+            if k > incumbent:
+                best, incumbent = i, k
+        assert first_max(keys, floor) == best
 
 
 class TestWoeChain:

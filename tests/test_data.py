@@ -120,6 +120,23 @@ class TestLoadCsv:
         path = write_text(tmp_path / "t.csv", "alpha,beta\n1,2\n")
         assert csv_header(path) == ("alpha", "beta")
 
+    def test_csv_header_reads_past_a_malformed_body(self, tmp_path):
+        """Only the header record is parsed; load_csv still rejects the body."""
+        path = write_text(tmp_path / "t.csv", "alpha,beta\n1,2\n" + "9" * 200_000 + ",3\n")
+        assert csv_header(path) == ("alpha", "beta")
+        with pytest.raises(CsvParseError, match="row 2"):
+            load_csv(path)
+
+    def test_csv_header_errors(self, tmp_path):
+        with pytest.raises(CsvParseError, match="empty"):
+            csv_header(write_text(tmp_path / "empty.csv", ""))
+        with pytest.raises(CsvParseError, match="empty column name"):
+            csv_header(write_text(tmp_path / "blank.csv", "a,,c\n1,2,3\n"))
+        binary = tmp_path / "bin.csv"
+        binary.write_bytes(b"a,b\n\xff\xfe,2\n")
+        with pytest.raises(CsvParseError, match="UTF-8"):
+            csv_header(binary)
+
 
 class TestWriteCsv:
     def test_round_trip_preserves_floats_and_label_position(self, tmp_path):

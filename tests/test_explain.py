@@ -7,6 +7,7 @@ discovery is checked against a from-scratch copy of the subset scan
 driven by the scipy scoring route.
 """
 
+import importlib
 import json
 import math
 from itertools import combinations
@@ -19,6 +20,7 @@ from woexplain import (
     AttributePartition,
     AttributeScore,
     ContrastParams,
+    Evidence,
     ExplainerParams,
     ExplanationStep,
     GaussianClassModel,
@@ -296,6 +298,88 @@ class TestGreedyGroups:
         model = random_model(rng, 2, 3)
         with pytest.raises(InvalidParameterError):
             score_attributes([0], [1], [0.0] * 3, model, ExplainerParams(attribute_size=4))
+
+
+def loop_groups(a, b, x, model, size):
+    """Group discovery one marginal woe_conditional call at a time."""
+    from woexplain import woe_conditional
+    from woexplain.explain import MAX_SUBSET_SCAN
+
+    def best_of(candidates):
+        best, best_score = None, -math.inf
+        for cand in candidates:
+            s = woe_conditional(a, b, cand, (), x, model)
+            if s > best_score:
+                best, best_score = cand, s
+        return best
+
+    remaining, groups = list(range(model.n_features)), []
+    while len(remaining) > size:
+        if math.comb(len(remaining), size) <= MAX_SUBSET_SCAN:
+            best = best_of(combinations(remaining, size))
+        else:
+            best = ()
+            for _ in range(size):
+                best = best_of(tuple(sorted(best + (f,))) for f in remaining if f not in best)
+        groups.append(best)
+        remaining = [f for f in remaining if f not in best]
+    return groups + [tuple(remaining)]
+
+
+def loop_greedy_order(a, b, x, model, groups):
+    """Greedy max-|woe| ordering one conditional call at a time."""
+    from woexplain import woe_conditional
+
+    out, prefix, left = [], (), list(groups)
+    while left:
+        best, best_s, best_abs = None, 0.0, -math.inf
+        for g in left:
+            s = woe_conditional(a, b, g, prefix, x, model)
+            if abs(s) > best_abs:
+                best, best_s, best_abs = g, s, abs(s)
+        out.append((best, best_s))
+        left.remove(best)
+        prefix += best
+    return out
+
+
+class TestBatchedSearchesMatchLoops:
+    """The batched searches pick and score exactly as one-call-per-candidate loops."""
+
+    def test_greedy_ordering(self):
+        rng = np.random.default_rng(60)
+        groups = ((0, 1, 2, 3, 4, 5, 6, 7, 8), (9,), (10, 11), (12, 13, 14), (15,),
+                  (16, 17, 18, 19))
+        for mode in ("full", "diagonal"):
+            model = random_model(rng, 12, 20, mode=mode)
+            x = rng.normal(0.0, 2.0, size=20)
+            a, b = list(range(8)), list(range(8, 12))
+            params = ExplainerParams(partition=AttributePartition(groups))
+            got = [(s.features, s.woe) for s in score_attributes(a, b, x, model, params)]
+            assert got == loop_greedy_order(a, b, x, model, groups)
+
+    def test_group_scan_and_grow(self, monkeypatch):
+        """A low scan cap sends the first round of 8 features through the grow
+        fallback; the 5 left after it are scanned."""
+        monkeypatch.setattr(importlib.import_module("woexplain.explain"), "MAX_SUBSET_SCAN", 10)
+        rng = np.random.default_rng(61)
+        for mode in ("full", "diagonal"):
+            model = random_model(rng, 12, 8, mode=mode)
+            x = rng.normal(0.0, 2.0, size=8)
+            a, b = list(range(4)), list(range(4, 12))
+            params = ExplainerParams(attribute_size=3, scoring_mode="marginal")
+            got = [s.features for s in score_attributes(a, b, x, model, params)]
+            assert got == loop_groups(a, b, x, model, 3)
+
+    def test_unobserved_feature_still_rejected(self):
+        rng = np.random.default_rng(62)
+        model = random_model(rng, 3, 4)
+        x = Evidence(rng.normal(size=4), observed_mask=np.array([True, True, False, True]))
+        partition = AttributePartition(((0,), (1, 2), (3,)))
+        for mode in ("conditional_chain", "marginal"):
+            params = ExplainerParams(partition=partition, scoring_mode=mode)
+            with pytest.raises(MissingEvidenceError, match="feature 2"):
+                score_attributes([0], [1, 2], x, model, params)
 
 
 class TestFilterDisplay:

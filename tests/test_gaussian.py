@@ -67,6 +67,32 @@ class TestLogDensityTerms:
             terms = random_model(rng, 3, 2, mode=mode).log_density_terms((), [])
             assert terms.shape == (3, 0)
 
+    def test_stacked_orders_equal_single_orders(self):
+        """An (M, m) stack gives (K, M, m), each row equal to its own call."""
+        rng = np.random.default_rng(66)
+        for mode in ("full", "diagonal"):
+            model = random_model(rng, 12, 10, mode=mode)
+            x = rng.normal(0.0, 2.0, size=10)
+            for m in (1, 3, 10):
+                orders = np.array([rng.permutation(10)[:m] for _ in range(7)])
+                stacked = model.log_density_terms(orders, x[orders])
+                assert stacked.shape == (12, 7, m)
+                for j, order in enumerate(orders):
+                    single = model.log_density_terms([int(i) for i in order], x[order])
+                    assert (stacked[:, j] == single).all()
+
+    def test_stacked_order_errors(self):
+        rng = np.random.default_rng(67)
+        model = random_model(rng, 2, 3)
+        with pytest.raises(InvalidPartitionError, match="index 3 outside 0..2"):
+            model.log_density_terms(np.array([[0, 1], [1, 3]]), np.zeros((2, 2)))
+        with pytest.raises(InvalidPartitionError, match="duplicate index"):
+            model.log_density_terms(np.array([[0, 1], [2, 2]]), np.zeros((2, 2)))
+        with pytest.raises(InvalidPartitionError, match="integers"):
+            model.log_density_terms(np.array([[0.0, 1.0]]), np.zeros((1, 2)))
+        with pytest.raises(InvalidDataError):
+            model.log_density_terms(np.array([[0, 1]]), np.zeros((1, 3)))
+
 
 class TestClassConditionalLogDensity:
     def test_joint_matches_scipy(self):
