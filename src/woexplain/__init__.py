@@ -18,7 +18,6 @@ from .core import (
 )
 from .data import (
     Dataset,
-    OracleSpec,
     csv_header,
     load_csv,
     load_partition,
@@ -72,7 +71,6 @@ __all__ = [
     "GaussianClassModel",
     "HypothesisSet",
     "InvariantCheck",
-    "OracleSpec",
     "as_evidence",
     "as_hypothesis",
     "bayes_decomposition",

@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from .contrast import ContrastParams
-from .data import OracleSpec, csv_header, load_csv, load_partition, query_oracle
+from .data import csv_header, load_csv, load_partition, query_oracle
 from .errors import (
     ConfigError,
     CsvParseError,
@@ -42,8 +42,6 @@ from .explain import (
     GREEDY_MAX_WOE,
     MARGINAL,
     RANDOM,
-    UPDATE_ENTAILED,
-    UPDATE_LITERAL,
     ExplainerParams,
     explain,
     report_to_dict,
@@ -99,9 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seed for the random ordering policy")
     p_exp.add_argument("--max-exhaustive", type=int, default=12,
                        help="class-count cap for exhaustive contrast search")
-    p_exp.add_argument("--update-rule", choices=[UPDATE_ENTAILED, UPDATE_LITERAL],
-                       default=UPDATE_ENTAILED,
-                       help="how the remaining class set shrinks between steps")
     p_exp.add_argument("--out", required=True, help="where to write the report JSON")
 
     p_val = sub.add_parser("validate", help="run the invariant suite on sampled rows")
@@ -160,10 +155,10 @@ def _parse_input_row(spec: str, feature_names: tuple[str, ...]) -> np.ndarray:
 def _cmd_fit(args: argparse.Namespace) -> int:
     dataset = load_csv(args.data, label_column=args.labels)
     if args.labels is not None:
-        labels = query_oracle(OracleSpec(label_column=args.labels), dataset)
+        labels = dataset.labels
     else:
         log.info("querying oracle command for %d rows", dataset.n_rows)
-        labels = query_oracle(OracleSpec(command=args.oracle_cmd), dataset)
+        labels = query_oracle(args.oracle_cmd, dataset)
     model = fit(
         dataset.rows,
         labels,
@@ -227,7 +222,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             alpha_reg=args.alpha_reg,
             max_exhaustive_classes=args.max_exhaustive,
         ),
-        remaining_update=args.update_rule,
     )
     log.info("explaining input against %d-class model", model.n_classes)
     report = explain(values, model, params)
@@ -260,10 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"fit": _cmd_fit, "explain": _cmd_explain, "validate": _cmd_validate}
     try:
         return handlers[args.command](args)
-    except (CsvParseError, OracleProtocolError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (CsvParseError, OracleProtocolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except InvalidModelError as exc:

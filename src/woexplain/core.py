@@ -20,6 +20,7 @@ for any ordered partition S_1..S_m of the evidence coordinates.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -60,15 +61,11 @@ def _checked_evidence(e, model: DensityBackend) -> Evidence:
     return ev
 
 
-def _require_observed(e: Evidence, indices: Sequence[int], what: str) -> None:
-    for i in indices:
-        if not e.observed_mask[i]:
-            raise MissingEvidenceError(f"{what} feature {int(i)} is not observed")
-
-
 def _checked_prefix(prefix: Sequence[int], e: Evidence) -> tuple[int, ...]:
     p_idx = _index_tuple(prefix, e.n_features, "prefix")
-    _require_observed(e, p_idx, "prefix")
+    for i in p_idx:
+        if not e.observed_mask[i]:
+            raise MissingEvidenceError(f"prefix feature {i} is not observed")
     return p_idx
 
 
@@ -141,13 +138,9 @@ def woe_conditional(
     """woe(A/B : e_target | e_prefix), the chain-rule term for one attribute.
 
     With an empty prefix this is the marginal WoE of the target subset.
+    The one-target case of woe_conditional_many.
     """
-    a, b = _checked_pair(entailed, contrast, model)
-    e = _checked_evidence(evidence, model)
-    p_idx = _checked_prefix(prefix, e)
-    t_idx = _index_tuple(target, e.n_features, "target")
-    _checked_targets(np.array([t_idx], dtype=np.intp), p_idx, e)
-    return _chain(a, b, [g for g in (p_idx, t_idx) if g], e, model)[-1]
+    return float(woe_conditional_many(entailed, contrast, [target], prefix, evidence, model)[0])
 
 
 def woe_conditional_many(
@@ -160,12 +153,11 @@ def woe_conditional_many(
 ) -> np.ndarray:
     """woe_conditional for every target against one shared prefix.
 
-    Equal to woe_conditional target by target, bit for bit, and checked
-    the same way, once per target length. Targets of one length share a
-    stacked call of the density primitive, one order (prefix then
-    target) per row, in chunks of at most BATCH_ELEMENTS covariance
-    entries, so a search scores all its candidates at once. Returns the
-    scores in target order.
+    Targets of one length are checked together and share a stacked call
+    of the density primitive, one order (prefix then target) per row, in
+    chunks of at most BATCH_ELEMENTS covariance entries, so a search
+    scores all its candidates at once. Returns the scores in target
+    order.
     """
     a, b = _checked_pair(entailed, contrast, model)
     e = _checked_evidence(evidence, model)
@@ -173,12 +165,17 @@ def woe_conditional_many(
     a, b = list(a), list(b)
     log_prior = np.log(model.priors)[:, None]
     by_length: dict[int, list[int]] = {}
-    for j, t in enumerate(targets):
-        by_length.setdefault(len(t), []).append(j)
+    try:
+        for j, t in enumerate(targets):
+            by_length.setdefault(len(t), []).append(j)
+        stacks = [(rows, np.array([p_idx + tuple(targets[j]) for j in rows])
+                   .reshape(len(rows), len(p_idx) + length))
+                  for length, rows in sorted(by_length.items())]
+    except (TypeError, ValueError) as exc:
+        raise InvalidPartitionError("each target must be a sequence of integer indices") from exc
     scores = np.empty(len(targets))
-    for length, rows in sorted(by_length.items()):
-        m = len(p_idx) + length
-        orders = np.array([p_idx + tuple(targets[j]) for j in rows]).reshape(len(rows), m)
+    for rows, orders in stacks:
+        m = orders.shape[1]
         _checked_targets(orders[:, len(p_idx):], p_idx, e)
         step = max(1, BATCH_ELEMENTS // (model.n_classes * m * m))
         for start in range(0, len(rows), step):
@@ -206,7 +203,10 @@ def woe_chain(
     """
     a, b = _checked_pair(entailed, contrast, model)
     e = _checked_evidence(evidence, model)
-    groups = [tuple(int(i) for i in g) for g in ordering]
+    try:
+        groups = [tuple(operator.index(i) for i in g) for g in ordering]
+    except TypeError as exc:
+        raise InvalidPartitionError("ordering indices must be integers") from exc
     flat: list[int] = []
     for k, g in enumerate(groups):
         if not g:

@@ -247,39 +247,20 @@ def write_csv(dataset: Dataset, path: "str | Path") -> None:
             writer.writerow(record)
 
 
-@dataclass(frozen=True)
-class OracleSpec:
-    """Where labels come from: a stored column or an external command."""
-
-    label_column: str | None = None
-    command: str | None = None
-
-    def __post_init__(self):
-        if (self.label_column is None) == (self.command is None):
-            raise ConfigError("set exactly one oracle source: label_column or command")
-
-
-def query_oracle(spec: OracleSpec, dataset: Dataset) -> np.ndarray:
-    """Obtain one label per dataset row from the configured source.
+def query_oracle(command: str, dataset: Dataset) -> np.ndarray:
+    """Label every dataset row by running an external command.
 
     The subprocess protocol: each feature row is written as one CSV line
     (no header) to the command's stdin; the command must exit 0 and
     write exactly one nonnegative integer label per line, in row order.
     Identical rows are always serialized to identical bytes.
     """
-    if spec.label_column is not None:
-        if dataset.labels is None or dataset.label_name != spec.label_column:
-            raise ConfigError(
-                f"dataset has no stored label column named {spec.label_column!r}"
-            )
-        return np.asarray(dataset.labels)
-
     stdin_text = "".join(
         ",".join(_format_value(v) for v in row) + "\n" for row in dataset.rows
     )
     try:
         proc = subprocess.run(
-            spec.command,
+            command,
             shell=True,
             input=stdin_text,
             capture_output=True,

@@ -18,32 +18,37 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 
 from .contrast import ContrastParams, best_contrast
-from .core import bayes_decomposition, first_max, woe_chain, woe_conditional_many
+from .core import (
+    _checked_evidence,
+    _checked_pair,
+    bayes_decomposition,
+    first_max,
+    woe_chain,
+    woe_conditional_many,
+)
 from .errors import (
     DegenerateDensityError,
-    InvalidHypothesisError,
     InvalidParameterError,
     InvalidPartitionError,
     MissingEvidenceError,
     NothingToExplainError,
 )
-from .gaussian import DensityBackend, posterior
+from .gaussian import DensityBackend, predicted_class
 from .types import (
     AttributePartition,
     Evidence,
     HypothesisSet,
     as_evidence,
-    as_hypothesis,
 )
 
-REPORT_FORMAT_VERSION = 1
+REPORT_FORMAT_VERSION = 2
 
 CONDITIONAL_CHAIN = "conditional_chain"
 MARGINAL = "marginal"
@@ -51,11 +56,6 @@ MARGINAL = "marginal"
 GREEDY_MAX_WOE = "greedy_max_woe"
 FIXED = "fixed"
 RANDOM = "random"
-
-# keep c_star and explain the entailed set next round, or follow the
-# remove-the-entailed-set pseudo-code reading literally
-UPDATE_ENTAILED = "entailed"
-UPDATE_LITERAL = "literal"
 
 # exhaustive subset scan is affordable up to this many candidate groups
 MAX_SUBSET_SCAN = 10_000
@@ -76,7 +76,6 @@ class ExplainerParams:
     ordering_policy: str = GREEDY_MAX_WOE
     ordering_seed: int = 0
     contrast: ContrastParams = field(default_factory=ContrastParams)
-    remaining_update: str = UPDATE_ENTAILED
 
     def __post_init__(self):
         if (self.partition is None) == (self.attribute_size is None):
@@ -98,8 +97,6 @@ class ExplainerParams:
             )
         if self.ordering_policy not in (GREEDY_MAX_WOE, FIXED, RANDOM):
             raise InvalidParameterError(f"unknown ordering_policy {self.ordering_policy!r}")
-        if self.remaining_update not in (UPDATE_ENTAILED, UPDATE_LITERAL):
-            raise InvalidParameterError(f"unknown remaining_update {self.remaining_update!r}")
         object.__setattr__(self, "display_threshold", float(self.display_threshold))
         object.__setattr__(self, "ordering_seed", int(self.ordering_seed))
 
@@ -206,10 +203,7 @@ def score_attributes(entailed, contrast, evidence, model: DensityBackend,
     predecessors; marginal keeps the given order and scores each group
     alone.
     """
-    a = as_hypothesis(entailed).check_against(model.n_classes)
-    b = as_hypothesis(contrast).check_against(model.n_classes)
-    if not a.isdisjoint(b):
-        raise InvalidHypothesisError("entailed and contrast sets overlap")
+    a, b = _checked_pair(entailed, contrast, model)
     e = as_evidence(evidence)
 
     if params.partition is not None:
@@ -265,24 +259,8 @@ def filter_display(step: ExplanationStep, threshold: float) -> ExplanationStep:
 
     A pure view: every numeric field is preserved, only the flags move.
     """
-    attrs = tuple(
-        AttributeScore(
-            features=a.features,
-            woe=a.woe,
-            conditional=a.conditional,
-            name=a.name,
-            displayed=abs(a.woe) >= threshold,
-        )
-        for a in step.attributes
-    )
-    return ExplanationStep(
-        entailed=step.entailed,
-        contrast=step.contrast,
-        prior_log_odds=step.prior_log_odds,
-        posterior_log_odds=step.posterior_log_odds,
-        scoring_mode=step.scoring_mode,
-        attributes=attrs,
-    )
+    attrs = tuple(replace(a, displayed=abs(a.woe) >= threshold) for a in step.attributes)
+    return replace(step, attributes=attrs)
 
 
 def _settings_record(params: ExplainerParams) -> dict:
@@ -303,7 +281,6 @@ def _settings_record(params: ExplainerParams) -> dict:
         "ordering_seed": params.ordering_seed,
         "alpha_reg": params.contrast.alpha_reg,
         "max_exhaustive_classes": params.contrast.max_exhaustive_classes,
-        "remaining_update": params.remaining_update,
     }
 
 
@@ -316,18 +293,14 @@ def explain(evidence, model: DensityBackend, params: ExplainerParams) -> Explana
     next round. Stops when only the predicted class remains, after at
     most K - 1 steps.
     """
-    e = as_evidence(evidence)
-    if e.n_features != model.n_features:
-        raise MissingEvidenceError(
-            f"evidence has {e.n_features} features, model expects {model.n_features}"
-        )
+    e = _checked_evidence(evidence, model)
     if not e.fully_observed:
         missing = [i for i in range(e.n_features) if not e.observed_mask[i]]
         raise MissingEvidenceError(f"explain needs all features, missing {missing}")
     if model.n_classes < 2:
         raise NothingToExplainError("model has a single class, nothing to contrast")
 
-    c_star = int(np.argmax(posterior(model, e)))
+    c_star = predicted_class(model, e)
     remaining = HypothesisSet(tuple(range(model.n_classes)))
     steps: list[ExplanationStep] = []
     while len(remaining) > 1:
@@ -344,16 +317,7 @@ def explain(evidence, model: DensityBackend, params: ExplainerParams) -> Explana
             attributes=attrs,
         )
         steps.append(filter_display(step, params.display_threshold))
-        if params.remaining_update == UPDATE_ENTAILED:
-            remaining = entailed
-        else:
-            remaining = remaining.difference(entailed)
-            if len(remaining) > 1 and c_star not in remaining:
-                raise InvalidHypothesisError(
-                    "literal remaining-set update removed the predicted class "
-                    f"{c_star} with classes {list(remaining)} still unexplained; "
-                    "use the default 'entailed' update to continue past this point"
-                )
+        remaining = entailed
     return ExplanationReport(
         predicted_class=c_star,
         steps=tuple(steps),

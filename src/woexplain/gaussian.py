@@ -16,6 +16,7 @@ All probability arithmetic happens in log space.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence, runtime_checkable
@@ -78,7 +79,7 @@ class DensityBackend(Protocol):
 def _index_tuple(indices: Iterable[int], n: int, what: str) -> tuple[int, ...]:
     """Normalize a coordinate collection and bounds-check it against n."""
     try:
-        idx = tuple(int(i) for i in indices)
+        idx = tuple(operator.index(i) for i in indices)
     except (TypeError, ValueError) as exc:
         raise InvalidPartitionError(f"{what} indices must be integers") from exc
     for i in idx:

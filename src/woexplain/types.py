@@ -6,6 +6,7 @@ downstream code can rely on sorted, validated tuples and read-only arrays.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -153,7 +154,7 @@ class AttributePartition:
         norm = []
         for k, group in enumerate(self.groups):
             try:
-                idx = tuple(sorted(int(i) for i in group))
+                idx = tuple(sorted(operator.index(i) for i in group))
             except (TypeError, ValueError) as exc:
                 raise InvalidPartitionError(f"group {k} has non-integer indices") from exc
             if not idx:

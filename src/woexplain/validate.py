@@ -17,7 +17,7 @@ import numpy as np
 from .contrast import ContrastParams, best_contrast, score_subset
 from .core import bayes_decomposition, woe_chain
 from .errors import InvalidDataError
-from .gaussian import DensityBackend, posterior
+from .gaussian import DensityBackend, predicted_class
 from .types import HypothesisSet
 
 IDENTITY_TOL = 1e-9
@@ -141,7 +141,7 @@ def run_validation(
     brute_rows = row_ids[:BRUTE_MAX_ROWS]
     for i in brute_rows:
         row = x[i]
-        c_star = int(np.argmax(posterior(model, row)))
+        c_star = predicted_class(model, row)
         chosen = best_contrast(universe, c_star, row, model, params)
         others = [c for c in range(k) if c != c_star]
         brute_best, brute_score = None, -np.inf

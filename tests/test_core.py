@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
+from scipy.integrate import trapezoid
 
 from woexplain import (
+    AttributePartition,
     Evidence,
     GaussianClassModel,
     bayes_decomposition,
@@ -145,7 +147,7 @@ class TestWoeConditional:
                 model.means[c], model.covariances[c]
             )
             num = joint.logpdf([x0, x1])
-            marg = np.trapezoid(
+            marg = trapezoid(
                 joint.pdf(np.column_stack([grid, np.full_like(grid, x1)])), grid
             )
             return num - np.log(marg)
@@ -162,7 +164,7 @@ class TestWoeConditional:
 
         def grid_pieces(c):
             joint = stats.multivariate_normal(model.means[c], model.covariances[c])
-            marg = np.trapezoid(
+            marg = trapezoid(
                 joint.pdf(np.column_stack([grid, np.full_like(grid, x1)])), grid
             )
             return joint.pdf([x0, x1]) / marg, marg
@@ -210,6 +212,28 @@ class TestWoeConditional:
                 score([0], [1], (5,), (), x, model)
             with pytest.raises(InvalidPartitionError, match="prefix index 3 outside 0..2"):
                 score([0], [1], (0,), (3,), x, model)
+            with pytest.raises(InvalidPartitionError, match="sequence of integer indices"):
+                score([0], [1], 1, (), x, model)
+            with pytest.raises(InvalidPartitionError, match="sequence of integer indices"):
+                score([0], [1], [[1, 2]], (), x, model)
+
+    def test_float_index_is_partition_error(self):
+        """A non-integral index is rejected, never truncated to a feature."""
+        rng = np.random.default_rng(57)
+        model = random_model(rng, 2, 3)
+        x = rng.normal(size=3)
+        for bad in (1.7, 0.5, 1.0):
+            cases = [
+                lambda: woe_conditional([0], [1], (bad,), (), x, model),
+                lambda: woe_conditional([0], [1], (2,), (bad,), x, model),
+                lambda: model.log_density_terms((bad,), [0.0]),
+                lambda: model.marginal_moments(0, bad),
+                lambda: woe_chain([0], [1], [(0, bad), (2,)], x, model),
+                lambda: AttributePartition(((0, bad), (2,))),
+            ]
+            for case in cases:
+                with pytest.raises(InvalidPartitionError):
+                    case()
 
 
 class TestWoeConditionalMany:

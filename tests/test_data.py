@@ -8,7 +8,6 @@ import pytest
 
 from woexplain import (
     Dataset,
-    OracleSpec,
     csv_header,
     load_csv,
     load_partition,
@@ -208,27 +207,9 @@ class TestQueryOracle:
             rows=np.array([[1.5, 2.0], [-0.25, 4.0], [0.5, -1.0]]),
         )
 
-    def test_spec_needs_exactly_one_source(self):
-        with pytest.raises(ConfigError):
-            OracleSpec()
-        with pytest.raises(ConfigError):
-            OracleSpec(label_column="y", command="cat")
-
-    def test_stored_column_passthrough(self, tmp_path):
-        source = write_text(tmp_path / "t.csv", "x,y\n1,0\n2,1\n")
-        ds = load_csv(source, label_column="y")
-        np.testing.assert_array_equal(
-            query_oracle(OracleSpec(label_column="y"), ds), [0, 1]
-        )
-        with pytest.raises(ConfigError):
-            query_oracle(OracleSpec(label_column="other"), ds)
-        unlabeled = load_csv(source)
-        with pytest.raises(ConfigError):
-            query_oracle(OracleSpec(label_column="y"), unlabeled)
-
     def test_subprocess_oracle_labels_rows(self, tmp_path):
         cmd = oracle_script(tmp_path, THRESHOLD_ORACLE)
-        labels = query_oracle(OracleSpec(command=cmd), self.make_dataset())
+        labels = query_oracle(cmd, self.make_dataset())
         np.testing.assert_array_equal(labels, [1, 0, 1])
 
     def test_subprocess_input_is_deterministic(self, tmp_path):
@@ -242,8 +223,8 @@ class TestQueryOracle:
             "print(len(lines.splitlines()) * '0\\n', end='')\n",
         )
         ds = self.make_dataset()
-        query_oracle(OracleSpec(command=cmd), ds)
-        query_oracle(OracleSpec(command=cmd), ds)
+        query_oracle(cmd, ds)
+        query_oracle(cmd, ds)
         first, second = record.read_text().splitlines()[:3], record.read_text().splitlines()[3:]
         assert first == second
         assert first[0] == "1.5,2.0"
@@ -251,24 +232,24 @@ class TestQueryOracle:
     def test_short_output_reports_line(self, tmp_path):
         cmd = oracle_script(tmp_path, "print(0)\nprint(1)\n")
         with pytest.raises(OracleProtocolError, match=r"expected 3 label lines.*line 3"):
-            query_oracle(OracleSpec(command=cmd), self.make_dataset())
+            query_oracle(cmd, self.make_dataset())
 
     def test_malformed_label_reports_line(self, tmp_path):
         cmd = oracle_script(tmp_path, "print(0)\nprint('maybe')\nprint(1)\n")
         with pytest.raises(OracleProtocolError, match=r"not an integer.*line 2"):
-            query_oracle(OracleSpec(command=cmd), self.make_dataset())
+            query_oracle(cmd, self.make_dataset())
 
     def test_negative_label_rejected(self, tmp_path):
         cmd = oracle_script(tmp_path, "print(0)\nprint(-1)\nprint(1)\n")
         with pytest.raises(OracleProtocolError, match=r"negative label -1.*line 2"):
-            query_oracle(OracleSpec(command=cmd), self.make_dataset())
+            query_oracle(cmd, self.make_dataset())
 
     def test_nonzero_exit_surfaces_stderr(self, tmp_path):
         cmd = oracle_script(
             tmp_path, "import sys\nsys.stderr.write('boom: bad flag\\n')\nsys.exit(3)\n"
         )
         with pytest.raises(OracleProtocolError, match="status 3.*boom"):
-            query_oracle(OracleSpec(command=cmd), self.make_dataset())
+            query_oracle(cmd, self.make_dataset())
 
 
 class TestLoadPartition:

@@ -131,35 +131,6 @@ class TestExplainLoop:
         for step in report.steps:
             assert abs(step.prior_log_odds + step.total_woe - step.posterior_log_odds) < 1e-9
 
-    def test_literal_update_stops_when_prediction_is_consumed(self):
-        """Removing the entailed set drops the prediction from play.
-
-        With the two non-predicted classes placed symmetrically around
-        the evidence, the first split isolates the predicted class, and
-        the literal update then has two classes left but nothing to
-        entail, which is exactly the configuration that must raise.
-        """
-        model = GaussianClassModel(
-            means=np.array([[0.0], [3.0], [-3.0]]),
-            covariances=np.array([[[1.0]], [[1.0]], [[1.0]]]),
-            priors=np.full(3, 1.0 / 3.0),
-            mode="full",
-            feature_names=("x",),
-        ).validate()
-        entailed_params = single_group_params(1)
-        report = explain([0.0], model, entailed_params)
-        assert tuple(report.steps[0].entailed) == (0,)
-        literal_params = single_group_params(1, remaining_update="literal")
-        with pytest.raises(InvalidHypothesisError, match="literal"):
-            explain([0.0], model, literal_params)
-
-    def test_literal_update_works_for_binary(self):
-        rng = np.random.default_rng(47)
-        model = random_model(rng, 2, 2)
-        x = rng.normal(size=2)
-        report = explain(x, model, single_group_params(2, remaining_update="literal"))
-        assert len(report.steps) == 1
-
     def test_input_validation(self):
         rng = np.random.default_rng(48)
         model = random_model(rng, 3, 2)
@@ -454,8 +425,6 @@ class TestParamsAndReportShape:
             ExplainerParams(partition=partition, scoring_mode="bayes")
         with pytest.raises(InvalidParameterError):
             ExplainerParams(partition=partition, ordering_policy="sorted")
-        with pytest.raises(InvalidParameterError):
-            ExplainerParams(partition=partition, remaining_update="both")
 
     def test_partition_must_match_model_width(self):
         rng = np.random.default_rng(55)
@@ -464,6 +433,9 @@ class TestParamsAndReportShape:
         with pytest.raises(InvalidPartitionError):
             score_attributes([0], [1], [0.0, 0.0, 0.0], model,
                              ExplainerParams(partition=partition))
+        with pytest.raises(InvalidHypothesisError, match="overlap"):
+            score_attributes([0], [0, 1], [0.0, 0.0, 0.0], model,
+                             ExplainerParams(partition=AttributePartition(((0, 1, 2),))))
 
     def test_report_document_layout(self):
         rng = np.random.default_rng(56)
@@ -472,11 +444,11 @@ class TestParamsAndReportShape:
         partition = AttributePartition(((0, 1), (2, 3)), names=("pair_a", "pair_b"))
         doc = report_to_dict(explain(x, model, ExplainerParams(partition=partition)))
         assert list(doc) == ["version", "predicted_class", "settings", "steps"]
-        assert doc["version"] == 1
+        assert doc["version"] == 2
         assert list(doc["settings"]) == [
             "attribute_source", "scoring_mode", "display_threshold",
             "ordering_policy", "ordering_seed", "alpha_reg",
-            "max_exhaustive_classes", "remaining_update",
+            "max_exhaustive_classes",
         ]
         assert doc["settings"]["attribute_source"]["type"] == "fixed_partition"
         assert doc["settings"]["attribute_source"]["names"] == ["pair_a", "pair_b"]

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import stats
+from scipy.integrate import trapezoid
 from scipy.special import expit, logsumexp
 
 from woexplain import (
@@ -242,7 +243,7 @@ class TestSetLikelihood:
             np.exp(set_conditional_log_likelihood(model, [0, 1], (0,), [g], (1,), x_p))
             for g in grid
         ])
-        assert_allclose(np.trapezoid(dens, grid), 1.0, atol=1e-4)
+        assert_allclose(trapezoid(dens, grid), 1.0, atol=1e-4)
 
     def test_conditional_mixture_normalizes_2d(self):
         """exp(set conditional) integrates to 1 over a 2-D target."""
@@ -257,7 +258,7 @@ class TestSetLikelihood:
                 dens[i, j] = np.exp(set_conditional_log_likelihood(
                     model, [0, 1], (0, 1), [u, v], (2,), x_p
                 ))
-        total = np.trapezoid(np.trapezoid(dens, grid, axis=1), grid)
+        total = trapezoid(trapezoid(dens, grid, axis=1), grid)
         assert_allclose(total, 1.0, atol=1e-4)
 
     def test_satisfies_backend_protocol(self):
