@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
@@ -79,19 +80,15 @@ def _parse_labels(cells: list[str], column: str) -> tuple[np.ndarray, dict[str, 
     Anything else is treated as categorical: distinct cell texts are
     sorted and mapped to 0..K-1, and the mapping is returned.
     """
-    values = []
-    integral = True
-    for cell in cells:
-        try:
-            v = float(cell)
-        except ValueError:
-            integral = False
-            break
-        if not np.isfinite(v) or v != int(v):
-            integral = False
-            break
-        values.append(int(v))
+    try:
+        parsed = list(map(float, cells))
+    except ValueError:
+        integral = False
+    else:
+        # is_integer is False for inf and nan too, so this also checks finiteness
+        integral = all(map(float.is_integer, parsed))
     if integral:
+        values = list(map(int, parsed))
         for r, v in enumerate(values, start=1):
             if v < 0:
                 raise CsvParseError(
@@ -123,14 +120,31 @@ def _read_records(path: "str | Path") -> tuple[list[str], Iterator[list[str]]]:
     return header, records
 
 
-def _checked_records(records: Iterator[list[str]]) -> Iterator[list[str]]:
-    """Body records; a record the csv module cannot parse raises CsvParseError."""
-    r = 0
-    try:
-        for r, record in enumerate(records, start=1):
-            yield record
-    except csv.Error as exc:
-        raise CsvParseError(f"malformed CSV record: {exc}", row=r + 1) from exc
+def _parse_cells(
+    record: list[str], feature_cols: Sequence[int], header: Sequence[str], r: int
+) -> list[float]:
+    """The feature cells of body record r, parsed and checked one at a time.
+
+    Each cell is stripped, parsed and checked for finiteness in
+    feature_cols order, so the first failing cell is the one named. The
+    values are returned when every cell passes: float() alone rejects
+    padding that str.strip() removes, such as U+001F.
+    """
+    parsed = []
+    for j in feature_cols:
+        cell = record[j].strip()
+        try:
+            v = float(cell)
+        except ValueError:
+            raise CsvParseError(
+                f"cell {cell!r} does not parse as a number", row=r, column=header[j]
+            ) from None
+        if not math.isfinite(v):
+            raise CsvParseError(
+                f"cell {cell!r} is not finite", row=r, column=header[j]
+            )
+        parsed.append(v)
+    return parsed
 
 
 def csv_header(path: "str | Path") -> tuple[str, ...]:
@@ -178,30 +192,31 @@ def load_csv(
     if not feature_cols:
         raise CsvParseError("no feature columns besides the label column")
 
+    # Each record's feature cells are converted in one C-level pass. float()
+    # skips only whitespace that str.strip() also removes, so a record that
+    # passes holds the values the per-cell route gives; a record that fails
+    # (or holds a non-finite value) takes that route, which names the first
+    # bad cell or parses cells that only str.strip() can clean.
+    width = len(header)
     rows: list[list[float]] = []
     label_cells: list[str] = []
-    for r, record in enumerate(_checked_records(body), start=1):
-        if len(record) != len(header):
-            raise CsvParseError(
-                f"expected {len(header)} cells, got {len(record)}", row=r
-            )
-        parsed = []
-        for j in feature_cols:
-            cell = record[j].strip()
+    r = 0
+    try:
+        for r, record in enumerate(body, start=1):
+            if len(record) != width:
+                raise CsvParseError(f"expected {width} cells, got {len(record)}", row=r)
             try:
-                v = float(cell)
+                parsed = list(map(float, map(record.__getitem__, feature_cols)))
+                checked = all(map(math.isfinite, parsed))
             except ValueError:
-                raise CsvParseError(
-                    f"cell {cell!r} does not parse as a number", row=r, column=header[j]
-                ) from None
-            if not np.isfinite(v):
-                raise CsvParseError(
-                    f"cell {cell!r} is not finite", row=r, column=header[j]
-                )
-            parsed.append(v)
-        rows.append(parsed)
-        if label_idx is not None:
-            label_cells.append(record[label_idx].strip())
+                checked = False
+            if not checked:
+                parsed = _parse_cells(record, feature_cols, header, r)
+            rows.append(parsed)
+            if label_idx is not None:
+                label_cells.append(record[label_idx].strip())
+    except csv.Error as exc:
+        raise CsvParseError(f"malformed CSV record: {exc}", row=r + 1) from exc
 
     labels = mapping = None
     if label_idx is not None:

@@ -193,7 +193,10 @@ class GaussianClassModel:
         return self
 
     def check_label(self, label: int) -> int:
-        label = int(label)
+        try:
+            label = operator.index(label)
+        except TypeError:
+            raise UnknownLabelError(f"label {label!r} is not an integer") from None
         if not 0 <= label < self.n_classes:
             raise UnknownLabelError(f"label {label} outside model range 0..{self.n_classes - 1}")
         return label

@@ -32,8 +32,8 @@ class HypothesisSet:
 
     def __post_init__(self):
         try:
-            labels = tuple(sorted(int(c) for c in self.classes))
-        except (TypeError, ValueError) as exc:
+            labels = tuple(sorted(operator.index(c) for c in self.classes))
+        except TypeError as exc:
             raise InvalidHypothesisError(
                 f"class labels must be integers, got {self.classes!r}"
             ) from exc
@@ -78,8 +78,8 @@ def as_hypothesis(h: "HypothesisSet | int | Iterable[int]") -> HypothesisSet:
     if isinstance(h, HypothesisSet):
         return h
     if isinstance(h, (int, np.integer)):
-        return HypothesisSet((int(h),))
-    return HypothesisSet(tuple(h))
+        return HypothesisSet((h,))
+    return HypothesisSet(h)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,8 @@ from woexplain import (
     AttributePartition,
     Evidence,
     GaussianClassModel,
+    HypothesisSet,
+    as_hypothesis,
     bayes_decomposition,
     information_value,
     posterior_log_odds,
@@ -132,6 +134,23 @@ class TestWoe:
             woe([0], [3], x, model)
         with pytest.raises(MissingEvidenceError):
             woe([0], [1], [0.0, 0.0, 0.0], model)
+
+    def test_non_integral_label_is_rejected(self):
+        """A float class label is rejected, never truncated to a class."""
+        model = random_model(np.random.default_rng(58), 3, 2, mode="diagonal")
+        x = np.zeros(2)
+        with pytest.raises(InvalidHypothesisError):
+            woe([0.5], [1], x, model)
+        with pytest.raises(UnknownLabelError):
+            model.check_label(1.7)
+        with pytest.raises(InvalidHypothesisError):
+            HypothesisSet((0.9, 2))
+        with pytest.raises(InvalidHypothesisError):
+            as_hypothesis(0.5)
+        assert HypothesisSet((np.int64(2), np.int32(0))).classes == (0, 2)
+        assert model.check_label(np.int64(1)) == 1
+        assert as_hypothesis(np.uint8(1)) == HypothesisSet((1,))
+        assert woe([np.int64(0)], [1], x, model) == woe([0], [1], x, model)
 
 
 class TestWoeConditional:

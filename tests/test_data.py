@@ -1,5 +1,6 @@
 """CSV ingestion, label handling, oracle subprocess protocol, partitions."""
 
+import csv
 import json
 import sys
 
@@ -135,6 +136,118 @@ class TestLoadCsv:
         binary.write_bytes(b"a,b\n\xff\xfe,2\n")
         with pytest.raises(CsvParseError, match="UTF-8"):
             csv_header(binary)
+
+
+def per_cell_rows(text, columns):
+    """The feature rows as float(cell.strip()) per cell, read by the csv module alone."""
+    records = list(csv.reader(text.splitlines()))
+    header = [h.strip() for h in records[0]]
+    cols = [header.index(name) for name in columns]
+    rows = [[float(record[j].strip()) for j in cols] for record in records[1:]]
+    return np.array(rows, dtype=float).reshape(len(rows), len(cols))
+
+
+def csv_error(path, **kwargs):
+    """The CsvParseError load_csv raises for path, as (message, row, column)."""
+    with pytest.raises(CsvParseError) as info:
+        load_csv(path, **kwargs)
+    return str(info.value), info.value.row, info.value.column
+
+
+class TestLoadCsvMatchesPerCellParsing:
+    """load_csv gives bitwise the values and exactly the errors of a per-cell parse."""
+
+    PADDING = ("", " ", "\t", "\u00a0", "\u2003", "\x1f")
+
+    def test_random_file_with_label_in_the_middle(self, tmp_path):
+        rng = np.random.default_rng(5)
+        names = ["a", "b", "c", "y", "d", "e", "f"]
+        lines = [",".join(names)]
+        for _ in range(200):
+            cells = []
+            for name in names:
+                if name == "y":
+                    text = str(int(rng.integers(0, 4)))
+                else:
+                    v = float(rng.normal(0.0, 10.0 ** rng.integers(-5, 6)))
+                    text = str(rng.choice([repr(v), f"{v:.17g}", f"{v:.3e}", str(round(v)), "-0.0"]))
+                pad = self.PADDING
+                cells.append(pad[rng.integers(len(pad))] + text + pad[rng.integers(len(pad))])
+            lines.append(",".join(cells))
+        text = "\n".join(lines) + "\n"
+        path = write_text(tmp_path / "t.csv", text)
+        permuted = ["e", "a", "f", "c", "b", "d"]
+        cases = [
+            (load_csv(path, label_column="y", columns=permuted), permuted),
+            (load_csv(path, label_column="y"), ["a", "b", "c", "d", "e", "f"]),
+            (load_csv(path), names),
+        ]
+        for ds, columns in cases:
+            expected = per_cell_rows(text, columns)
+            assert ds.header == tuple(columns)
+            assert ds.rows.shape == expected.shape == (200, len(columns))
+            assert ds.rows.tobytes() == expected.tobytes()
+        labels = [int(line.split(",")[3].strip()) for line in lines[1:]]
+        np.testing.assert_array_equal(cases[0][0].labels, labels)
+
+    def test_padded_and_unusual_cells_parse_as_float_does(self, tmp_path):
+        """U+001F is removed by str.strip() but refused by float(); both padded forms parse."""
+        text = (
+            "a,b,c\n"
+            "\t1.5\t,\u00a0-2\u00a0,\u20033e2\u2003\n"
+            "\x1f4\x1f,\x1f 5.25 \x1f,6\n"
+            "1_000,\u0661\u0662\u0663,\u0664.\u0665\n"
+        )
+        path = write_text(tmp_path / "t.csv", text)
+        ds = load_csv(path)
+        expected = per_cell_rows(text, ["a", "b", "c"])
+        np.testing.assert_array_equal(expected, [[1.5, -2.0, 300.0], [4.0, 5.25, 6.0], [1000.0, 123.0, 4.5]])
+        assert ds.rows.tobytes() == expected.tobytes()
+
+    def test_non_finite_cells_are_rejected_with_their_location(self, tmp_path):
+        for r, cell, shown in [(1, "1e999", "1e999"), (2, "inf", "inf"),
+                               (3, "-Infinity", "-Infinity"), (2, " nan ", "nan")]:
+            body = ["1,2", "3,4", "5,6"]
+            body[r - 1] = f"7,{cell}"
+            path = write_text(tmp_path / "t.csv", "a,b\n" + "\n".join(body) + "\n")
+            assert csv_error(path) == (
+                f"cell {shown!r} is not finite (row {r}, column 'b')", r, "b"
+            )
+
+    def test_first_failing_record_then_first_failing_column_wins(self, tmp_path):
+        later_parse_error = write_text(tmp_path / "rows.csv", "a,b\n1,2\nnan,4\n5,oops\n")
+        assert csv_error(later_parse_error) == (
+            "cell 'nan' is not finite (row 2, column 'a')", 2, "a"
+        )
+        later_csv_error = write_text(
+            tmp_path / "long.csv", "a,b\n1,inf\n" + "9" * 200_000 + ",3\n"
+        )
+        assert csv_error(later_csv_error) == (
+            "cell 'inf' is not finite (row 1, column 'b')", 1, "b"
+        )
+        columns = write_text(tmp_path / "cols.csv", "a,b\n1,2\nnan,oops\n")
+        assert csv_error(columns) == ("cell 'nan' is not finite (row 2, column 'a')", 2, "a")
+        assert csv_error(columns, columns=["b", "a"]) == (
+            "cell 'oops' does not parse as a number (row 2, column 'b')", 2, "b"
+        )
+        length_first = write_text(tmp_path / "len.csv", "a,b\n1,2\noops,nan,3\n")
+        assert csv_error(length_first) == ("expected 2 cells, got 3 (row 2)", 2, None)
+
+    def test_label_columns_of_every_kind(self, tmp_path):
+        """Integral cells pass through; anything else gets a sorted text mapping."""
+        cases = [
+            (["2", " 0 ", "1.0", "1e0", "3"], [2, 0, 1, 1, 3], None),
+            (["cat", "dog", "cat", "ant"], [1, 2, 1, 0],
+             {"ant": 0, "cat": 1, "dog": 2}),
+            (["0", "nan", "1", "nan"], [0, 2, 1, 2], {"0": 0, "1": 1, "nan": 2}),
+            (["0", "inf", "1.5"], [0, 2, 1], {"0": 0, "1.5": 1, "inf": 2}),
+            (["1", "0.5", "2"], [1, 0, 2], {"0.5": 0, "1": 1, "2": 2}),
+        ]
+        for cells, labels, mapping in cases:
+            body = "".join(f"{k},{cell}\n" for k, cell in enumerate(cells))
+            ds = load_csv(write_text(tmp_path / "t.csv", "x,y\n" + body), label_column="y")
+            np.testing.assert_array_equal(ds.labels, labels)
+            assert ds.label_mapping == mapping
 
 
 class TestWriteCsv:
