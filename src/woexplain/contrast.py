@@ -19,18 +19,39 @@ row at once. The arithmetic per row is that of score_subset's route, so
 the batched search returns the argmax a one-candidate-at-a-time loop
 returns, bit for bit; validate.py keeps such a loop as the independent
 check.
+
+The exhaustive search scores only the sizes that can win. With
+a_c = log p_c + J_c and q_c = log p_c, woe(U / V\\U) is
+lse_U(a) - lse_U(q) - lse_rest(a) + lse_rest(q), which rises with every
+a in U and falls with every q in U. So for a size s, taking each term
+at its own extreme over the classes other than c* bounds every split of
+that size:
+
+    bound(s) = lse(a_c*, s-1 largest other a) - lse(q_c*, s-1 smallest other q)
+               - lse(|V|-s smallest other a) + lse(|V|-s largest other q)
+               - alpha_reg * (s - |V|/2)^2
+
+Sizes are scored in descending bound order, and a size is skipped when
+its bound is below the best score so far by more than the rounding
+slack PRUNE_SLACK * eps * (sum of |bound terms| + |best|). A NaN bound
+never prunes. A skipped size holds no split that ties or beats the
+best, so the first maximum over the scored sizes, concatenated in size
+order, is the candidate the full enumeration picks: the same
+(size, lexicographic) tie-break, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
-from .core import _checked_evidence, first_max, woe
+from .core import _checked_count, _checked_evidence, first_max, woe
 from .errors import (
     DegenerateDensityError,
     EmptyContrastError,
@@ -49,16 +70,20 @@ class ContrastParams:
     max_exhaustive_classes: int = 12
 
     def __post_init__(self):
-        alpha = float(self.alpha_reg)
+        try:
+            alpha = float(self.alpha_reg)
+        except (TypeError, ValueError):
+            alpha = math.nan
         if not (math.isfinite(alpha) and alpha >= 0.0):
             raise InvalidParameterError(f"alpha_reg must be >= 0, got {self.alpha_reg!r}")
-        cap = self.max_exhaustive_classes
-        if int(cap) != cap or cap < 2:
-            raise InvalidParameterError(
-                f"max_exhaustive_classes must be an integer >= 2, got {cap!r}"
-            )
         object.__setattr__(self, "alpha_reg", alpha)
-        object.__setattr__(self, "max_exhaustive_classes", int(cap))
+        object.__setattr__(self, "max_exhaustive_classes", _checked_count(
+            self.max_exhaustive_classes, "max_exhaustive_classes", 2))
+
+
+# c in the pruning slack c * eps * (sum of |bound terms| + |best|): how
+# far, in those units, a computed score may exceed its computed bound
+PRUNE_SLACK = 16.0
 
 
 def _penalty(size_u: int, size_v: int, alpha: float) -> float:
@@ -122,19 +147,52 @@ def _split_scores(member: np.ndarray, labels: np.ndarray, log_prior: np.ndarray,
             - _penalty(size, n, alpha))
 
 
+def _size_bounds(log_prior: np.ndarray, joint: np.ndarray, own: np.ndarray,
+                 alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Upper bound on the objective of every split of each size, and its scale.
+
+    Entry s - 1 of each array is for splits with |U| = s, s = 1..n-1,
+    where U holds the class flagged in `own` (see the module docstring).
+    The scale is the sum of the magnitudes of the bound's terms, the
+    size of the rounding error the pruning slack allows for. A
+    non-finite a gives NaN bounds, which prune nothing.
+    """
+    n = len(own)
+    a = log_prior + joint
+    if not np.isfinite(a).all():
+        unknown = np.full(n - 1, np.nan)
+        return unknown, unknown
+    a_other, q_other = np.sort(a[~own]), np.sort(log_prior[~own])
+    lse = np.logaddexp.accumulate
+    terms = (
+        lse(np.concatenate((a[own], a_other[::-1])))[:-1],
+        -lse(np.concatenate((log_prior[own], q_other)))[:-1],
+        -lse(a_other)[::-1],
+        lse(q_other[::-1])[::-1],
+        -_penalty(np.arange(1, n), n, alpha),
+    )
+    return sum(terms), sum(map(np.abs, terms))
+
+
 def best_contrast(full_set, c_star: int, evidence, model: DensityBackend,
                   params: ContrastParams) -> HypothesisSet:
     """The subset U of V maximizing the regularized WoE objective.
 
     Always contains c_star and is always a proper subset of V. Within
-    the exhaustive regime the result is the exact argmax: every
-    candidate is scored in one batched evaluation per size, and the
-    first maximum in (size, lexicographic) order wins, which realizes
-    the tie-break. The greedy regime scores every addition of a growth
-    step the same way.
+    the exhaustive regime the result is the exact argmax: every size
+    whose upper bound (see the module docstring) comes within the
+    rounding slack of the best score so far is scored in one batched
+    evaluation, and the first maximum in (size, lexicographic) order
+    wins, which realizes the tie-break; a skipped size cannot hold it.
+    The greedy regime scores every addition of a growth step the same
+    way.
     """
     v = as_hypothesis(full_set).check_against(model.n_classes)
-    c = int(c_star)
+    try:
+        c = operator.index(c_star)
+    except TypeError:
+        raise InvalidHypothesisError(
+            f"predicted class must be an integer, got {c_star!r}") from None
     if c not in v:
         raise InvalidHypothesisError(f"predicted class {c} is not in the class universe")
     if len(v) < 2:
@@ -152,8 +210,22 @@ def best_contrast(full_set, c_star: int, evidence, model: DensityBackend,
         return _split_scores(member, labels, log_prior, joint, params.alpha_reg)
 
     if len(v) <= params.max_exhaustive_classes:
-        tables = [t[t[:, v.classes.index(c)]] for t in _subset_rows(len(v))]
-        best = first_max(np.concatenate([scores(t) for t in tables]))
+        bound, scale = _size_bounds(log_prior[labels], joint[labels], own,
+                                    params.alpha_reg)
+        order = np.argsort(-bound, kind="stable").tolist()
+        # as Python floats, inf - inf gives a NaN threshold, which prunes nothing
+        bound, scale = bound.tolist(), scale.tolist()
+        rows, pos = _subset_rows(len(v)), v.classes.index(c)
+        scored, top = {}, -math.inf
+        for k in order:
+            if bound[k] < top - PRUNE_SLACK * sys.float_info.epsilon * (scale[k] + abs(top)):
+                continue
+            table = rows[k][rows[k][:, pos]]
+            found = scores(table)
+            scored[k] = table, found
+            top = max(top, float(np.where(np.isnan(found), -np.inf, found).max()))
+        tables, found = zip(*(scored[k] for k in sorted(scored)))
+        best = first_max(np.concatenate(found))
         if best is None:
             raise DegenerateDensityError("no candidate split has a comparable score")
         return HypothesisSet(tuple(labels[np.concatenate(tables)[best]]))

@@ -29,6 +29,7 @@ from .errors import (
     DegenerateDensityError,
     DegeneratePriorError,
     InvalidHypothesisError,
+    InvalidParameterError,
     InvalidPartitionError,
     MissingEvidenceError,
 )
@@ -37,6 +38,21 @@ from .types import Evidence, HypothesisSet, as_evidence, as_hypothesis
 
 # covariance entries (classes x orders x m x m) one stacked density call may gather
 BATCH_ELEMENTS = 1 << 20
+
+
+def _checked_count(value, name: str, least: int) -> int:
+    """An integer-valued parameter >= least, as an int.
+
+    Integral floats pass; NaN, infinities and non-numbers are parameter
+    errors rather than the bare errors int() raises for them.
+    """
+    try:
+        ok = int(value) == value and value >= least
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise InvalidParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def _checked_pair(

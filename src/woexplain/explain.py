@@ -26,6 +26,7 @@ import numpy as np
 
 from .contrast import ContrastParams, best_contrast
 from .core import (
+    _checked_count,
     _checked_evidence,
     _checked_pair,
     bayes_decomposition,
@@ -83,12 +84,8 @@ class ExplainerParams:
                 "set exactly one attribute source: partition or attribute_size"
             )
         if self.attribute_size is not None:
-            size = self.attribute_size
-            if int(size) != size or size < 1:
-                raise InvalidParameterError(
-                    f"attribute_size must be an integer >= 1, got {size!r}"
-                )
-            object.__setattr__(self, "attribute_size", int(size))
+            object.__setattr__(self, "attribute_size",
+                               _checked_count(self.attribute_size, "attribute_size", 1))
         if self.scoring_mode not in (CONDITIONAL_CHAIN, MARGINAL):
             raise InvalidParameterError(f"unknown scoring_mode {self.scoring_mode!r}")
         if math.isnan(self.display_threshold) or self.display_threshold < 0.0:

@@ -7,6 +7,7 @@ neither the scoring nor the iteration order with the implementation.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from scipy.special import logsumexp
 
 from woexplain import (
     ContrastParams,
+    ExplainerParams,
     GaussianClassModel,
     HypothesisSet,
     best_contrast,
     regularizer,
     score_subset,
 )
+from woexplain import contrast
 from woexplain.errors import (
     EmptyContrastError,
     InvalidHypothesisError,
@@ -48,8 +51,10 @@ def brute_force_best(model, v, c_star, params, x):
     masks = masks[masks.sum(axis=1) < len(v)]
 
     def mixture(member):
-        return (logsumexp(log_w + joint, b=member, axis=1)
-                - logsumexp(np.broadcast_to(log_w, member.shape), b=member, axis=1))
+        # masking by -inf rather than b=member: scipy before 1.15 takes the
+        # max over masked entries too, and underflows when they dominate
+        return (logsumexp(np.where(member, log_w + joint, -np.inf), axis=1)
+                - logsumexp(np.where(member, log_w, -np.inf), axis=1))
 
     sizes = masks.sum(axis=1)
     scores = (mixture(masks) - mixture(~masks)
@@ -94,6 +99,20 @@ class TestContrastParams:
             ContrastParams(max_exhaustive_classes=1)
         with pytest.raises(InvalidParameterError):
             ContrastParams(max_exhaustive_classes=2.5)
+
+    @pytest.mark.parametrize("make", [
+        lambda: ContrastParams(max_exhaustive_classes=float("nan")),
+        lambda: ContrastParams(max_exhaustive_classes=float("inf")),
+        lambda: ContrastParams(max_exhaustive_classes="12"),
+        lambda: ContrastParams(alpha_reg="x"),
+        lambda: ContrastParams(alpha_reg=None),
+        lambda: ExplainerParams(attribute_size=float("nan")),
+        lambda: ExplainerParams(attribute_size=float("inf")),
+    ])
+    def test_non_numbers_are_parameter_errors(self, make):
+        """Not a bare ValueError, TypeError or OverflowError from int()/float()."""
+        with pytest.raises(InvalidParameterError):
+            make()
 
 
 class TestRegularizer:
@@ -199,13 +218,28 @@ class TestBestContrast:
             assert tuple(ours) == oracle
 
     def test_matches_brute_force_nine_to_twelve_classes(self):
-        """Up to the exhaustive cap, where mixture sides reach 8+ classes."""
+        """Up to the exhaustive cap, where mixture sides reach 8+ classes.
+
+        The later trials are hostile to the size bounds that prune the
+        search: priors down to 1e-12, inputs far from every class mean,
+        and alpha from 0 to 2.
+        """
         rng = np.random.default_rng(53)
-        params = ContrastParams(alpha_reg=0.1)
-        for trial in range(20):
+        for trial in range(60):
             k = 9 + trial % 4
             model = random_model(rng, k, 3, mode=("full", "diagonal")[trial % 2])
             x = rng.normal(0.0, 2.0, size=3)
+            alpha = 0.1
+            if trial >= 20:
+                weights = rng.choice([1.0, 1e-4, 1e-12], size=k)
+                model = GaussianClassModel(
+                    means=model.means, covariances=model.covariances,
+                    priors=weights / weights.sum(), mode=model.mode,
+                    feature_names=model.feature_names,
+                ).validate()
+                x = x * rng.choice([1.0, 30.0, 1e3])
+                alpha = float(rng.choice([0.0, 0.1, 2.0]))
+            params = ContrastParams(alpha_reg=alpha)
             c_star = int(rng.integers(0, k))
             ours = best_contrast(range(k), c_star, x, model, params)
             assert tuple(ours) == brute_force_best(model, range(k), c_star, params, x)
@@ -313,6 +347,9 @@ class TestBestContrast:
             best_contrast([0, 1], 3, x, model, ContrastParams())
         with pytest.raises(EmptyContrastError):
             best_contrast([2], 2, x, model, ContrastParams())
+        # a non-integral predicted class is rejected, not truncated to 1
+        with pytest.raises(InvalidHypothesisError, match="must be an integer"):
+            best_contrast([0, 1, 2], 1.7, x, model, ContrastParams())
 
     def test_evidence_length_must_match_model(self):
         """A short or long vector is rejected, not truncated or misread."""
@@ -321,3 +358,100 @@ class TestBestContrast:
         for x in ([0.0, 0.0], [0.0, 0.0, 0.0, 0.0]):
             with pytest.raises(MissingEvidenceError, match="model expects 3"):
                 best_contrast(range(4), 0, x, model, ContrastParams())
+
+
+def separated_diagonal_model(k):
+    """k well-separated unit-variance classes on a line, equal priors."""
+    return GaussianClassModel(
+        means=np.arange(k, dtype=float)[:, None] * np.array([[3.0, -2.0]]),
+        covariances=np.ones((k, 2)),
+        priors=np.full(k, 1.0 / k),
+        mode="diagonal",
+        feature_names=("a", "b"),
+    ).validate()
+
+
+class TestSizeBounds:
+    """The per-size upper bound the exhaustive search prunes with."""
+
+    @staticmethod
+    def brute_force_size_max(log_prior, joint, c_star, alpha):
+        """Best objective of each size s = 1..k-1, every split scored by scipy."""
+        k = len(joint)
+        others = [c for c in range(k) if c != c_star]
+        masks = np.zeros((2 ** (k - 1), k), dtype=bool)
+        masks[:, c_star] = True
+        for bit, c in enumerate(others):
+            masks[:, c] = np.arange(len(masks)) >> bit & 1
+        masks = masks[masks.sum(axis=1) < k]
+        a = log_prior + joint
+
+        def side(member):
+            return (logsumexp(np.where(member, a, -np.inf), axis=1)
+                    - logsumexp(np.where(member, log_prior, -np.inf), axis=1))
+
+        sizes = masks.sum(axis=1)
+        scores = side(masks) - side(~masks) - alpha * (sizes - k / 2.0) ** 2
+        return np.array([scores[sizes == s].max() for s in range(1, k)])
+
+    def test_brute_force_max_within_pruning_threshold(self):
+        """For every size, no split scores above bound + slack.
+
+        Models are drawn to be hostile: priors down to 1e-12, |J| up to
+        1e12, exact ties (copied classes) and near ties (a few ulps
+        apart) across classes, and alpha in {0, 0.1, 2}.
+        """
+        rng = np.random.default_rng(54)
+        eps = sys.float_info.epsilon
+        for trial in range(600):
+            k = int(rng.integers(2, 11))
+            weights = rng.choice([1.0, 0.5, 1e-3, 1e-12], size=k)
+            scale = float(rng.choice([1.0, 1e3, 1e6, 1e12]))
+            joint = scale * rng.normal(size=k)
+            if trial % 3 == 0:  # exact ties
+                copies = rng.integers(0, k, size=k)
+                joint, weights = joint[copies], weights[copies]
+            elif trial % 3 == 1:  # near ties
+                joint = joint[0] + np.abs(joint[0]) * eps * rng.integers(-4, 5, size=k)
+            log_prior = np.log(weights / weights.sum())
+            c_star = int(rng.integers(0, k))
+            alpha = float(rng.choice([0.0, 0.1, 2.0]))
+            own = np.arange(k) == c_star
+            bound, size_scale = contrast._size_bounds(log_prior, joint, own, alpha)
+            best = self.brute_force_size_max(log_prior, joint, c_star, alpha)
+            threshold = bound + contrast.PRUNE_SLACK * eps * (size_scale + np.abs(best))
+            assert np.all(best <= threshold), (trial, best - bound)
+
+    def test_non_finite_densities_give_nan_bounds(self):
+        log_prior = np.log(np.full(4, 0.25))
+        joint = np.array([0.0, -np.inf, -1.0, -2.0])
+        bound, scale = contrast._size_bounds(log_prior, joint, np.arange(4) == 0, 0.1)
+        assert np.isnan(bound).all() and np.isnan(scale).all()
+
+    def test_pruning_skips_sizes_and_keeps_the_argmax(self, monkeypatch):
+        """Well-separated classes at K = 12: few of the 11 sizes get scored.
+
+        The unpruned reference search gets NaN bounds, which prune nothing.
+        """
+        model = separated_diagonal_model(12)
+        params = ContrastParams(alpha_reg=0.1)
+        calls = []
+        split_scores = contrast._split_scores
+
+        def counted(member, *args):
+            calls.append(int(member[0].sum()))
+            return split_scores(member, *args)
+
+        monkeypatch.setattr(contrast, "_split_scores", counted)
+        for c_star in (0, 5, 11):
+            x = model.means[c_star] + 0.3
+            calls.clear()
+            pruned = best_contrast(range(12), c_star, x, model, params)
+            assert len(calls) <= 3, calls
+            with monkeypatch.context() as m:
+                m.setattr(contrast, "_size_bounds",
+                          lambda log_prior, joint, own, alpha: (np.full(11, np.nan),) * 2)
+                calls.clear()
+                full = best_contrast(range(12), c_star, x, model, params)
+                assert sorted(calls) == list(range(1, 12))
+            assert pruned == full
