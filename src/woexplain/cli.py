@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from .contrast import ContrastParams
-from .data import csv_header, load_csv, load_partition, query_oracle
+from .data import _parse_records, _read_records, load_csv, load_partition, query_oracle
 from .errors import (
     ConfigError,
     CsvParseError,
@@ -132,11 +132,10 @@ def _parse_input_row(spec: str, feature_names: tuple[str, ...]) -> np.ndarray:
             row = int(index_text)
         except ValueError:
             raise ConfigError(f"row index {index_text!r} is not an integer") from None
-        header = csv_header(path)
-        if header != feature_names and set(feature_names) <= set(header):
-            dataset = load_csv(path, columns=feature_names)
-        else:
-            dataset = load_csv(path)
+        # the file is read once: its header picks the columns its body is parsed for
+        header, body = _read_records(path)
+        by_name = tuple(header) != feature_names and set(feature_names) <= set(header)
+        dataset = _parse_records(header, body, columns=feature_names if by_name else None)
         if not 0 <= row < dataset.n_rows:
             raise ConfigError(f"row {row} outside 0..{dataset.n_rows - 1} in {path}")
         values = dataset.rows[row]

@@ -51,7 +51,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import _checked_count, _checked_evidence, first_max, woe
+from .core import _checked_count, _checked_evidence, _observed_terms, first_max, woe
 from .errors import (
     DegenerateDensityError,
     EmptyContrastError,
@@ -198,11 +198,17 @@ def best_contrast(full_set, c_star: int, evidence, model: DensityBackend,
     if len(v) < 2:
         raise EmptyContrastError("need at least two classes to form a contrast")
     e = _checked_evidence(evidence, model)
+    joint = _observed_terms(e, model).sum(axis=1)
+    return _best_contrast(v, c, joint, np.log(model.priors), params)
 
-    # every candidate reuses the same per-class joint log likelihoods
-    idx = list(e.observed_indices)
-    joint = model.log_density_terms(idx, e.values[idx]).sum(axis=1)
-    log_prior = np.log(model.priors)
+
+def _best_contrast(v: HypothesisSet, c: int, joint: np.ndarray, log_prior: np.ndarray,
+                   params: ContrastParams) -> HypothesisSet:
+    """best_contrast for a checked universe v and class c.
+
+    joint holds every class's joint log likelihood J of the evidence and
+    log_prior every class's log prior.
+    """
     labels = np.array(v.classes)
     own = labels == c
 

@@ -85,21 +85,22 @@ def _checked_prefix(prefix: Sequence[int], e: Evidence) -> tuple[int, ...]:
     return p_idx
 
 
-def _checked_targets(targets: np.ndarray, p_idx: tuple[int, ...],
-                     e: Evidence) -> np.ndarray:
-    """An (M, m) stack of nonempty, in-range, observed targets disjoint from the prefix."""
-    if targets.shape[1] == 0:
+def _checked_orders(orders: np.ndarray, p: int, e: Evidence) -> None:
+    """Check an (M, p + t) stack of orders, each p prefix features then a target.
+
+    Every target must be nonempty, in range, observed and disjoint from
+    its own row's prefix; the first offending feature in row-major
+    order is the one named.
+    """
+    if orders.shape[1] == p:
         raise InvalidPartitionError("target attribute must be nonempty")
-    t = _index_rows(targets, e.n_features, "target")
-    in_prefix = np.zeros(e.n_features, dtype=bool)
-    in_prefix[list(p_idx)] = True
-    shared = t[in_prefix[t]]
+    t = _index_rows(orders[:, p:], e.n_features, "target")
+    shared = t[(t[:, :, None] == orders[:, None, :p]).any(axis=2)]
     if shared.size:
         raise InvalidPartitionError(f"feature {int(shared[0])} is in both target and prefix")
     unseen = t[~e.observed_mask[t]]
     if unseen.size:
         raise MissingEvidenceError(f"target feature {int(unseen[0])} is not observed")
-    return t
 
 
 def first_max(keys: np.ndarray, floor: float = -math.inf) -> "int | None":
@@ -114,33 +115,60 @@ def first_max(keys: np.ndarray, floor: float = -math.inf) -> "int | None":
     return i if keys[i] > floor else None
 
 
-def _chain(a: HypothesisSet, b: HypothesisSet, groups, e: Evidence,
-           model: DensityBackend) -> list[float]:
+def _chain_scores(a: list[int], b: list[int], lengths, terms: np.ndarray,
+                  log_prior: np.ndarray) -> list[float]:
     """woe(A/B : e_g | e of the groups before g) for each group g in turn.
 
-    One call of the density primitive along the concatenated groups gives
-    every class's conditional log density of each group (delta); the
-    mixture base of each class is its log prior plus the deltas before.
+    terms holds every class's log_density_terms along the concatenated
+    groups, of the given lengths, so each group's delta is a slice sum;
+    the mixture base of each class is its log prior plus the deltas
+    before.
     """
-    order = [i for g in groups for i in g]
-    terms = model.log_density_terms(order, e.values[order])
-    a, b = list(a), list(b)
-    base = np.log(model.priors)
+    base = log_prior
     scores, start = [], 0
-    for g in groups:
-        delta = terms[:, start:start + len(g)].sum(axis=1)
+    for length in lengths:
+        delta = terms[:, start:start + length].sum(axis=1)
         scores.append(mixture_log_ratio(base[a], delta[a])
                       - mixture_log_ratio(base[b], delta[b]))
         base = base + delta
-        start += len(g)
+        start += length
     return scores
+
+
+def _chains(requests, e: Evidence, model: DensityBackend) -> list[list[float]]:
+    """_chain_scores for every (a, b, groups) request, groups already checked.
+
+    Requests that share a concatenated order share its density terms:
+    one call of the density primitive per distinct order. The call is
+    the single-order form, whose result the group slices have always been
+    summed from: numpy's sum over a slice depends on the memory layout of
+    the terms (see mixture_log_ratio), which differs by covariance mode.
+    """
+    orders = [tuple(i for g in groups for i in g) for _, _, groups in requests]
+    terms = {order: model.log_density_terms(order, e.values[list(order)])
+             for order in dict.fromkeys(orders)}
+    log_prior = np.log(model.priors)
+    return [_chain_scores(a, b, map(len, groups), terms[order], log_prior)
+            for (a, b, groups), order in zip(requests, orders)]
+
+
+def _observed_terms(e: Evidence, model: DensityBackend) -> np.ndarray:
+    """Every class's log_density_terms along the observed coordinates, in order.
+
+    Row c sums to J_c, the joint log density of the observed evidence
+    under class c, from which woe, posterior log-odds and the contrast
+    objective are all read.
+    """
+    idx = list(e.observed_indices)
+    return model.log_density_terms(idx, e.values[idx])
 
 
 def woe(entailed, contrast, evidence, model: DensityBackend) -> float:
     """woe(A/B : e) over all observed coordinates of the evidence."""
     a, b = _checked_pair(entailed, contrast, model)
     e = _checked_evidence(evidence, model)
-    return _chain(a, b, [e.observed_indices], e, model)[0]
+    terms = _observed_terms(e, model)
+    return _chain_scores(list(a), list(b), [terms.shape[1]], terms, np.log(model.priors))[0]
 
 
 def woe_conditional(
@@ -169,56 +197,72 @@ def woe_conditional_many(
 ) -> np.ndarray:
     """woe_conditional for every target against one shared prefix.
 
-    Targets of one length are checked together and share a stacked call
-    of the density primitive, one order (prefix then target) per row, in
-    chunks of at most BATCH_ELEMENTS covariance entries, so a search
-    scores all its candidates at once. Returns the scores in target
-    order.
+    Targets of one length are checked together and scored by stacked
+    calls of the density primitive: the one-request case of
+    _stacked_woe. Returns the scores in target order.
     """
     a, b = _checked_pair(entailed, contrast, model)
     e = _checked_evidence(evidence, model)
     p_idx = _checked_prefix(prefix, e)
-    a, b = list(a), list(b)
-    log_prior = np.log(model.priors)[:, None]
-    by_length: dict[int, list[int]] = {}
+    return _stacked_woe([(list(a), list(b), p_idx, targets)], e, model)[0]
+
+
+def _stacked_woe(requests, e: Evidence, model: DensityBackend) -> list[np.ndarray]:
+    """woe(A/B : e_t | e_prefix) for every target t of every (a, b, prefix, targets) request.
+
+    a and b are label lists and prefix a checked tuple of observed
+    features. Every (prefix, target) order of every request is bucketed
+    by (|prefix|, |target|); a bucket's orders are checked together,
+    deduplicated across requests and scored by stacked calls of the
+    density primitive, one order per row, in chunks of at most
+    BATCH_ELEMENTS covariance entries. A stacked order's terms equal that
+    order's alone bit for bit, and each request's mixtures are reduced
+    over its own rows, so every score is the one a lone call gives.
+    Returns one array per request, in target order.
+    """
+    buckets: dict[tuple[int, int], list] = {}
     try:
-        for j, t in enumerate(targets):
-            by_length.setdefault(len(t), []).append(j)
-        stacks = [(rows, np.array([p_idx + tuple(targets[j]) for j in rows])
-                   .reshape(len(rows), len(p_idx) + length))
-                  for length, rows in sorted(by_length.items())]
+        for j, (_, _, prefix, targets) in enumerate(requests):
+            lengths = list(map(len, targets))
+            for length in set(lengths):
+                rows = [k for k, n in enumerate(lengths) if n == length]
+                buckets.setdefault((len(prefix), length), []).append(
+                    (j, rows, [prefix + tuple(targets[k]) for k in rows]))
+        stacks = []
+        for (p, length), entries in sorted(buckets.items()):
+            keys = [order for _, _, orders in entries for order in orders]
+            stacks.append((p, entries, keys, np.array(keys).reshape(len(keys), p + length)))
     except (TypeError, ValueError) as exc:
         raise InvalidPartitionError("each target must be a sequence of integer indices") from exc
-    scores = np.empty(len(targets))
-    for rows, orders in stacks:
+    scores = [np.empty(len(targets)) for _, _, _, targets in requests]
+    log_prior = np.log(model.priors)[:, None]
+    for p, entries, keys, orders in stacks:
+        _checked_orders(orders, p, e)
+        # checked orders hold integers only, so equal keys are equal orders
+        slot: dict = {}
+        where = np.array([slot.setdefault(order, len(slot)) for order in keys])
         m = orders.shape[1]
-        _checked_targets(orders[:, len(p_idx):], p_idx, e)
+        distinct = np.array(list(slot), dtype=np.intp).reshape(len(slot), m)
+        base = np.empty((model.n_classes, len(slot)))
+        delta = np.empty_like(base)
         step = max(1, BATCH_ELEMENTS // (model.n_classes * m * m))
-        for start in range(0, len(rows), step):
-            chunk = orders[start:start + step]
+        for start in range(0, len(slot), step):
+            chunk = distinct[start:start + step]
             terms = model.log_density_terms(chunk, e.values[chunk])
-            base = log_prior + terms[:, :, :len(p_idx)].sum(axis=2)
-            delta = terms[:, :, len(p_idx):].sum(axis=2)
-            scores[rows[start:start + step]] = (mixture_log_ratio(base[a].T, delta[a].T)
-                                                - mixture_log_ratio(base[b].T, delta[b].T))
+            base[:, start:start + step] = log_prior + terms[:, :, :p].sum(axis=2)
+            delta[:, start:start + step] = terms[:, :, p:].sum(axis=2)
+        at = 0
+        for j, rows, _ in entries:
+            pick = where[at:at + len(rows), None]
+            at += len(rows)
+            a, b = requests[j][0], requests[j][1]
+            scores[j][rows] = (mixture_log_ratio(base[a, pick], delta[a, pick])
+                               - mixture_log_ratio(base[b, pick], delta[b, pick]))
     return scores
 
 
-def woe_chain(
-    entailed,
-    contrast,
-    ordering: Sequence[Sequence[int]],
-    evidence,
-    model: DensityBackend,
-) -> list[float]:
-    """Per-attribute conditional WoE along an ordered partition.
-
-    The ordering must partition the observed coordinates of the evidence.
-    The scores sum to woe(entailed, contrast, evidence, model) regardless
-    of the order; individual terms do depend on it.
-    """
-    a, b = _checked_pair(entailed, contrast, model)
-    e = _checked_evidence(evidence, model)
+def _checked_ordering(ordering: Sequence[Sequence[int]], e: Evidence) -> list[tuple[int, ...]]:
+    """The groups of an ordering that partitions the observed coordinates of e."""
     try:
         groups = [tuple(operator.index(i) for i in g) for g in ordering]
     except TypeError as exc:
@@ -236,17 +280,48 @@ def woe_chain(
             "ordering must partition the observed coordinates "
             f"{list(e.observed_indices)}, got {sorted(flat)}"
         )
-    return _chain(a, b, groups, e, model)
+    return groups
+
+
+def woe_chain(
+    entailed,
+    contrast,
+    ordering: Sequence[Sequence[int]],
+    evidence,
+    model: DensityBackend,
+) -> list[float]:
+    """Per-attribute conditional WoE along an ordered partition.
+
+    The ordering must partition the observed coordinates of the evidence.
+    The scores sum to woe(entailed, contrast, evidence, model) regardless
+    of the order; individual terms do depend on it.
+    """
+    a, b = _checked_pair(entailed, contrast, model)
+    e = _checked_evidence(evidence, model)
+    return _chains([(list(a), list(b), _checked_ordering(ordering, e))], e, model)[0]
+
+
+def _prior_log_odds(a: list[int], b: list[int], priors: np.ndarray) -> float:
+    pa = float(np.sum(priors[a]))
+    pb = float(np.sum(priors[b]))
+    if pa <= 0.0 or pb <= 0.0:
+        raise DegeneratePriorError("a hypothesis set has zero prior mass")
+    return math.log(pa) - math.log(pb)
 
 
 def prior_log_odds(entailed, contrast, model: DensityBackend) -> float:
     """log P(Y in A) - log P(Y in B) from the model priors alone."""
     a, b = _checked_pair(entailed, contrast, model)
-    pa = float(np.sum(model.priors[list(a)]))
-    pb = float(np.sum(model.priors[list(b)]))
-    if pa <= 0.0 or pb <= 0.0:
-        raise DegeneratePriorError("a hypothesis set has zero prior mass")
-    return math.log(pa) - math.log(pb)
+    return _prior_log_odds(list(a), list(b), model.priors)
+
+
+def _posterior_log_odds(a: list[int], b: list[int], terms: np.ndarray,
+                        priors: np.ndarray) -> float:
+    both = a + b
+    joint = np.log(priors[both]) + terms[both].sum(axis=1)
+    in_a = np.arange(len(both)) < len(a)
+    return (mixture_log_ratio(joint, np.where(in_a, 0.0, -np.inf))
+            - mixture_log_ratio(joint, np.where(in_a, -np.inf, 0.0)))
 
 
 def posterior_log_odds(entailed, contrast, evidence, model: DensityBackend) -> float:
@@ -260,13 +335,7 @@ def posterior_log_odds(entailed, contrast, evidence, model: DensityBackend) -> f
     """
     a, b = _checked_pair(entailed, contrast, model)
     e = _checked_evidence(evidence, model)
-    idx = list(e.observed_indices)
-    both = list(a) + list(b)
-    terms = model.log_density_terms(idx, e.values[idx])[both]
-    joint = np.log(model.priors[both]) + terms.sum(axis=1)
-    in_a = np.arange(len(both)) < len(a)
-    return (mixture_log_ratio(joint, np.where(in_a, 0.0, -np.inf))
-            - mixture_log_ratio(joint, np.where(in_a, -np.inf, 0.0)))
+    return _posterior_log_odds(list(a), list(b), _observed_terms(e, model), model.priors)
 
 
 def bayes_decomposition(
@@ -276,11 +345,14 @@ def bayes_decomposition(
 
     The three satisfy posterior = prior + woe; prior odds come from the
     model priors and posterior odds from an independent Bayes-rule path.
+    Both evidence terms read one factorization of the observed order.
     """
-    prior = prior_log_odds(entailed, contrast, model)
-    total = woe(entailed, contrast, evidence, model)
-    post = posterior_log_odds(entailed, contrast, evidence, model)
-    return prior, total, post
+    a, b = _checked_pair(entailed, contrast, model)
+    prior = _prior_log_odds(list(a), list(b), model.priors)
+    e = _checked_evidence(evidence, model)
+    terms = _observed_terms(e, model)
+    total = _chain_scores(list(a), list(b), [terms.shape[1]], terms, np.log(model.priors))[0]
+    return prior, total, _posterior_log_odds(list(a), list(b), terms, model.priors)
 
 
 def information_value(feature: int, class_a: int, class_b: int,

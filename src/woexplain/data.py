@@ -165,8 +165,16 @@ def load_csv(
     everything else is ignored. Parse failures report the 1-based data
     row and the column name.
     """
-    header, body = _read_records(path)
+    return _parse_records(*_read_records(path), label_column, columns)
 
+
+def _parse_records(
+    header: list[str],
+    body: Iterator[list[str]],
+    label_column: str | None = None,
+    columns: Sequence[str] | None = None,
+) -> Dataset:
+    """load_csv on the checked header and body records of a file already read."""
     label_idx: int | None = None
     if label_column is not None:
         if label_column not in header:

@@ -7,6 +7,24 @@ the prediction is left. Every non-predicted class lands in exactly one
 step's contrast set, so the steps read as a nested sequence of
 "why this class rather than those".
 
+It runs in three phases that share one per-input state:
+
+1. The full-order log_density_terms of the input are computed once.
+   Their row sums are the per-class joints J from which the predicted
+   class, every step's contrast search and every step's Bayes
+   decomposition are read.
+2. The contrast chain runs to the end: each step's split needs only J.
+3. Attributes are scored for all splits at once. Each step's attribute
+   search (greedy group discovery, then greedy max-|woe| ordering or
+   marginal scoring) is a generator that asks for (prefix, targets)
+   scores; the searches advance in lockstep, and each round's requests
+   go to one stacked scoring call that deduplicates orders across
+   steps. Fixed and random orderings then score every step's chain, one
+   density call per distinct order (one in all for a fixed partition).
+
+Every score keeps the arithmetic of a lone call, so a report does not
+depend on how its steps were stacked.
+
 Attribute scores come in two modes. conditional_chain scores each
 attribute conditioned on the ones already scored, so the scores plus
 the prior log-odds sum exactly to the posterior log-odds. marginal
@@ -24,15 +42,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .contrast import ContrastParams, best_contrast
+from .contrast import ContrastParams, _best_contrast
 from .core import (
+    _chains,
     _checked_count,
     _checked_evidence,
+    _checked_ordering,
     _checked_pair,
-    bayes_decomposition,
+    _observed_terms,
+    _posterior_log_odds,
+    _prior_log_odds,
+    _stacked_woe,
     first_max,
-    woe_chain,
-    woe_conditional_many,
 )
 from .errors import (
     DegenerateDensityError,
@@ -41,7 +62,7 @@ from .errors import (
     MissingEvidenceError,
     NothingToExplainError,
 )
-from .gaussian import DensityBackend, predicted_class
+from .gaussian import DensityBackend, _posterior
 from .types import (
     AttributePartition,
     Evidence,
@@ -88,14 +109,19 @@ class ExplainerParams:
                                _checked_count(self.attribute_size, "attribute_size", 1))
         if self.scoring_mode not in (CONDITIONAL_CHAIN, MARGINAL):
             raise InvalidParameterError(f"unknown scoring_mode {self.scoring_mode!r}")
-        if math.isnan(self.display_threshold) or self.display_threshold < 0.0:
+        try:
+            threshold = float(self.display_threshold)
+        except (TypeError, ValueError):
+            threshold = math.nan
+        if not threshold >= 0.0:
             raise InvalidParameterError(
                 f"display_threshold must be >= 0, got {self.display_threshold!r}"
             )
         if self.ordering_policy not in (GREEDY_MAX_WOE, FIXED, RANDOM):
             raise InvalidParameterError(f"unknown ordering_policy {self.ordering_policy!r}")
-        object.__setattr__(self, "display_threshold", float(self.display_threshold))
-        object.__setattr__(self, "ordering_seed", int(self.ordering_seed))
+        object.__setattr__(self, "display_threshold", threshold)
+        object.__setattr__(self, "ordering_seed",
+                           _checked_count(self.ordering_seed, "ordering_seed", 0))
 
 
 @dataclass(frozen=True)
@@ -152,42 +178,129 @@ def _checked_best(keys: np.ndarray) -> int:
     return best
 
 
-def _greedy_groups(entailed, contrast, e: Evidence, model: DensityBackend,
-                   size: int) -> tuple[tuple[int, ...], ...]:
-    """Discover feature groups by repeated marginal-WoE argmax.
+def _discover_groups(remaining: list[int], size: int):
+    """One split's greedy group discovery, as a search of repeated marginal-WoE argmax.
 
     While more than `size` features remain, pick the size-`size` subset
     with the largest marginal WoE for the split (exhaustive scan when
     the candidate count is small enough, otherwise grown one feature at
     a time), remove it, repeat. Whatever remains becomes one final
     residual group so the groups always partition the features.
+
+    Each pick yields a (prefix, candidates) request and receives the
+    candidates' scores; the groups are the return value.
     """
-    remaining = sorted(e.observed_indices)
-    if size > len(remaining):
-        raise InvalidParameterError(
-            f"attribute_size {size} exceeds the {len(remaining)} observed features"
-        )
-
-    def pick(candidates: list[tuple[int, ...]]) -> tuple[int, ...]:
-        scores = woe_conditional_many(entailed, contrast, candidates, (), e, model)
-        return candidates[_checked_best(scores)]
-
     groups: list[tuple[int, ...]] = []
     while len(remaining) > size:
         if math.comb(len(remaining), size) <= MAX_SUBSET_SCAN:
-            best = pick(list(combinations(remaining, size)))
+            candidates = list(combinations(remaining, size))
+            best = candidates[_checked_best((yield (), candidates))]
         else:
             # grow the group one feature at a time
-            grown: tuple[int, ...] = ()
+            best = ()
             for _ in range(size):
-                grown = pick([tuple(sorted(grown + (f,))) for f in remaining
-                              if f not in grown])
-            best = grown
+                candidates = [tuple(sorted(best + (f,))) for f in remaining if f not in best]
+                best = candidates[_checked_best((yield (), candidates))]
         groups.append(best)
         remaining = [f for f in remaining if f not in best]
     if remaining:
         groups.append(tuple(remaining))
     return tuple(groups)
+
+
+def _attribute_search(params: ExplainerParams, observed: list[int]):
+    """One split's attribute search: (groups, order, scores) as a generator.
+
+    Greedy orderings pick, round by round, the group with the largest
+    |conditional woe| given the groups already picked. Fixed and random
+    orderings leave scores as None: their chains are scored afterwards.
+    """
+    if params.partition is not None:
+        groups = params.partition.groups
+    else:
+        groups = yield from _discover_groups(observed, params.attribute_size)
+    if params.scoring_mode == MARGINAL:
+        return groups, range(len(groups)), (yield (), groups)
+    if params.ordering_policy == FIXED:
+        return groups, range(len(groups)), None
+    if params.ordering_policy == RANDOM:
+        rng = np.random.default_rng(params.ordering_seed)
+        return groups, [int(k) for k in rng.permutation(len(groups))], None
+    order, scores = [], []
+    prefix: tuple[int, ...] = ()
+    left = list(range(len(groups)))
+    while left:
+        found = yield prefix, [groups[k] for k in left]
+        best = _checked_best(np.abs(found))
+        order.append(left.pop(best))
+        scores.append(found[best])
+        prefix += groups[order[-1]]
+    return groups, order, scores
+
+
+def _lockstep(searches: list, splits: list, e: Evidence, model: DensityBackend) -> list:
+    """Run every split's search to its end, all advancing together.
+
+    Each round gathers the (prefix, targets) request of every live search
+    and scores them all in one _stacked_woe call.
+    """
+    results: list = [None] * len(searches)
+    live: dict[int, tuple] = {}
+
+    def advance(s: int, sent) -> None:
+        try:
+            live[s] = searches[s].send(sent)
+        except StopIteration as stop:
+            live.pop(s, None)
+            results[s] = stop.value
+
+    for s in range(len(searches)):
+        advance(s, None)
+    while live:
+        asked = list(live.items())
+        found = _stacked_woe([(*splits[s], prefix, targets) for s, (prefix, targets) in asked],
+                             e, model)
+        for (s, _), scores in zip(asked, found):
+            advance(s, scores)
+    return results
+
+
+def _check_attribute_source(params: ExplainerParams, e: Evidence,
+                            model: DensityBackend) -> None:
+    if params.partition is not None:
+        if params.partition.n_features != model.n_features:
+            raise InvalidPartitionError(
+                f"partition covers {params.partition.n_features} features, "
+                f"model has {model.n_features}"
+            )
+    elif params.attribute_size > len(e.observed_indices):
+        raise InvalidParameterError(
+            f"attribute_size {params.attribute_size} exceeds the "
+            f"{len(e.observed_indices)} observed features"
+        )
+
+
+def _score_splits(splits: list, e: Evidence, model: DensityBackend,
+                  params: ExplainerParams) -> list:
+    """Attribute scores of every (a, b) split, given as label lists.
+
+    Every split's search runs in lockstep (see _lockstep), then the
+    fixed or random chains of all splits are scored together.
+    """
+    observed = list(e.observed_indices)
+    found = _lockstep([_attribute_search(params, observed) for _ in splits], splits, e, model)
+    chained = [k for k, (_, _, scores) in enumerate(found) if scores is None]
+    orderings = [_checked_ordering([found[k][0][g] for g in found[k][1]], e) for k in chained]
+    chains = _chains([(*splits[k], o) for k, o in zip(chained, orderings)], e, model)
+    for k, scores in zip(chained, chains):
+        found[k] = (*found[k][:2], scores)
+    conditional = params.scoring_mode != MARGINAL
+    names = params.partition.names if params.partition is not None else None
+    return [tuple(
+        AttributeScore(features=groups[k], woe=float(s), conditional=conditional,
+                       name=names[k] if names else None)
+        for k, s in zip(order, scores)
+    ) for groups, order, scores in found]
 
 
 def score_attributes(entailed, contrast, evidence, model: DensityBackend,
@@ -198,57 +311,13 @@ def score_attributes(entailed, contrast, evidence, model: DensityBackend,
     are discovered against this split. conditional_chain orders the
     groups by ordering_policy and scores each conditioned on its
     predecessors; marginal keeps the given order and scores each group
-    alone.
+    alone. The one-split case of the search explain() runs for all its
+    steps at once.
     """
     a, b = _checked_pair(entailed, contrast, model)
     e = as_evidence(evidence)
-
-    if params.partition is not None:
-        if params.partition.n_features != model.n_features:
-            raise InvalidPartitionError(
-                f"partition covers {params.partition.n_features} features, "
-                f"model has {model.n_features}"
-            )
-        groups = params.partition.groups
-        names: tuple[str | None, ...] = params.partition.names or (None,) * len(groups)
-    else:
-        groups = _greedy_groups(a, b, e, model, params.attribute_size)
-        names = (None,) * len(groups)
-
-    if params.scoring_mode == MARGINAL:
-        order = list(range(len(groups)))
-        scores = woe_conditional_many(a, b, groups, (), e, model)
-        conditional = False
-    else:
-        conditional = True
-        if params.ordering_policy == FIXED:
-            order = list(range(len(groups)))
-            scores = woe_chain(a, b, [groups[k] for k in order], e, model)
-        elif params.ordering_policy == RANDOM:
-            rng = np.random.default_rng(params.ordering_seed)
-            order = [int(k) for k in rng.permutation(len(groups))]
-            scores = woe_chain(a, b, [groups[k] for k in order], e, model)
-        else:
-            # greedy: next attribute is the one with largest |conditional woe|
-            order, scores = [], []
-            prefix: tuple[int, ...] = ()
-            left = list(range(len(groups)))
-            while left:
-                found = woe_conditional_many(a, b, [groups[k] for k in left], prefix, e, model)
-                best = _checked_best(np.abs(found))
-                order.append(left.pop(best))
-                scores.append(found[best])
-                prefix += groups[order[-1]]
-
-    return tuple(
-        AttributeScore(
-            features=groups[k],
-            woe=float(s),
-            conditional=conditional,
-            name=names[k],
-        )
-        for k, s in zip(order, scores)
-    )
+    _check_attribute_source(params, e, model)
+    return _score_splits([(list(a), list(b))], _checked_evidence(e, model), model, params)[0]
 
 
 def filter_display(step: ExplanationStep, threshold: float) -> ExplanationStep:
@@ -288,7 +357,7 @@ def explain(evidence, model: DensityBackend, params: ExplainerParams) -> Explana
     the best entailed set (containing the prediction) and its contrast,
     score attributes for that split, and keep the entailed set for the
     next round. Stops when only the predicted class remains, after at
-    most K - 1 steps.
+    most K - 1 steps. See the module docstring for the three phases.
     """
     e = _checked_evidence(evidence, model)
     if not e.fully_observed:
@@ -296,28 +365,40 @@ def explain(evidence, model: DensityBackend, params: ExplainerParams) -> Explana
         raise MissingEvidenceError(f"explain needs all features, missing {missing}")
     if model.n_classes < 2:
         raise NothingToExplainError("model has a single class, nothing to contrast")
+    _check_attribute_source(params, e, model)
 
-    c_star = predicted_class(model, e)
+    # phase 1: one factorization of the full order
+    terms = _observed_terms(e, model)
+    c_star = int(np.argmax(_posterior(model.priors, terms)))
+    joint, log_prior = terms.sum(axis=1), np.log(model.priors)
+
+    # phase 2: the contrast chain and each split's Bayes decomposition
+    splits: list[tuple[HypothesisSet, HypothesisSet, float, float]] = []
     remaining = HypothesisSet(tuple(range(model.n_classes)))
-    steps: list[ExplanationStep] = []
     while len(remaining) > 1:
-        entailed = best_contrast(remaining, c_star, e, model, params.contrast)
+        entailed = _best_contrast(remaining, c_star, joint, log_prior, params.contrast)
         contrast = remaining.difference(entailed)
-        prior_lo, _, post_lo = bayes_decomposition(entailed, contrast, e, model)
-        attrs = score_attributes(entailed, contrast, e, model, params)
-        step = ExplanationStep(
+        a, b = list(entailed), list(contrast)
+        splits.append((entailed, contrast, _prior_log_odds(a, b, model.priors),
+                       _posterior_log_odds(a, b, terms, model.priors)))
+        remaining = entailed
+
+    # phase 3: every split's attributes at once
+    attributes = _score_splits([(list(u), list(c)) for u, c, _, _ in splits], e, model, params)
+    steps = tuple(
+        filter_display(ExplanationStep(
             entailed=entailed,
             contrast=contrast,
             prior_log_odds=prior_lo,
             posterior_log_odds=post_lo,
             scoring_mode=params.scoring_mode,
             attributes=attrs,
-        )
-        steps.append(filter_display(step, params.display_threshold))
-        remaining = entailed
+        ), params.display_threshold)
+        for (entailed, contrast, prior_lo, post_lo), attrs in zip(splits, attributes)
+    )
     return ExplanationReport(
         predicted_class=c_star,
-        steps=tuple(steps),
+        steps=steps,
         settings=_settings_record(params),
     )
 

@@ -344,8 +344,12 @@ def posterior(model: DensityBackend, evidence: "Evidence | Sequence[float]") -> 
     if not e.fully_observed:
         missing = int(np.flatnonzero(~e.observed_mask)[0])
         raise MissingEvidenceError(f"posterior needs all features, feature {missing} unobserved")
-    terms = model.log_density_terms(range(model.n_features), e.values)
-    scores = np.log(model.priors) + terms.sum(axis=1)
+    return _posterior(model.priors, model.log_density_terms(range(model.n_features), e.values))
+
+
+def _posterior(priors: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """P(Y = c | x) from the (K, n) full-order log_density_terms of x."""
+    scores = np.log(priors) + terms.sum(axis=1)
     probs = np.exp(scores - scores.max())
     return probs / probs.sum()
 

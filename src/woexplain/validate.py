@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .contrast import ContrastParams, best_contrast, score_subset
-from .core import bayes_decomposition, woe_chain
+from .core import _checked_count, bayes_decomposition, woe_chain
 from .errors import InvalidDataError
 from .gaussian import DensityBackend, predicted_class
 from .types import HypothesisSet
@@ -71,6 +71,7 @@ def run_validation(
         raise InvalidDataError("no data rows to validate on")
     if trials < 1:
         raise InvalidDataError(f"trials must be >= 1, got {trials}")
+    seed = _checked_count(seed, "seed", 0)
 
     rng = np.random.default_rng(seed)
     n = model.n_features

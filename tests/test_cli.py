@@ -274,3 +274,15 @@ class TestExitCodes:
                      "--out", str(tmp_path / "r.json")])
         assert code == 2
         capsys.readouterr()
+
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        data, model_path = fit_model(tmp_path)
+        code = main(["explain", "--model", str(model_path), "--input", "1,2,3",
+                     "--attr-size", "1", "--ordering", "random", "--seed", "-1",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        code = main(["validate", "--model", str(model_path), "--data", str(data),
+                     "--labels", "target", "--seed", "-1"])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err

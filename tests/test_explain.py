@@ -24,9 +24,13 @@ from woexplain import (
     ExplainerParams,
     ExplanationStep,
     GaussianClassModel,
+    HypothesisSet,
+    bayes_decomposition,
+    best_contrast,
     explain,
     filter_display,
     fit,
+    predicted_class,
     report_to_dict,
     score_attributes,
     score_subset,
@@ -353,6 +357,100 @@ class TestBatchedSearchesMatchLoops:
                 score_attributes([0], [1, 2], x, model, params)
 
 
+def assert_steps_match_one_split(x, model, params):
+    """Each step of explain() equals the public one-split routes on its split, with ==."""
+    report = explain(x, model, params)
+    assert report.predicted_class == predicted_class(model, x)
+    remaining = HypothesisSet(tuple(range(model.n_classes)))
+    for step in report.steps:
+        assert step.entailed == best_contrast(remaining, report.predicted_class, x, model,
+                                              params.contrast)
+        prior, _, post = bayes_decomposition(step.entailed, step.contrast, x, model)
+        assert (step.prior_log_odds, step.posterior_log_odds) == (prior, post)
+        alone = score_attributes(step.entailed, step.contrast, x, model, params)
+        assert [(a.features, a.woe, a.name, a.conditional) for a in step.attributes] == [
+            (a.features, a.woe, a.name, a.conditional) for a in alone]
+        remaining = step.entailed
+    return report
+
+
+class TestStepsMatchOneSplit:
+    """explain() scores all steps at once; each step is what one split alone gives."""
+
+    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    @pytest.mark.parametrize("policy", ["greedy_max_woe", "fixed", "random"])
+    def test_fixed_partitions(self, mode, policy):
+        rng = np.random.default_rng(70)
+        ragged = AttributePartition(((0, 3), (1,), (2, 5, 6, 7, 8, 9, 10, 11), (4,)))
+        named = AttributePartition(ragged.groups, names=("a", "b", "c", "d"))
+        for partition in (ragged, named):
+            for _ in range(3):
+                model = random_model(rng, 7, 12, mode=mode)
+                x = rng.normal(0.0, 2.0, size=12)
+                for scoring in ("conditional_chain", "marginal"):
+                    params = ExplainerParams(partition=partition, scoring_mode=scoring,
+                                             ordering_policy=policy, ordering_seed=3,
+                                             contrast=ContrastParams(alpha_reg=0.0))
+                    assert len(assert_steps_match_one_split(x, model, params).steps) > 1
+
+    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    @pytest.mark.parametrize("scan_cap", [10_000, 5])
+    def test_greedy_groups_diverge_across_steps(self, mode, scan_cap, monkeypatch):
+        """Steps discover different groups, so their remaining features and
+        prefixes differ round by round; a scan cap of 5 sends every round
+        through the grow fallback."""
+        monkeypatch.setattr(importlib.import_module("woexplain.explain"),
+                            "MAX_SUBSET_SCAN", scan_cap)
+        rng = np.random.default_rng(71)
+        diverged = 0
+        for policy in ("greedy_max_woe", "fixed", "random"):
+            for scoring in ("conditional_chain", "marginal"):
+                model = random_model(rng, 6, 8, mode=mode)
+                x = rng.normal(0.0, 2.0, size=8)
+                params = ExplainerParams(attribute_size=3, scoring_mode=scoring,
+                                         ordering_policy=policy, ordering_seed=5,
+                                         contrast=ContrastParams(alpha_reg=0.0))
+                report = assert_steps_match_one_split(x, model, params)
+                groups = {frozenset(a.features for a in step.attributes)
+                          for step in report.steps}
+                diverged += len(groups) > 1
+        assert diverged
+
+    def test_first_chain_term_is_the_first_groups_woe(self):
+        """With independent features the first chain term is the woe of the first
+        group's evidence alone, bit for bit: the chain keeps the single-order
+        arithmetic also for a group of ten features."""
+        rng = np.random.default_rng(73)
+        partition = AttributePartition((tuple(range(10)), (10,), (11,)))
+        for _ in range(5):
+            model = random_model(rng, 5, 12, mode="diagonal")
+            x = rng.normal(0.0, 2.0, size=12)
+            first = Evidence(x, observed_mask=np.arange(12) < 10)
+            params = ExplainerParams(partition=partition, ordering_policy="fixed")
+            for step in explain(x, model, params).steps:
+                assert step.attributes[0].woe == woe(step.entailed, step.contrast, first, model)
+
+    def test_parameter_errors_come_before_any_search(self, monkeypatch):
+        rng = np.random.default_rng(72)
+        model = random_model(rng, 3, 4)
+        calls = []
+        density = GaussianClassModel.log_density_terms
+
+        def counted(self, order, values):
+            calls.append(order)
+            return density(self, order, values)
+
+        monkeypatch.setattr(GaussianClassModel, "log_density_terms", counted)
+        x = rng.normal(size=4)
+        with pytest.raises(InvalidParameterError,
+                           match=r"^attribute_size 5 exceeds the 4 observed features$"):
+            explain(x, model, ExplainerParams(attribute_size=5))
+        with pytest.raises(InvalidPartitionError,
+                           match=r"^partition covers 3 features, model has 4$"):
+            explain(x, model, ExplainerParams(partition=AttributePartition(((0, 1), (2,)))))
+        assert calls == []
+
+
 class TestFilterDisplay:
     def make_step(self, scores):
         from woexplain import HypothesisSet
@@ -419,12 +517,20 @@ class TestParamsAndReportShape:
             ExplainerParams(partition=partition, attribute_size=1)
         with pytest.raises(InvalidParameterError):
             ExplainerParams(attribute_size=0)
-        with pytest.raises(InvalidParameterError):
-            ExplainerParams(partition=partition, display_threshold=-1.0)
+        for threshold in (-1.0, math.nan, "x", None):
+            with pytest.raises(InvalidParameterError, match="display_threshold"):
+                ExplainerParams(partition=partition, display_threshold=threshold)
         with pytest.raises(InvalidParameterError):
             ExplainerParams(partition=partition, scoring_mode="bayes")
         with pytest.raises(InvalidParameterError):
             ExplainerParams(partition=partition, ordering_policy="sorted")
+
+    def test_seed_must_be_a_nonnegative_integer(self):
+        partition = AttributePartition(((0,), (1,)))
+        for seed in (-1, 1.7, "x", None):
+            with pytest.raises(InvalidParameterError, match="ordering_seed"):
+                ExplainerParams(partition=partition, ordering_seed=seed)
+        assert ExplainerParams(partition=partition, ordering_seed=np.int64(4)).ordering_seed == 4
 
     def test_partition_must_match_model_width(self):
         rng = np.random.default_rng(55)

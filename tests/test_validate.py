@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from woexplain import fit, run_validation
-from woexplain.errors import InvalidDataError
+from woexplain.errors import InvalidDataError, InvalidParameterError
 
 from oracles import random_model
 
@@ -68,3 +68,6 @@ class TestRunValidation:
             run_validation(model, np.empty((0, 4)), trials=10)
         with pytest.raises(InvalidDataError):
             run_validation(model, data, trials=0)
+        for seed in (-1, 1.7, "x"):
+            with pytest.raises(InvalidParameterError, match="seed"):
+                run_validation(model, data, trials=10, seed=seed)
