@@ -14,10 +14,20 @@ from itertools import combinations
 
 import numpy as np
 
-from .contrast import ContrastParams, best_contrast, score_subset
-from .core import _checked_count, bayes_decomposition, woe_chain
-from .errors import InvalidDataError
-from .gaussian import DensityBackend, predicted_class
+from .contrast import ContrastParams, _best_contrast, _penalty
+from .core import (
+    _chain_scores,
+    _chains,
+    _checked_count,
+    _checked_evidence,
+    _checked_ordering,
+    _checked_pair,
+    _observed_terms,
+    _posterior_log_odds,
+    _prior_log_odds,
+)
+from .errors import InvalidDataError, InvalidParameterError, NothingToExplainError
+from .gaussian import DensityBackend, _posterior, mixture_log_ratio
 from .types import HypothesisSet
 
 IDENTITY_TOL = 1e-9
@@ -61,7 +71,14 @@ def run_validation(
     trials: int = 100,
     seed: int = 0,
 ) -> list[InvariantCheck]:
-    """Run every invariant on `trials` rows sampled (with replacement)."""
+    """Run every invariant on `trials` rows sampled (with replacement).
+
+    Each distinct sampled row's full-order log_density_terms are computed
+    once; the Bayes check, the predicted class, the contrast search and
+    the brute-force enumeration all read J from them, with the arithmetic
+    of the public one-call routes. Only the two chain orderings of a
+    trial factor their own orders.
+    """
     x = np.asarray(data, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.n_features:
         raise InvalidDataError(
@@ -69,34 +86,43 @@ def run_validation(
         )
     if x.shape[0] == 0:
         raise InvalidDataError("no data rows to validate on")
-    if trials < 1:
-        raise InvalidDataError(f"trials must be >= 1, got {trials}")
+    try:
+        trials = _checked_count(trials, "trials", 1)
+    except InvalidParameterError as exc:
+        raise InvalidDataError(str(exc)) from None
     seed = _checked_count(seed, "seed", 0)
+    if model.n_classes < 2:
+        raise NothingToExplainError("model has a single class, nothing to contrast")
 
     rng = np.random.default_rng(seed)
     n = model.n_features
     k = model.n_classes
+    priors = model.priors
+    log_prior = np.log(priors)
     row_ids = [int(i) for i in rng.integers(0, x.shape[0], size=trials)]
+    observed: dict[int, np.ndarray] = {}
 
     bayes_dev, bayes_row = 0.0, row_ids[0]
     add_dev, add_row = 0.0, row_ids[0]
     ord_dev, ord_row = 0.0, row_ids[0]
     for i in row_ids:
-        row = x[i]
-        a, b = _random_split(rng, k)
-        prior, total, post = bayes_decomposition(a, b, row, model)
-        dev = abs(post - prior - total)
+        a, b = map(list, _checked_pair(*_random_split(rng, k), model))
+        prior = _prior_log_odds(a, b, priors)
+        e = _checked_evidence(x[i], model)
+        if i not in observed:
+            observed[i] = _observed_terms(e, model)
+        terms = observed[i]
+        total = _chain_scores(a, b, [terms.shape[1]], terms, log_prior)[0]
+        dev = abs(_posterior_log_odds(a, b, terms, priors) - prior - total)
         if dev > bayes_dev:
             bayes_dev, bayes_row = dev, i
 
-        part = _random_partition(rng, n)
-        first = sum(woe_chain(a, b, part, row, model))
+        part = _checked_ordering(_random_partition(rng, n), e)
+        reordered = _checked_ordering([part[int(j)] for j in rng.permutation(len(part))], e)
+        first, second = map(sum, _chains([(a, b, part), (a, b, reordered)], e, model))
         dev = abs(first - total)
         if dev > add_dev:
             add_dev, add_row = dev, i
-
-        reordered = [part[int(j)] for j in rng.permutation(len(part))]
-        second = sum(woe_chain(a, b, reordered, row, model))
         dev = abs(first - second)
         if dev > ord_dev:
             ord_dev, ord_row = dev, i
@@ -141,17 +167,24 @@ def run_validation(
     first_bad = None
     brute_rows = row_ids[:BRUTE_MAX_ROWS]
     for i in brute_rows:
-        row = x[i]
-        c_star = predicted_class(model, row)
-        chosen = best_contrast(universe, c_star, row, model, params)
+        terms = observed[i]
+        joint = terms.sum(axis=1)
+        c_star = int(np.argmax(_posterior(priors, terms)))
+        chosen = _best_contrast(universe, c_star, joint, log_prior, params)
+        # score_subset's arithmetic, one candidate at a time, in the search's tie-break order
         others = [c for c in range(k) if c != c_star]
         brute_best, brute_score = None, -np.inf
         for size in range(1, k):
             candidates = sorted(
                 tuple(sorted((c_star, *combo))) for combo in combinations(others, size - 1)
             )
+            penalty = _penalty(size, k, params.alpha_reg)
             for cand in candidates:
-                s = score_subset(cand, universe, row, model, params)
+                u = list(cand)
+                rest = [c for c in range(k) if c not in cand]
+                s = (mixture_log_ratio(log_prior[u], joint[u])
+                     - mixture_log_ratio(log_prior[rest], joint[rest])
+                     - penalty)
                 if s > brute_score:
                     brute_best, brute_score = cand, s
         if chosen.classes != brute_best:

@@ -237,6 +237,18 @@ class TestValidateCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_single_class_model_exits_two(self, tmp_path, capsys):
+        data, model_path = fit_model(tmp_path)
+        doc = json.loads(model_path.read_text(encoding="utf-8"))
+        doc["classes"] = doc["classes"][:1]
+        doc["classes"][0]["prior"] = 1.0
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["validate", "--model", str(model_path), "--data", str(data),
+                     "--labels", "target", "--trials", "5"])
+        assert code == 2
+        assert "single class" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_missing_file_is_io_error(self, tmp_path, capsys):
