@@ -14,6 +14,8 @@ import json
 import math
 import subprocess
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -21,6 +23,10 @@ import numpy as np
 
 from .errors import ConfigError, CsvParseError, InvalidDataError, OracleProtocolError
 from .types import AttributePartition
+
+# body cells (records x header width) converted together in one block; a
+# block's split cells live at once, so larger blocks only raise the peak
+BLOCK_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -102,15 +108,22 @@ def _parse_labels(cells: list[str], column: str) -> tuple[np.ndarray, dict[str, 
 
 
 def _read_records(path: "str | Path") -> tuple[list[str], Iterator[list[str]]]:
-    """The checked header and a reader positioned at the first body record.
+    """The checked header and an iterator over the body records.
 
-    The body is parsed only as the reader is consumed.
+    The file is read and split into lines at once; each record is split
+    from its line as the iterator is consumed. Text with no quote, no NUL,
+    no empty line and no line longer than csv.field_size_limit() is split
+    at every comma by str.split, which is what the csv module's excel
+    dialect does with it; any other text goes through csv.reader.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise CsvParseError(f"file {path} is not valid UTF-8: {exc}") from exc
-    records = csv.reader(text.splitlines())
+    lines = text.splitlines()
+    plain = ('"' not in text and "\0" not in text and "" not in lines
+             and max(map(len, lines), default=0) <= csv.field_size_limit())
+    records = map(str.split, lines, repeat(",")) if plain else csv.reader(lines)
     header = next(records, None)
     if header is None:
         raise CsvParseError(f"file {path} is empty, expected a header row")
@@ -123,13 +136,16 @@ def _read_records(path: "str | Path") -> tuple[list[str], Iterator[list[str]]]:
 def _parse_cells(
     record: list[str], feature_cols: Sequence[int], header: Sequence[str], r: int
 ) -> list[float]:
-    """The feature cells of body record r, parsed and checked one at a time.
+    """The feature cells of body record r, checked and parsed one at a time.
 
-    Each cell is stripped, parsed and checked for finiteness in
-    feature_cols order, so the first failing cell is the one named. The
-    values are returned when every cell passes: float() alone rejects
-    padding that str.strip() removes, such as U+001F.
+    The record's width is checked first; then each cell is stripped,
+    parsed and checked for finiteness in feature_cols order, so the first
+    failing cell is the one named. The values are returned when every
+    cell passes: float() alone rejects padding that str.strip() removes,
+    such as U+001F.
     """
+    if len(record) != len(header):
+        raise CsvParseError(f"expected {len(header)} cells, got {len(record)}", row=r)
     parsed = []
     for j in feature_cols:
         cell = record[j].strip()
@@ -174,7 +190,13 @@ def _parse_records(
     label_column: str | None = None,
     columns: Sequence[str] | None = None,
 ) -> Dataset:
-    """load_csv on the checked header and body records of a file already read."""
+    """load_csv on the checked header and body records of a file already read.
+
+    The body is taken BLOCK_CELLS cells at a time, and each block goes
+    through _block_rows; a csv.Error is raised once the records read
+    before it have been checked, so every error names the first faulty
+    record, as a record-by-record parse would.
+    """
     label_idx: int | None = None
     if label_column is not None:
         if label_column not in header:
@@ -200,37 +222,34 @@ def _parse_records(
     if not feature_cols:
         raise CsvParseError("no feature columns besides the label column")
 
-    # Each record's feature cells are converted in one C-level pass. float()
-    # skips only whitespace that str.strip() also removes, so a record that
-    # passes holds the values the per-cell route gives; a record that fails
-    # (or holds a non-finite value) takes that route, which names the first
-    # bad cell or parses cells that only str.strip() can clean.
     width = len(header)
-    rows: list[list[float]] = []
+    per_block = max(1, BLOCK_CELLS // width)
+    blocks: list[np.ndarray] = []
     label_cells: list[str] = []
-    r = 0
-    try:
-        for r, record in enumerate(body, start=1):
-            if len(record) != width:
-                raise CsvParseError(f"expected {width} cells, got {len(record)}", row=r)
-            try:
-                parsed = list(map(float, map(record.__getitem__, feature_cols)))
-                checked = all(map(math.isfinite, parsed))
-            except ValueError:
-                checked = False
-            if not checked:
-                parsed = _parse_cells(record, feature_cols, header, r)
-            rows.append(parsed)
+    r = 0  # body records checked so far
+    while True:
+        block: list[list[str]] = []
+        error = None
+        try:
+            # extend keeps the records read before a csv.Error
+            block.extend(islice(body, per_block))
+        except csv.Error as exc:
+            error = exc
+        if block:
+            blocks.append(_block_rows(block, feature_cols, header, r))
             if label_idx is not None:
-                label_cells.append(record[label_idx].strip())
-    except csv.Error as exc:
-        raise CsvParseError(f"malformed CSV record: {exc}", row=r + 1) from exc
+                label_cells.extend(map(str.strip, map(itemgetter(label_idx), block)))
+            r += len(block)
+        if error is not None:
+            raise CsvParseError(f"malformed CSV record: {error}", row=r + 1) from error
+        if len(block) < per_block:
+            break
 
     labels = mapping = None
     if label_idx is not None:
         labels, mapping = _parse_labels(label_cells, header[label_idx])
 
-    data = np.asarray(rows, dtype=float) if rows else np.empty((0, len(feature_cols)))
+    data = np.concatenate(blocks) if blocks else np.empty((0, len(feature_cols)))
     return Dataset(
         header=tuple(header[j] for j in feature_cols),
         rows=data,
@@ -239,6 +258,37 @@ def _parse_records(
         label_index=label_idx,
         label_mapping=mapping,
     )
+
+
+def _block_rows(
+    block: list[list[str]], feature_cols: Sequence[int], header: Sequence[str], r: int
+) -> np.ndarray:
+    """The feature rows of body records r+1.. in block.
+
+    When every record has the header's width, each feature column is
+    converted by one C-level float() pass and the block is checked for
+    finiteness at once. float() skips only whitespace that str.strip()
+    also removes, so a block that passes holds the values _parse_cells
+    gives. A block that fails any check goes through _parse_cells
+    record by record, which raises for its first faulty record or parses
+    cells that only str.strip() can clean.
+    """
+    width = len(header)
+    if all(map(width.__eq__, map(len, block))):
+        cells = list(chain.from_iterable(block))
+        values = np.empty((len(feature_cols), len(block)))
+        try:
+            for k, j in enumerate(feature_cols):
+                values[k] = list(map(float, cells[j::width]))
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(values).all():
+                return values.T
+    return np.array([
+        _parse_cells(record, feature_cols, header, i)
+        for i, record in enumerate(block, start=r + 1)
+    ])
 
 
 def _format_value(v: float) -> str:

@@ -26,6 +26,7 @@ import numpy as np
 from scipy.linalg import cho_factor  # noqa: F401
 
 from .errors import (
+    DegenerateDensityError,
     InsufficientDataError,
     InvalidDataError,
     InvalidModelError,
@@ -334,7 +335,9 @@ def posterior(model: DensityBackend, evidence: "Evidence | Sequence[float]") -> 
 
     Requires a fully observed input. Stable for inputs far from every
     class mean because the joint scores are shifted by their maximum
-    before exponentiation.
+    before exponentiation; an input beyond about 1e154 standard deviations,
+    where every class's joint log density is -inf, raises
+    DegenerateDensityError.
     """
     e = as_evidence(evidence)
     if e.n_features != model.n_features:
@@ -348,9 +351,20 @@ def posterior(model: DensityBackend, evidence: "Evidence | Sequence[float]") -> 
 
 
 def _posterior(priors: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """P(Y = c | x) from the (K, n) full-order log_density_terms of x."""
+    """P(Y = c | x) from the (K, n) full-order log_density_terms of x.
+
+    Raises DegenerateDensityError when no class gives x a finite joint
+    log density (the squared standardized distance overflows), since no
+    class is then favored.
+    """
     scores = np.log(priors) + terms.sum(axis=1)
-    probs = np.exp(scores - scores.max())
+    top = scores.max()
+    if not top > -np.inf:
+        raise DegenerateDensityError(
+            f"the input has no finite joint log density to normalize (the largest "
+            f"over classes is {top}); it lies too far from every class mean"
+        )
+    probs = np.exp(scores - top)
     return probs / probs.sum()
 
 

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from woexplain import load_model
+from woexplain import data, load_model
 from woexplain.cli import main
 
 
@@ -143,6 +143,27 @@ class TestExplainCommand:
                      "--attr-size", "3", "--out", str(by_inline)]) == 0
         assert by_file.read_bytes() == by_inline.read_bytes()
 
+    def test_file_rows_across_blocks_match_inline_vectors(self, tmp_path, monkeypatch, capsys):
+        """Blocks of 5 records: rows of the first, a middle and the last block."""
+        _, model_path = fit_model(tmp_path)
+        capsys.readouterr()
+        monkeypatch.setattr(data, "BLOCK_CELLS", 5 * 3, raising=False)
+        rng = np.random.default_rng(12)
+        rows = rng.normal(0.75, 1.2, size=(17, 3))
+        rows_csv = tmp_path / "rows.csv"
+        rows_csv.write_text("f0,f1,f2\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in rows), encoding="utf-8")
+        for r in (1, 7, 16):
+            by_file, by_inline = tmp_path / "by_file.json", tmp_path / "by_inline.json"
+            assert main(["explain", "--model", str(model_path), "--input", f"@{rows_csv}:{r}",
+                         "--attr-size", "1", "--out", str(by_file)]) == 0
+            file_out = capsys.readouterr().out
+            inline = ",".join(repr(float(v)) for v in rows[r])
+            assert main(["explain", "--model", str(model_path), "--input", inline,
+                         "--attr-size", "1", "--out", str(by_inline)]) == 0
+            assert capsys.readouterr().out.replace(str(by_inline), str(by_file)) == file_out
+            assert by_file.read_bytes() == by_inline.read_bytes()
+
     def test_partition_file_names_appear_in_table(self, tmp_path, capsys):
         _, model_path = fit_model(tmp_path)
         partition = tmp_path / "groups.json"
@@ -264,6 +285,33 @@ class TestExitCodes:
                      "--out", str(tmp_path / "m.json")])
         assert code == 3
         assert "row 1, column 'b'" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_input_beyond_every_density_exits_two(self, tmp_path, capsys):
+        _, model_path = fit_model(tmp_path)
+        code = main(["explain", "--model", str(model_path), "--input", "1e200,0,0",
+                     "--attr-size", "1", "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: the input has no finite joint log density" in err
+        assert "comparable score" not in err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_bad_cell_in_the_last_block_is_io_error(self, tmp_path, monkeypatch, capsys):
+        data_path, model_path = fit_model(tmp_path)
+        capsys.readouterr()
+        monkeypatch.setattr(data, "BLOCK_CELLS", 16 * 4, raising=False)
+        lines = data_path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 121
+        lines[118] = "0.5,oops," + lines[118].split(",", 2)[2]
+        data_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        message = "error: cell 'oops' does not parse as a number (row 118, column 'f1')\n"
+        assert main(["fit", "--data", str(data_path), "--labels", "target",
+                     "--out", str(tmp_path / "m.json")]) == 3
+        assert capsys.readouterr() == ("", message)
+        assert main(["validate", "--model", str(model_path), "--data", str(data_path),
+                     "--labels", "target"]) == 3
+        assert capsys.readouterr() == ("", message)
 
     def test_unreadable_model_is_validation_failure(self, tmp_path, capsys):
         broken = tmp_path / "model.json"

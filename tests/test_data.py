@@ -2,7 +2,9 @@
 
 import csv
 import json
+import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from woexplain import (
     query_oracle,
     write_csv,
 )
+from woexplain import data
 from woexplain.errors import ConfigError, CsvParseError, InvalidDataError, OracleProtocolError
 
 
@@ -248,6 +251,211 @@ class TestLoadCsvMatchesPerCellParsing:
             ds = load_csv(write_text(tmp_path / "t.csv", "x,y\n" + body), label_column="y")
             np.testing.assert_array_equal(ds.labels, labels)
             assert ds.label_mapping == mapping
+
+
+def per_record_error(text):
+    """The error of a record-by-record parse read by csv.reader, as (message, row, column).
+
+    Each record's width, then each cell in header order; a csv.Error
+    names the record after the last one read. None when the file parses.
+    """
+    records = csv.reader(text.splitlines())
+    header = [h.strip() for h in next(records)]
+    r = 0
+    try:
+        for r, record in enumerate(records, start=1):
+            if len(record) != len(header):
+                return f"expected {len(header)} cells, got {len(record)} (row {r})", r, None
+            for name, cell in zip(header, record):
+                cell = cell.strip()
+                try:
+                    value = float(cell)
+                except ValueError:
+                    return (f"cell {cell!r} does not parse as a number "
+                            f"(row {r}, column {name!r})", r, name)
+                if not math.isfinite(value):
+                    return f"cell {cell!r} is not finite (row {r}, column {name!r})", r, name
+    except csv.Error as exc:
+        return f"malformed CSV record: {exc} (row {r + 1})", r + 1, None
+    return None
+
+
+@pytest.fixture
+def lowered_field_limit():
+    """csv.field_size_limit lowered to 40 characters for one test."""
+    default = csv.field_size_limit(40)
+    yield 40
+    csv.field_size_limit(default)
+
+
+class TestBlocksMatchRecordByRecord:
+    """Bodies converted a block at a time give the values and errors of a per-record parse.
+
+    Blocks are shrunk to B = 3 records, so small files cross several.
+    """
+
+    B = 3
+    NAMES = ["a", "b", "y", "c"]
+    FAULTS = {
+        "bad cell": lambda cells: cells[:1] + ["oops"] + cells[2:],
+        "non-finite": lambda cells: cells[:3] + ["-inf"],
+        "short record": lambda cells: cells[:3],
+        "long record": lambda cells: cells + ["5"],
+        "empty line": lambda cells: [],
+        "padded": lambda cells: ["\x1f" + cells[0]] + cells[1:],
+    }
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(data, "BLOCK_CELLS", self.B * len(self.NAMES), raising=False)
+
+    def body(self, n, seed=0):
+        rng = np.random.default_rng(seed)
+        return [[repr(float(v)) for v in rng.normal(0.0, 100.0, size=2)]
+                + [str(int(rng.integers(0, 3))), f"{float(rng.normal()):.6e}"]
+                for _ in range(n)]
+
+    def text(self, body):
+        return "\n".join(",".join(r) for r in [self.NAMES] + body) + "\n"
+
+    def test_record_counts_around_the_block_size(self, tmp_path):
+        b = self.B
+        for n in (0, 1, b - 1, b, b + 1, 2 * b + 3):
+            body = self.body(n, seed=n)
+            text = self.text(body)
+            path = write_text(tmp_path / f"n{n}.csv", text)
+            ds = load_csv(path)
+            assert ds.rows.tobytes() == per_cell_rows(text, self.NAMES).tobytes()
+            assert ds.rows.shape == (n, 4)
+            labelled = load_csv(path, label_column="y")
+            assert labelled.rows.tobytes() == per_cell_rows(text, ["a", "b", "c"]).tobytes()
+            assert labelled.labels.tolist() == [int(r[2]) for r in body]
+
+    def test_each_fault_in_the_second_block(self, tmp_path):
+        b = self.B
+        for kind, fault in self.FAULTS.items():
+            for r in range(b + 1, 2 * b + 1):
+                body = self.body(3 * b + 1, seed=r)
+                body[r - 1] = fault(body[r - 1])
+                text = self.text(body)
+                path = write_text(tmp_path / "t.csv", text)
+                expected = per_record_error(text)
+                if kind == "padded":
+                    assert expected is None
+                    assert load_csv(path).rows.tobytes() == per_cell_rows(text, self.NAMES).tobytes()
+                else:
+                    assert expected[1] == r, kind
+                    assert csv_error(path) == expected, kind
+
+    def test_the_first_of_two_faults_in_a_block_wins(self, tmp_path):
+        b = self.B
+        for first, fault in self.FAULTS.items():
+            for second, later in self.FAULTS.items():
+                body = self.body(3 * b, seed=7)
+                body[b] = fault(body[b])
+                body[2 * b - 1] = later(body[2 * b - 1])
+                text = self.text(body)
+                expected = per_record_error(text)
+                if expected is None:
+                    continue
+                assert expected[1] == (b + 1 if first != "padded" else 2 * b)
+                assert csv_error(write_text(tmp_path / "t.csv", text)) == expected, (first, second)
+
+    def test_csv_error_after_a_bad_cell_in_the_same_block(self, tmp_path, lowered_field_limit):
+        b = self.B
+        for bad_row, long_row in [(b + 1, b + 2), (b + 1, 2 * b), (b + 2, 2 * b)]:
+            body = self.body(3 * b, seed=bad_row)
+            body[bad_row - 1][1] = "oops"
+            body[long_row - 1][3] = "9" * (lowered_field_limit + 1)
+            path = write_text(tmp_path / "t.csv", self.text(body))
+            assert csv_error(path) == (
+                f"cell 'oops' does not parse as a number (row {bad_row}, column 'b')",
+                bad_row, "b",
+            )
+            body[bad_row - 1][1] = "1"
+            path = write_text(tmp_path / "t.csv", self.text(body))
+            message, row, column = csv_error(path)
+            assert (row, column) == (long_row, None)
+            assert message.startswith("malformed CSV record: field larger than field limit (40)")
+
+    def test_csv_error_in_the_second_block(self, tmp_path, lowered_field_limit):
+        b = self.B
+        for r in range(b + 1, 2 * b + 1):
+            body = self.body(3 * b, seed=r)
+            body[r - 1][0] = "1" + "0" * lowered_field_limit
+            text = self.text(body)
+            expected = per_record_error(text)
+            assert expected[1] == r
+            assert csv_error(write_text(tmp_path / "t.csv", text)) == expected
+
+    def assert_read_by_the_csv_module(self, path, text):
+        """The csv module's own reading, its NUL handling and field limit included."""
+        assert isinstance(data._read_records(path)[1], type(csv.reader([])))
+        expected = per_record_error(text)
+        if expected is None:
+            assert load_csv(path).rows.tobytes() == per_cell_rows(text, self.NAMES).tobytes()
+        else:
+            assert csv_error(path) == expected
+
+    def test_nul_takes_the_csv_module(self, tmp_path):
+        """csv.reader raises for a NUL before Python 3.11 and keeps it in the cell after."""
+        body = self.body(2 * self.B)
+        body[self.B][1] += "\x00"
+        text = self.text(body)
+        self.assert_read_by_the_csv_module(write_text(tmp_path / "t.csv", text), text)
+
+    def test_long_lines_take_the_csv_module(self, tmp_path, lowered_field_limit):
+        long_line = "a,b,y,c\n" + ",".join(["1" * 20] * 4) + "\n"
+        long_field = "a,b,y,c\n1,2,0,3\n" + ",".join(["1" * 41] * 4) + "\n"
+        for text in (long_line, long_field):
+            self.assert_read_by_the_csv_module(write_text(tmp_path / "t.csv", text), text)
+
+    def test_split_lines_read_as_the_csv_module_reads_them(self, tmp_path):
+        """Seeded fuzz of quote-free text: the records of _read_records are csv.reader's."""
+        rng = np.random.default_rng(11)
+        atoms = ["", "0", "1", "-2.5", "x", " ", "\t", "\x1f", "\u00a0", "a b", "'", "\\"]
+        breaks = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                  "\u2028"]
+        without_empty_lines = 0
+        for case in range(300):
+            width = int(rng.integers(1, 5))
+            blank = 0.1 if rng.random() < 0.3 else 0.0
+            lines = [",".join(f"h{j}" for j in range(width))]
+            for _ in range(int(rng.integers(0, 12))):
+                cells = [str(rng.choice(atoms)) for _ in range(width + int(rng.integers(-1, 2)))]
+                line = ",".join(cells) + ("," if rng.random() < 0.2 else "")
+                lines.append("" if rng.random() < blank else line or "0")
+            brk = str(rng.choice(breaks))
+            text = brk.join(lines) + (brk if rng.random() < 0.7 else "")
+            path = tmp_path / "t.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            header, body = data._read_records(path)
+            records = list(csv.reader(text.splitlines()))
+            assert header == [h.strip() for h in records[0]], case
+            assert list(body) == records[1:], case
+            without_empty_lines += "" not in text.splitlines()
+        assert without_empty_lines > 150
+
+
+class TestLoadCsvMemory:
+    def test_peak_stays_below_a_list_of_float_lists(self, tmp_path):
+        """A 20,000 x 10 file (3.9 MB) peaked at 13.7 MB when every row was a list of
+        floats before becoming an array, and at 9.0 MB converted in blocks, most of it
+        the file text and its lines (Python 3.11, numpy 2.4)."""
+        rng = np.random.default_rng(3)
+        rows = rng.normal(size=(20_000, 10))
+        text = "".join(",".join(map(repr, map(float, row))) + "\n" for row in rows)
+        path = write_text(tmp_path / "big.csv", ",".join(f"f{j}" for j in range(10)) + "\n" + text)
+        del text
+        load_csv(path)
+        tracemalloc.start()
+        try:
+            ds = load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.rows.tobytes() == rows.tobytes()
+        assert peak < 11_500_000, peak
 
 
 class TestWriteCsv:

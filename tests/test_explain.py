@@ -38,6 +38,7 @@ from woexplain import (
     write_report,
 )
 from woexplain.errors import (
+    DegenerateDensityError,
     InvalidHypothesisError,
     InvalidParameterError,
     InvalidPartitionError,
@@ -155,6 +156,15 @@ class TestExplainLoop:
         ).validate()
         with pytest.raises(NothingToExplainError):
             explain([0.0, 0.0], lonely, single_group_params(2))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_input_beyond_every_density_names_the_cause(self):
+        """Every joint log density -inf: the posterior's error, not a failed contrast search."""
+        rng = np.random.default_rng(49)
+        model = random_model(rng, 3, 3)
+        for params in (single_group_params(3), ExplainerParams(attribute_size=1)):
+            with pytest.raises(DegenerateDensityError, match="no finite joint log density"):
+                explain([1e200, 0.0, 0.0], model, params)
 
 
 class TestOrderingPolicies:

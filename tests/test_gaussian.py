@@ -25,10 +25,12 @@ from woexplain import (
     model_from_dict,
     model_to_dict,
     posterior,
+    predicted_class,
     save_model,
     set_conditional_log_likelihood,
 )
 from woexplain.errors import (
+    DegenerateDensityError,
     InsufficientDataError,
     InvalidDataError,
     InvalidModelError,
@@ -301,6 +303,22 @@ class TestPosterior:
         assert np.all(np.isfinite(probs))
         assert probs[1] > 1.0 - 1e-10
         assert abs(probs.sum() - 1.0) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    def test_input_beyond_every_density_is_an_error(self, mode):
+        """Past about 1e154 sigma z * z overflows, every joint log density is -inf,
+        and no class can be favored; an error, not a NaN posterior or class 0."""
+        rng = np.random.default_rng(57)
+        x = np.vstack([rng.normal(c, 1.0, size=(30, 3)) for c in range(3)])
+        model = fit(x, np.repeat(np.arange(3), 30), mode=mode)
+        for far in ([1e200, 0.0, 0.0], [0.0, -1e300, 1e200]):
+            with pytest.raises(DegenerateDensityError, match="no finite joint log density"):
+                posterior(model, far)
+            with pytest.raises(DegenerateDensityError, match="no finite joint log density"):
+                predicted_class(model, far)
+        probs = posterior(model, [1e150, 0.0, 0.0])
+        assert np.all(np.isfinite(probs)) and abs(probs.sum() - 1.0) <= 1e-12
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(55)
