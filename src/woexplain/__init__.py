@@ -36,7 +36,6 @@ from .explain import (
     write_report,
 )
 from .gaussian import (
-    DensityBackend,
     GaussianClassModel,
     fit,
     load_model,
@@ -63,7 +62,6 @@ __all__ = [
     "AttributeScore",
     "ContrastParams",
     "Dataset",
-    "DensityBackend",
     "Evidence",
     "ExplainerParams",
     "ExplanationReport",

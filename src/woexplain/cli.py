@@ -87,15 +87,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="collect unassigned features into a residual group")
     p_exp.add_argument("--scoring", choices=sorted(_SCORING), default="conditional",
                        help="conditional chain scores or per-attribute marginals")
-    p_exp.add_argument("--threshold", type=float, default=2.0,
-                       help="|woe| display threshold in nats (default: 2.0)")
-    p_exp.add_argument("--alpha-reg", type=float, default=0.1,
-                       help="contrast-size regularizer coefficient (default: 0.1)")
+    p_exp.add_argument("--threshold", type=float, default=ExplainerParams.display_threshold,
+                       help="|woe| display threshold in nats (default: %(default)s)")
+    p_exp.add_argument("--alpha-reg", type=float, default=ContrastParams.alpha_reg,
+                       help="contrast-size regularizer coefficient (default: %(default)s)")
     p_exp.add_argument("--ordering", choices=sorted(_ORDERING), default="greedy",
                        help="attribute order in conditional mode (default: greedy)")
-    p_exp.add_argument("--seed", type=int, default=0,
+    p_exp.add_argument("--seed", type=int, default=ExplainerParams.ordering_seed,
                        help="seed for the random ordering policy")
-    p_exp.add_argument("--max-exhaustive", type=int, default=12,
+    p_exp.add_argument("--max-exhaustive", type=int,
+                       default=ContrastParams.max_exhaustive_classes,
                        help="class-count cap for exhaustive contrast search")
     p_exp.add_argument("--out", required=True, help="where to write the report JSON")
 
@@ -253,15 +254,11 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"fit": _cmd_fit, "explain": _cmd_explain, "validate": _cmd_validate}
     try:
         return handlers[args.command](args)
-    except (CsvParseError, OracleProtocolError, OSError) as exc:
+    except (WoeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InvalidModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except WoeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, (CsvParseError, OracleProtocolError, OSError)):
+            return 3
+        return 1 if isinstance(exc, InvalidModelError) else 2
 
 
 if __name__ == "__main__":

@@ -58,7 +58,7 @@ from .errors import (
     InvalidHypothesisError,
     InvalidParameterError,
 )
-from .gaussian import DensityBackend, mixture_log_ratio
+from .gaussian import GaussianClassModel, mixture_log_ratio
 from .types import HypothesisSet, as_hypothesis
 
 
@@ -99,17 +99,15 @@ def regularizer(entailed, full_set, alpha_reg: float) -> float:
     return _penalty(len(u), len(v), float(alpha_reg))
 
 
-def score_subset(entailed, full_set, evidence, model: DensityBackend,
+def score_subset(entailed, full_set, evidence, model: GaussianClassModel,
                  params: ContrastParams) -> float:
     """Objective value of one candidate split: woe(U/V\\U : x) - R(U)."""
     u = as_hypothesis(entailed)
     v = as_hypothesis(full_set)
-    if not u.issubset(v):
-        raise InvalidHypothesisError("entailed set must be a subset of the class universe")
+    penalty = regularizer(u, v, params.alpha_reg)
     if len(u) == len(v):
         raise EmptyContrastError("entailed set equals the class universe, contrast is empty")
-    rest = v.difference(u)
-    return woe(u, rest, evidence, model) - regularizer(u, v, params.alpha_reg)
+    return woe(u, v.difference(u), evidence, model) - penalty
 
 
 @lru_cache(maxsize=16)
@@ -174,7 +172,7 @@ def _size_bounds(log_prior: np.ndarray, joint: np.ndarray, own: np.ndarray,
     return sum(terms), sum(map(np.abs, terms))
 
 
-def best_contrast(full_set, c_star: int, evidence, model: DensityBackend,
+def best_contrast(full_set, c_star: int, evidence, model: GaussianClassModel,
                   params: ContrastParams) -> HypothesisSet:
     """The subset U of V maximizing the regularized WoE objective.
 

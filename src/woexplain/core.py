@@ -33,7 +33,7 @@ from .errors import (
     InvalidPartitionError,
     MissingEvidenceError,
 )
-from .gaussian import DensityBackend, _index_rows, _index_tuple, mixture_log_ratio
+from .gaussian import GaussianClassModel, _index_rows, _index_tuple, mixture_log_ratio
 from .types import Evidence, HypothesisSet, as_evidence, as_hypothesis
 
 # covariance entries (classes x orders x m x m) one stacked density call may gather
@@ -56,7 +56,7 @@ def _checked_count(value, name: str, least: int) -> int:
 
 
 def _checked_pair(
-    entailed, contrast, model: DensityBackend
+    entailed, contrast, model: GaussianClassModel
 ) -> tuple[HypothesisSet, HypothesisSet]:
     a = as_hypothesis(entailed).check_against(model.n_classes)
     b = as_hypothesis(contrast).check_against(model.n_classes)
@@ -68,7 +68,7 @@ def _checked_pair(
     return a, b
 
 
-def _checked_evidence(e, model: DensityBackend) -> Evidence:
+def _checked_evidence(e, model: GaussianClassModel) -> Evidence:
     ev = as_evidence(e)
     if ev.n_features != model.n_features:
         raise MissingEvidenceError(
@@ -135,7 +135,7 @@ def _chain_scores(a: list[int], b: list[int], lengths, terms: np.ndarray,
     return scores
 
 
-def _chains(requests, e: Evidence, model: DensityBackend) -> list[list[float]]:
+def _chains(requests, e: Evidence, model: GaussianClassModel) -> list[list[float]]:
     """_chain_scores for every (a, b, groups) request, groups already checked.
 
     Requests that share a concatenated order share its density terms:
@@ -152,7 +152,7 @@ def _chains(requests, e: Evidence, model: DensityBackend) -> list[list[float]]:
             for (a, b, groups), order in zip(requests, orders)]
 
 
-def _observed_terms(e: Evidence, model: DensityBackend) -> np.ndarray:
+def _observed_terms(e: Evidence, model: GaussianClassModel) -> np.ndarray:
     """Every class's log_density_terms along the observed coordinates, in order.
 
     Row c sums to J_c, the joint log density of the observed evidence
@@ -163,12 +163,32 @@ def _observed_terms(e: Evidence, model: DensityBackend) -> np.ndarray:
     return model.log_density_terms(idx, e.values[idx])
 
 
-def woe(entailed, contrast, evidence, model: DensityBackend) -> float:
-    """woe(A/B : e) over all observed coordinates of the evidence."""
-    a, b = _checked_pair(entailed, contrast, model)
-    e = _checked_evidence(evidence, model)
-    terms = _observed_terms(e, model)
-    return _chain_scores(list(a), list(b), [terms.shape[1]], terms, np.log(model.priors))[0]
+def _pair_terms(entailed, contrast, evidence,
+                model: GaussianClassModel) -> tuple[list[int], list[int], np.ndarray]:
+    """The checked labels of A and B and _observed_terms of the checked evidence.
+
+    Raises DegenerateDensityError when no class of A u B gives the
+    evidence a finite joint log density, where every score read from the
+    terms would be NaN.
+    """
+    a, b = map(list, _checked_pair(entailed, contrast, model))
+    terms = _observed_terms(_checked_evidence(evidence, model), model)
+    if not terms[a + b].sum(axis=1).max() > -np.inf:
+        raise DegenerateDensityError(
+            "the input has no finite joint log density under any class of either "
+            "hypothesis; it lies too far from every class mean"
+        )
+    return a, b, terms
+
+
+def woe(entailed, contrast, evidence, model: GaussianClassModel) -> float:
+    """woe(A/B : e) over all observed coordinates of the evidence.
+
+    Raises DegenerateDensityError, as posterior does, when no class of
+    A u B gives the evidence a finite joint log density.
+    """
+    a, b, terms = _pair_terms(entailed, contrast, evidence, model)
+    return _chain_scores(a, b, [terms.shape[1]], terms, np.log(model.priors))[0]
 
 
 def woe_conditional(
@@ -177,7 +197,7 @@ def woe_conditional(
     target: Sequence[int],
     prefix: Sequence[int],
     evidence,
-    model: DensityBackend,
+    model: GaussianClassModel,
 ) -> float:
     """woe(A/B : e_target | e_prefix), the chain-rule term for one attribute.
 
@@ -193,7 +213,7 @@ def woe_conditional_many(
     targets: Sequence[Sequence[int]],
     prefix: Sequence[int],
     evidence,
-    model: DensityBackend,
+    model: GaussianClassModel,
 ) -> np.ndarray:
     """woe_conditional for every target against one shared prefix.
 
@@ -207,7 +227,7 @@ def woe_conditional_many(
     return _stacked_woe([(list(a), list(b), p_idx, targets)], e, model)[0]
 
 
-def _stacked_woe(requests, e: Evidence, model: DensityBackend) -> list[np.ndarray]:
+def _stacked_woe(requests, e: Evidence, model: GaussianClassModel) -> list[np.ndarray]:
     """woe(A/B : e_t | e_prefix) for every target t of every (a, b, prefix, targets) request.
 
     a and b are label lists and prefix a checked tuple of observed
@@ -288,7 +308,7 @@ def woe_chain(
     contrast,
     ordering: Sequence[Sequence[int]],
     evidence,
-    model: DensityBackend,
+    model: GaussianClassModel,
 ) -> list[float]:
     """Per-attribute conditional WoE along an ordered partition.
 
@@ -309,7 +329,7 @@ def _prior_log_odds(a: list[int], b: list[int], priors: np.ndarray) -> float:
     return math.log(pa) - math.log(pb)
 
 
-def prior_log_odds(entailed, contrast, model: DensityBackend) -> float:
+def prior_log_odds(entailed, contrast, model: GaussianClassModel) -> float:
     """log P(Y in A) - log P(Y in B) from the model priors alone."""
     a, b = _checked_pair(entailed, contrast, model)
     return _prior_log_odds(list(a), list(b), model.priors)
@@ -324,39 +344,37 @@ def _posterior_log_odds(a: list[int], b: list[int], terms: np.ndarray,
             - mixture_log_ratio(joint, np.where(in_a, -np.inf, 0.0)))
 
 
-def posterior_log_odds(entailed, contrast, evidence, model: DensityBackend) -> float:
+def posterior_log_odds(entailed, contrast, evidence, model: GaussianClassModel) -> float:
     """log P(Y in A | e) - log P(Y in B | e), straight from Bayes rule.
 
     Each side is the log share of A u B's posterior mass held by A (or
     B), read off the per-class joint scores log P(c) + log P(e | c) with
     mixture_log_ratio: a delta of 0 on the side's classes and -inf on the
     other's. woe is not involved, so the decomposition identity below
-    checks the mixture bookkeeping.
+    checks the mixture bookkeeping. Raises where woe does.
     """
-    a, b = _checked_pair(entailed, contrast, model)
-    e = _checked_evidence(evidence, model)
-    return _posterior_log_odds(list(a), list(b), _observed_terms(e, model), model.priors)
+    a, b, terms = _pair_terms(entailed, contrast, evidence, model)
+    return _posterior_log_odds(a, b, terms, model.priors)
 
 
 def bayes_decomposition(
-    entailed, contrast, evidence, model: DensityBackend
+    entailed, contrast, evidence, model: GaussianClassModel
 ) -> tuple[float, float, float]:
     """(prior_log_odds, total_woe, posterior_log_odds) for A vs B given e.
 
     The three satisfy posterior = prior + woe; prior odds come from the
     model priors and posterior odds from an independent Bayes-rule path.
-    Both evidence terms read one factorization of the observed order.
+    Both evidence terms read one factorization of the observed order,
+    and an evidence beyond every density of A u B raises as in woe.
     """
-    a, b = _checked_pair(entailed, contrast, model)
-    prior = _prior_log_odds(list(a), list(b), model.priors)
-    e = _checked_evidence(evidence, model)
-    terms = _observed_terms(e, model)
-    total = _chain_scores(list(a), list(b), [terms.shape[1]], terms, np.log(model.priors))[0]
-    return prior, total, _posterior_log_odds(list(a), list(b), terms, model.priors)
+    a, b, terms = _pair_terms(entailed, contrast, evidence, model)
+    prior = _prior_log_odds(a, b, model.priors)
+    total = _chain_scores(a, b, [terms.shape[1]], terms, np.log(model.priors))[0]
+    return prior, total, _posterior_log_odds(a, b, terms, model.priors)
 
 
 def information_value(feature: int, class_a: int, class_b: int,
-                      model: DensityBackend) -> float:
+                      model: GaussianClassModel) -> float:
     """Information Value of one feature for separating two classes.
 
         IV = integral of log[p_a(x)/p_b(x)] (p_a(x) - p_b(x)) dx

@@ -82,9 +82,10 @@ class Dataset:
 def _parse_labels(cells: list[str], column: str) -> tuple[np.ndarray, dict[str, int] | None]:
     """Densify a label column.
 
-    Integer-valued cells pass through unchanged and must be nonnegative.
-    Anything else is treated as categorical: distinct cell texts are
-    sorted and mapped to 0..K-1, and the mapping is returned.
+    Integer-valued cells pass through unchanged and must be nonnegative
+    and fit numpy's default integer. Anything else is treated as
+    categorical: distinct cell texts are sorted and mapped to 0..K-1, and
+    the mapping is returned.
     """
     try:
         parsed = list(map(float, cells))
@@ -102,7 +103,15 @@ def _parse_labels(cells: list[str], column: str) -> tuple[np.ndarray, dict[str, 
                     "(use text labels to get an automatic mapping)",
                     row=r, column=column,
                 )
-        return np.asarray(values, dtype=int), None
+        try:
+            return np.asarray(values, dtype=int), None
+        except OverflowError:
+            # only a label past numpy's integer range overflows; the first is named
+            r = next(r for r, v in enumerate(values, start=1) if v > np.iinfo(int).max)
+            raise CsvParseError(
+                f"label {cells[r - 1]!r} is too large for an integer label",
+                row=r, column=column,
+            ) from None
     mapping = {text: k for k, text in enumerate(sorted(set(cells)))}
     return np.array([mapping[c] for c in cells], dtype=int), mapping
 

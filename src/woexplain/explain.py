@@ -62,7 +62,7 @@ from .errors import (
     MissingEvidenceError,
     NothingToExplainError,
 )
-from .gaussian import DensityBackend, _posterior
+from .gaussian import GaussianClassModel, _posterior
 from .types import (
     AttributePartition,
     Evidence,
@@ -238,7 +238,7 @@ def _attribute_search(params: ExplainerParams, observed: list[int]):
     return groups, order, scores
 
 
-def _lockstep(searches: list, splits: list, e: Evidence, model: DensityBackend) -> list:
+def _lockstep(searches: list, splits: list, e: Evidence, model: GaussianClassModel) -> list:
     """Run every split's search to its end, all advancing together.
 
     Each round gathers the (prefix, targets) request of every live search
@@ -266,7 +266,7 @@ def _lockstep(searches: list, splits: list, e: Evidence, model: DensityBackend) 
 
 
 def _check_attribute_source(params: ExplainerParams, e: Evidence,
-                            model: DensityBackend) -> None:
+                            model: GaussianClassModel) -> None:
     if params.partition is not None:
         if params.partition.n_features != model.n_features:
             raise InvalidPartitionError(
@@ -280,7 +280,7 @@ def _check_attribute_source(params: ExplainerParams, e: Evidence,
         )
 
 
-def _score_splits(splits: list, e: Evidence, model: DensityBackend,
+def _score_splits(splits: list, e: Evidence, model: GaussianClassModel,
                   params: ExplainerParams) -> list:
     """Attribute scores of every (a, b) split, given as label lists.
 
@@ -303,7 +303,7 @@ def _score_splits(splits: list, e: Evidence, model: DensityBackend,
     ) for groups, order, scores in found]
 
 
-def score_attributes(entailed, contrast, evidence, model: DensityBackend,
+def score_attributes(entailed, contrast, evidence, model: GaussianClassModel,
                      params: ExplainerParams) -> tuple[AttributeScore, ...]:
     """Per-attribute WoE scores for one entailed/contrast split.
 
@@ -350,7 +350,7 @@ def _settings_record(params: ExplainerParams) -> dict:
     }
 
 
-def explain(evidence, model: DensityBackend, params: ExplainerParams) -> ExplanationReport:
+def explain(evidence, model: GaussianClassModel, params: ExplainerParams) -> ExplanationReport:
     """Run the full sequential explanation for one input.
 
     Starting from all classes, repeatedly split the remaining set into

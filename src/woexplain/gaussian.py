@@ -1,7 +1,7 @@
 """Class-conditional Gaussian density models.
 
 One Gaussian per class, diagonal or full covariance, plus class priors.
-This is the likelihood backend for every weight-of-evidence computation.
+This is the likelihood model behind every weight-of-evidence computation.
 Its one density primitive, log_density_terms, factors each class
 covariance permuted into a coordinate order once (Cholesky) and returns
 every sequential conditional log density along that order, so any
@@ -19,7 +19,7 @@ import json
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Sequence
 
 import numpy as np
 # unused here; perfbench/tracing.py counts factorizations through gaussian.cho_factor
@@ -49,32 +49,6 @@ FULL = "full"
 DEFAULT_FLOOR_SCALE = 1e-6
 # absolute fallback when the data has zero variance everywhere
 DEGENERATE_FLOOR = 1e-12
-
-
-@runtime_checkable
-class DensityBackend(Protocol):
-    """What the scoring layer needs from a likelihood model.
-
-    Any object with per-class sequential log density terms (see
-    GaussianClassModel.log_density_terms), marginal moments, and priors
-    can drive the weight-of-evidence machinery. log_density_terms takes
-    one order, giving (K, m), or a stack of equal-length orders as an
-    (M, m) integer array with values of the same shape, giving (K, M, m);
-    the searches score all their candidates through the stacked form.
-    """
-
-    @property
-    def n_features(self) -> int: ...
-
-    @property
-    def n_classes(self) -> int: ...
-
-    @property
-    def priors(self) -> np.ndarray: ...
-
-    def log_density_terms(self, order: Sequence[int], values: Sequence[float]) -> np.ndarray: ...
-
-    def marginal_moments(self, label: int, feature: int) -> tuple[float, float]: ...
 
 
 def _index_tuple(indices: Iterable[int], n: int, what: str) -> tuple[int, ...]:
@@ -206,12 +180,8 @@ class GaussianClassModel:
         """Mean and variance of one feature under one class."""
         c = self.check_label(label)
         (i,) = _index_tuple((feature,), self.n_features, "feature")
-        mean = float(self.means[c, i])
-        if self.mode == DIAGONAL:
-            var = float(self.covariances[c, i])
-        else:
-            var = float(self.covariances[c, i, i])
-        return mean, var
+        var = self.covariances[c, i] if self.mode == DIAGONAL else self.covariances[c, i, i]
+        return float(self.means[c, i]), float(var)
 
     def log_density_terms(self, order: Sequence[int], values: Sequence[float]) -> np.ndarray:
         """Sequential conditional log densities of every class along `order`.
@@ -229,6 +199,11 @@ class GaussianClassModel:
         values of the same shape, gives (K, M, m) from one factorization
         batched over classes and orders; [:, j] equals the result for
         order j alone, bit for bit.
+
+        Past about 1e154 standard deviations the squared distance
+        overflows and the term is -inf, silently: the density is 0 there.
+        A covariance that fails to factor raises NumericalConditioningError
+        naming the first such class.
         """
         if isinstance(order, np.ndarray) and order.ndim == 2:
             idx = _index_rows(order, self.n_features, "order")
@@ -239,19 +214,27 @@ class GaussianClassModel:
         if v.shape != idx.shape:
             raise InvalidDataError(f"{v.size} values for {idx.size} ordered indices")
         dev = v - self.means[:, idx]
-        if self.mode == DIAGONAL:
-            var = self.covariances[:, idx]
-            return -0.5 * (LOG_2PI + np.log(var) + dev * dev / var)
-        try:
-            chol = np.linalg.cholesky(self.covariances[:, idx[..., :, None], idx[..., None, :]])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalConditioningError(
-                "a class covariance is not positive definite"
-            ) from exc
-        # batched over classes; scipy's solve_triangular takes one matrix at scipy 1.10
-        z = np.linalg.solve(chol, dev[..., None])[..., 0]
-        log_var = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1))
-        return -0.5 * (LOG_2PI + log_var + z * z)
+        # np.linalg sets its own error state, so this one covers the squares only
+        with np.errstate(over="ignore"):
+            if self.mode == DIAGONAL:
+                var = self.covariances[:, idx]
+                return -0.5 * (LOG_2PI + np.log(var) + dev * dev / var)
+            covs = self.covariances[:, idx[..., :, None], idx[..., None, :]]
+            try:
+                chol = np.linalg.cholesky(covs)
+            except np.linalg.LinAlgError as exc:
+                # the batch fails where a class's own matrices do; searched on this path only
+                for c, cov in enumerate(covs):
+                    try:
+                        np.linalg.cholesky(cov)
+                    except np.linalg.LinAlgError:
+                        raise NumericalConditioningError(
+                            f"the covariance of class {c} is not positive definite"
+                        ) from exc
+            # batched over classes; scipy's solve_triangular takes one matrix at scipy 1.10
+            z = np.linalg.solve(chol, dev[..., None])[..., 0]
+            log_var = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1))
+            return -0.5 * (LOG_2PI + log_var + z * z)
 
     def class_conditional_log_density(
         self,
@@ -301,7 +284,7 @@ def mixture_log_ratio(base: np.ndarray, delta: np.ndarray) -> "float | np.ndarra
 
 
 def set_conditional_log_likelihood(
-    model: DensityBackend,
+    model: GaussianClassModel,
     hypothesis: "HypothesisSet | int | Iterable[int]",
     target: Sequence[int],
     x_target: Sequence[float],
@@ -330,7 +313,7 @@ def set_conditional_log_likelihood(
     return mixture_log_ratio(base[h], delta[h])
 
 
-def posterior(model: DensityBackend, evidence: "Evidence | Sequence[float]") -> np.ndarray:
+def posterior(model: GaussianClassModel, evidence: "Evidence | Sequence[float]") -> np.ndarray:
     """P(Y = c | x) for every class, via log-space Bayes rule.
 
     Requires a fully observed input. Stable for inputs far from every
@@ -368,7 +351,7 @@ def _posterior(priors: np.ndarray, terms: np.ndarray) -> np.ndarray:
     return probs / probs.sum()
 
 
-def predicted_class(model: DensityBackend, evidence: "Evidence | Sequence[float]") -> int:
+def predicted_class(model: GaussianClassModel, evidence: "Evidence | Sequence[float]") -> int:
     """Posterior argmax; ties break toward the smaller label."""
     return int(np.argmax(posterior(model, evidence)))
 
@@ -404,10 +387,9 @@ def fit(
     if y.ndim != 1 or y.shape[0] != n_rows:
         raise InvalidDataError(f"labels shape {y.shape} does not match {n_rows} data rows")
     if not np.issubdtype(y.dtype, np.integer):
-        y_float = np.asarray(y, dtype=float)
-        if not np.all(np.isfinite(y_float)) or np.any(y_float != np.floor(y_float)):
+        y = np.asarray(y, dtype=float)
+        if not np.all(np.isfinite(y)) or np.any(y != np.floor(y)):
             raise InvalidDataError("labels must be integers")
-        y = y_float.astype(int)
     y = y.astype(int)
     if np.any(y < 0):
         raise InvalidDataError(f"negative label {int(y.min())}; labels must be 0..K-1")
@@ -434,10 +416,7 @@ def fit(
         raise InvalidParameterError(f"mode must be {DIAGONAL!r} or {FULL!r}, got {mode!r}")
 
     means = np.empty((n_classes, n_feat))
-    if mode == FULL:
-        covs = np.empty((n_classes, n_feat, n_feat))
-    else:
-        covs = np.empty((n_classes, n_feat))
+    covs = np.empty((n_classes, n_feat, n_feat) if mode == FULL else (n_classes, n_feat))
     for c in range(n_classes):
         xc = x[y == c]
         mu = xc.mean(axis=0)
@@ -450,14 +429,13 @@ def fit(
 
     if feature_names is None:
         feature_names = tuple(f"x{i}" for i in range(n_feat))
-    model = GaussianClassModel(
+    return GaussianClassModel(
         means=means,
         covariances=covs,
         priors=counts / n_rows,
         mode=mode,
         feature_names=tuple(feature_names),
-    )
-    return model.validate()
+    ).validate()
 
 
 def model_to_dict(model: GaussianClassModel) -> dict:
@@ -516,14 +494,13 @@ def model_from_dict(doc: dict) -> GaussianClassModel:
         raise InvalidModelError(f"malformed class entry: {exc}") from exc
     if means.ndim != 2 or means.shape[1] != len(names):
         raise InvalidModelError("class means do not match feature_names in length")
-    model = GaussianClassModel(
+    return GaussianClassModel(
         means=means,
         covariances=covs,
         priors=priors,
         mode=mode,
         feature_names=tuple(str(n) for n in names),
-    )
-    return model.validate()
+    ).validate()
 
 
 def save_model(model: GaussianClassModel, path: "str | Path") -> None:

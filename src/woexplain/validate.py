@@ -27,14 +27,12 @@ from .core import (
     _prior_log_odds,
 )
 from .errors import InvalidDataError, InvalidParameterError, NothingToExplainError
-from .gaussian import DensityBackend, _posterior, mixture_log_ratio
+from .gaussian import GaussianClassModel, _posterior, mixture_log_ratio
 from .types import HypothesisSet
 
 IDENTITY_TOL = 1e-9
 
-# brute-force enumeration is capped at 2^(BRUTE_MAX_CLASSES-1) candidates
-BRUTE_MAX_CLASSES = 12
-# and at this many rows, to keep validation runs quick
+# the brute-force enumeration checks at most this many rows, to keep runs quick
 BRUTE_MAX_ROWS = 25
 
 
@@ -66,7 +64,7 @@ def _random_partition(rng: np.random.Generator, n: int) -> list[list[int]]:
 
 
 def run_validation(
-    model: DensityBackend,
+    model: GaussianClassModel,
     data: np.ndarray,
     trials: int = 100,
     seed: int = 0,
@@ -151,17 +149,19 @@ def run_validation(
         ),
     ]
 
-    if k > BRUTE_MAX_CLASSES:
+    # the enumeration checks the exhaustive search of the default parameters
+    params = ContrastParams()
+    if k > params.max_exhaustive_classes:
         checks.append(InvariantCheck(
             name="contrast-equivalence",
             passed=True,
             max_deviation=0.0,
             tolerance=0.0,
-            detail=f"skipped: {k} classes exceed the exhaustive cap {BRUTE_MAX_CLASSES}",
+            detail=(f"skipped: {k} classes exceed the exhaustive cap "
+                    f"{params.max_exhaustive_classes}"),
         ))
         return checks
 
-    params = ContrastParams()
     universe = HypothesisSet(tuple(range(k)))
     mismatches = 0
     first_bad = None

@@ -286,7 +286,16 @@ class TestExitCodes:
         assert code == 3
         assert "row 1, column 'b'" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_label_beyond_int64_is_io_error(self, tmp_path, capsys):
+        data_path = tmp_path / "big.csv"
+        data_path.write_text("x,y\n1,0\n2,1e300\n3,1\n", encoding="utf-8")
+        code = main(["fit", "--data", str(data_path), "--labels", "y",
+                     "--out", str(tmp_path / "m.json")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: label '1e300' is too large for an integer label (row 2, column 'y')\n")
+        assert not (tmp_path / "m.json").exists()
+
     def test_input_beyond_every_density_exits_two(self, tmp_path, capsys):
         _, model_path = fit_model(tmp_path)
         code = main(["explain", "--model", str(model_path), "--input", "1e200,0,0",

@@ -25,6 +25,7 @@ from woexplain import (
 )
 from woexplain import contrast
 from woexplain.errors import (
+    DegenerateDensityError,
     EmptyContrastError,
     InvalidHypothesisError,
     InvalidParameterError,
@@ -196,8 +197,23 @@ class TestScoreSubset:
         with pytest.raises(InvalidHypothesisError):
             score_subset([0, 3], [0, 1, 2], [0.0, 0.0], model, ContrastParams())
 
+    def test_input_beyond_every_density_is_an_error(self):
+        rng = np.random.default_rng(44)
+        model = random_model(rng, 3, 3)
+        with pytest.raises(DegenerateDensityError, match="no finite joint log density"):
+            score_subset([0], [0, 1, 2], [1e200, 0.0, 0.0], model, ContrastParams())
+
 
 class TestBestContrast:
+    # every candidate is the NaN of -inf - -inf, which numpy warns about
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_no_comparable_candidate_is_an_error(self):
+        rng = np.random.default_rng(45)
+        model = random_model(rng, 3, 3)
+        with pytest.raises(DegenerateDensityError,
+                           match="no candidate split has a comparable score"):
+            best_contrast([0, 1, 2], 0, [1e200, 0.0, 0.0], model, ContrastParams())
+
     def test_two_classes_forced(self):
         rng = np.random.default_rng(44)
         model = random_model(rng, 2, 3)

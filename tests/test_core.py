@@ -441,6 +441,25 @@ class TestBayesDecomposition:
         assert_allclose(ours, np.log(probs[0] + probs[3]) - np.log(probs[1]), rtol=1e-9)
 
 
+class TestInputBeyondEveryDensity:
+    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    def test_public_routes_raise_instead_of_nan(self, mode):
+        """Every class of A u B gives -inf: an error, not a NaN from -inf - -inf."""
+        rng = np.random.default_rng(60)
+        model = random_model(rng, 3, 3, mode)
+        far = [1e200, 0.0, 0.0]
+        partial = Evidence(np.array(far), observed_mask=np.array([True, False, True]))
+        for e in (far, partial):
+            for route in (woe, posterior_log_odds, bayes_decomposition):
+                with pytest.raises(DegenerateDensityError, match="no finite joint log density"):
+                    route([0], [1, 2], e, model)
+        near = Evidence(np.array(far), observed_mask=np.array([False, True, True]))
+        prior, total, post = bayes_decomposition([0], [1, 2], near, model)
+        assert np.isfinite([prior, total, post]).all()
+        assert total == woe([0], [1, 2], near, model)
+        assert post == posterior_log_odds([0], [1, 2], near, model)
+
+
 class TestInformationValue:
     def unit_model(self, mean_b, var_b):
         return GaussianClassModel(

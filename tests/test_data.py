@@ -63,6 +63,15 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match=r"negative.*\(row 2, column 'y'\)"):
             load_csv(path, label_column="y")
 
+    @pytest.mark.parametrize("cell", ["1e300", "9" * 300, "9223372036854775808"],
+                             ids=["1e300", "300 digits", "2**63"])
+    def test_integer_labels_beyond_int64_rejected(self, tmp_path, cell):
+        path = write_text(tmp_path / "t.csv", f"x,y\n1,0\n2,{cell}\n3,1\n")
+        with pytest.raises(CsvParseError, match=r"too large.*\(row 2, column 'y'\)"):
+            load_csv(path, label_column="y")
+        near = write_text(tmp_path / "near.csv", "x,y\n1,0\n2,4611686018427387904\n")
+        np.testing.assert_array_equal(load_csv(near, label_column="y").labels, [0, 2 ** 62])
+
     def test_cell_errors_carry_location(self, tmp_path):
         bad_number = write_text(tmp_path / "a.csv", "x,y\n1,2\n3,oops\n")
         with pytest.raises(CsvParseError, match=r"\(row 2, column 'y'\)"):

@@ -44,6 +44,7 @@ from woexplain.errors import (
     InvalidPartitionError,
     MissingEvidenceError,
     NothingToExplainError,
+    NumericalConditioningError,
 )
 
 from oracles import random_model, woe_between
@@ -157,7 +158,6 @@ class TestExplainLoop:
         with pytest.raises(NothingToExplainError):
             explain([0.0, 0.0], lonely, single_group_params(2))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_input_beyond_every_density_names_the_cause(self):
         """Every joint log density -inf: the posterior's error, not a failed contrast search."""
         rng = np.random.default_rng(49)
@@ -165,6 +165,30 @@ class TestExplainLoop:
         for params in (single_group_params(3), ExplainerParams(attribute_size=1)):
             with pytest.raises(DegenerateDensityError, match="no finite joint log density"):
                 explain([1e200, 0.0, 0.0], model, params)
+
+    # every candidate is the NaN of -inf - -inf, which numpy warns about
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_no_comparable_attribute_is_an_error(self):
+        rng = np.random.default_rng(50)
+        model = random_model(rng, 3, 3)
+        partition = AttributePartition(((0,), (1, 2)))
+        for params in (ExplainerParams(partition=partition), ExplainerParams(attribute_size=1)):
+            with pytest.raises(DegenerateDensityError,
+                               match="every candidate attribute scored NaN or -inf"):
+                score_attributes([0], [1, 2], [1e200, 0.0, 0.0], model, params)
+
+    def test_covariance_that_fails_to_factor_names_its_class(self):
+        bad = np.array([[1.0, 2.0], [2.0, 1.0]])
+        model = GaussianClassModel(
+            means=np.zeros((3, 2)),
+            covariances=np.array([np.eye(2), bad, bad]),
+            priors=np.full(3, 1.0 / 3.0),
+            mode="full",
+            feature_names=("a", "b"),
+        )
+        with pytest.raises(NumericalConditioningError,
+                           match="^the covariance of class 1 is not positive definite$"):
+            explain([0.0, 0.0], model, single_group_params(2))
 
 
 class TestOrderingPolicies:

@@ -1,4 +1,4 @@
-"""Density backend checks against independent oracles.
+"""Density model checks against independent oracles.
 
 Conditionals computed by the package (sequential terms from one Cholesky
 factor per class of the covariance permuted into the scoring order) are
@@ -17,7 +17,6 @@ from scipy.integrate import trapezoid
 from scipy.special import expit, logsumexp
 
 from woexplain import (
-    DensityBackend,
     Evidence,
     GaussianClassModel,
     fit,
@@ -37,6 +36,7 @@ from woexplain.errors import (
     InvalidParameterError,
     InvalidPartitionError,
     MissingEvidenceError,
+    NumericalConditioningError,
     UnknownLabelError,
 )
 
@@ -63,6 +63,25 @@ class TestLogDensityTerms:
                     for m in range(1, 6):
                         oracle = oracle_joint_logpdf(model, c, order[:m], x[:m])
                         assert_allclose(sums[c, m - 1], oracle, rtol=1e-10)
+
+    def test_covariance_that_fails_to_factor_names_its_class(self):
+        """Found class by class: the first class whose ordered covariance fails."""
+        bad = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
+        model = GaussianClassModel(
+            means=np.zeros((3, 3)),
+            covariances=np.array([np.eye(3), bad, bad]),
+            priors=np.full(3, 1.0 / 3.0),
+            mode="full",
+            feature_names=("a", "b", "c"),
+        )
+        message = "^the covariance of class 1 is not positive definite$"
+        with pytest.raises(NumericalConditioningError, match=message):
+            model.log_density_terms([2, 1, 0], [0.0, 0.0, 0.0])
+        with pytest.raises(NumericalConditioningError, match=message):
+            model.log_density_terms(np.array([[0, 1], [2, 0]]), np.zeros((2, 2)))
+        # submatrices that do factor are scored as usual
+        terms = model.log_density_terms(np.array([[0, 1], [1, 2]]), np.zeros((2, 2)))
+        assert np.isfinite(terms).all()
 
     def test_empty_order(self):
         rng = np.random.default_rng(65)
@@ -263,10 +282,6 @@ class TestSetLikelihood:
         total = trapezoid(trapezoid(dens, grid, axis=1), grid)
         assert_allclose(total, 1.0, atol=1e-4)
 
-    def test_satisfies_backend_protocol(self):
-        rng = np.random.default_rng(54)
-        assert isinstance(random_model(rng, 2, 2), DensityBackend)
-
 
 class TestPosterior:
     def test_symmetric_model_is_uniform(self):
@@ -304,7 +319,6 @@ class TestPosterior:
         assert probs[1] > 1.0 - 1e-10
         assert abs(probs.sum() - 1.0) <= 1e-12
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("mode", ["full", "diagonal"])
     def test_input_beyond_every_density_is_an_error(self, mode):
         """Past about 1e154 sigma z * z overflows, every joint log density is -inf,

@@ -1,9 +1,11 @@
 """The benchmark's tracer wraps package attributes by name; they must resolve.
 
 perfbench/tracing.py installs its spans on the (module, attribute) pairs
-in BOUNDARIES and counts factorizations through gaussian.cho_factor. A
-rename or removal of any of them breaks the traced benchmark run, so it
-is caught here, in the test suite, as well as by `run.py --self-check`.
+in BOUNDARIES, counts factorizations through gaussian.cho_factor and
+reads ContrastParams().max_exhaustive_classes to count contrast
+candidates. A rename or removal of any of them breaks the traced
+benchmark run, so it is caught here, in the test suite, as well as by
+`run.py --self-check`.
 """
 
 import importlib
@@ -15,11 +17,15 @@ import pytest
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def boundaries():
+def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return list(tracing.BOUNDARIES) + [("gaussian", "cho_factor")]
+    return tracing
+
+
+def boundaries():
+    return list(load_tracing().BOUNDARIES) + [("gaussian", "cho_factor")]
 
 
 @pytest.mark.parametrize("module_name, qualname", boundaries())
@@ -31,3 +37,15 @@ def test_traced_attribute_resolves(module_name, qualname):
     else:
         target = getattr(module, qualname, None)
     assert callable(target), f"woexplain.{module_name}.{qualname} no longer resolves"
+
+
+def test_candidate_counter_reads_the_exhaustive_cap():
+    """Without params, the candidate counter compares |V| with ContrastParams()'s cap."""
+    from woexplain.contrast import ContrastParams
+
+    tracing = load_tracing()
+    cap = ContrastParams().max_exhaustive_classes
+    counters = {"contrast.candidates": 0}
+    tracing._count_candidates(counters, (range(cap),), {})
+    tracing._count_candidates(counters, (range(cap + 1),), {})
+    assert counters["contrast.candidates"] == 2 ** (cap - 1) - 1

@@ -73,7 +73,7 @@ class TestRunValidation:
         last = checks[-1]
         assert last.name == "contrast-equivalence"
         assert last.passed
-        assert "skipped" in last.detail
+        assert last.detail == "skipped: 13 classes exceed the exhaustive cap 12"
 
     def test_input_validation(self):
         model, data = fitted_case()
@@ -153,7 +153,7 @@ def replayed_checks(model, data, trials, seed):
 
 
 class CountingBackend:
-    """A DensityBackend that counts calls of the density primitive."""
+    """A stand-in model that counts calls of the density primitive."""
 
     def __init__(self, model):
         self.model = model
