@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +34,7 @@ from .errors import (
     InvalidPartitionError,
     MissingEvidenceError,
 )
-from .gaussian import GaussianClassModel, _index_rows, _index_tuple, mixture_log_ratio
+from .gaussian import GaussianClassModel, _index_rows, mixture_log_ratio
 from .types import Evidence, HypothesisSet, as_evidence, as_hypothesis
 
 # covariance entries (classes x orders x m x m) one stacked density call may gather
@@ -77,12 +78,16 @@ def _checked_evidence(e, model: GaussianClassModel) -> Evidence:
     return ev
 
 
+def _checked_observed(idx: np.ndarray, e: Evidence, what: str) -> None:
+    unseen = idx[~e.observed_mask[idx]]
+    if unseen.size:
+        raise MissingEvidenceError(f"{what} feature {int(unseen[0])} is not observed")
+
+
 def _checked_prefix(prefix: Sequence[int], e: Evidence) -> tuple[int, ...]:
-    p_idx = _index_tuple(prefix, e.n_features, "prefix")
-    for i in p_idx:
-        if not e.observed_mask[i]:
-            raise MissingEvidenceError(f"prefix feature {i} is not observed")
-    return p_idx
+    (p_idx,) = _index_rows([prefix], e.n_features, "prefix")
+    _checked_observed(p_idx, e, "prefix")
+    return tuple(p_idx.tolist())
 
 
 def _checked_orders(orders: np.ndarray, p: int, e: Evidence) -> None:
@@ -98,9 +103,7 @@ def _checked_orders(orders: np.ndarray, p: int, e: Evidence) -> None:
     shared = t[(t[:, :, None] == orders[:, None, :p]).any(axis=2)]
     if shared.size:
         raise InvalidPartitionError(f"feature {int(shared[0])} is in both target and prefix")
-    unseen = t[~e.observed_mask[t]]
-    if unseen.size:
-        raise MissingEvidenceError(f"target feature {int(unseen[0])} is not observed")
+    _checked_observed(t, e, "target")
 
 
 def first_max(keys: np.ndarray, floor: float = -math.inf) -> "int | None":
@@ -115,40 +118,55 @@ def first_max(keys: np.ndarray, floor: float = -math.inf) -> "int | None":
     return i if keys[i] > floor else None
 
 
+def _log_mass(base: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """mixture_log_ratio(base, delta) for (sides, classes) arrays, one side a row.
+
+    mixture_log_ratio keeps its finite path free of a zero-mass check: a
+    side whose classes hold mass in base and none in base + delta comes
+    out as the NaN of -inf - -inf, with numpy's "invalid value" warning.
+    Such a side is read here as log 0 = -inf. A side with no mass in base
+    stays NaN, since its mixture weights are undefined. Callers silence
+    the warning with np.errstate(invalid="ignore").
+    """
+    ratio = mixture_log_ratio(base, delta)
+    return ratio if not np.isnan(ratio).any() else np.where(
+        np.isnan(ratio) & (base > -np.inf).any(axis=-1), -np.inf, ratio)
+
+
 def _chain_scores(a: list[int], b: list[int], lengths, terms: np.ndarray,
                   log_prior: np.ndarray) -> list[float]:
     """woe(A/B : e_g | e of the groups before g) for each group g in turn.
 
     terms holds every class's log_density_terms along the concatenated
     groups, of the given lengths, so each group's delta is a slice sum;
-    the mixture base of each class is its log prior plus the deltas
-    before.
+    the mixture base of each class is one running sum of its log prior
+    and the deltas before, and all groups are scored by one _log_mass
+    pair over (groups, classes) arrays. A group where both sides are
+    -inf is undefined and scores NaN.
     """
-    base = log_prior
-    scores, start = [], 0
-    for length in lengths:
-        delta = terms[:, start:start + length].sum(axis=1)
-        scores.append(mixture_log_ratio(base[a], delta[a])
-                      - mixture_log_ratio(base[b], delta[b]))
-        base = base + delta
-        start += length
-    return scores
+    bounds = [0, *accumulate(lengths)]
+    steps = np.array([log_prior, *(terms[:, start:stop].sum(axis=1)
+                                   for start, stop in zip(bounds, bounds[1:]))])
+    base = np.cumsum(steps, axis=0)[:-1]
+    with np.errstate(invalid="ignore"):
+        return (_log_mass(base[:, a], steps[1:, a]) - _log_mass(base[:, b], steps[1:, b])).tolist()
 
 
 def _chains(requests, e: Evidence, model: GaussianClassModel) -> list[list[float]]:
     """_chain_scores for every (a, b, groups) request, groups already checked.
 
-    Requests that share a concatenated order share its density terms:
-    one call of the density primitive per distinct order. The call is
-    the single-order form, whose result the group slices have always been
-    summed from: numpy's sum over a slice depends on the memory layout of
-    the terms (see mixture_log_ratio), which differs by covariance mode.
+    Every request's groups partition the observed coordinates, so the
+    concatenated orders share one length: the distinct orders are
+    factored by one stacked call of the density primitive.
     """
+    if not requests:
+        return []
     orders = [tuple(i for g in groups for i in g) for _, _, groups in requests]
-    terms = {order: model.log_density_terms(order, e.values[list(order)])
-             for order in dict.fromkeys(orders)}
+    slot = {order: j for j, order in enumerate(dict.fromkeys(orders))}
+    distinct = np.array(list(slot), dtype=np.intp)
+    terms = model.log_density_terms(distinct, e.values[distinct])
     log_prior = np.log(model.priors)
-    return [_chain_scores(a, b, map(len, groups), terms[order], log_prior)
+    return [_chain_scores(a, b, map(len, groups), terms[:, slot[order]], log_prior)
             for (a, b, groups), order in zip(requests, orders)]
 
 
@@ -165,30 +183,36 @@ def _observed_terms(e: Evidence, model: GaussianClassModel) -> np.ndarray:
 
 def _pair_terms(entailed, contrast, evidence,
                 model: GaussianClassModel) -> tuple[list[int], list[int], np.ndarray]:
-    """The checked labels of A and B and _observed_terms of the checked evidence.
-
-    Raises DegenerateDensityError when no class of A u B gives the
-    evidence a finite joint log density, where every score read from the
-    terms would be NaN.
-    """
+    """The checked labels of A and B and _observed_terms of the checked evidence."""
     a, b = map(list, _checked_pair(entailed, contrast, model))
-    terms = _observed_terms(_checked_evidence(evidence, model), model)
-    if not terms[a + b].sum(axis=1).max() > -np.inf:
+    return a, b, _observed_terms(_checked_evidence(evidence, model), model)
+
+
+def _defined(scores):
+    """scores, each of which must be defined: a NaN raises DegenerateDensityError.
+
+    A score is undefined where no class of either hypothesis gives the
+    evidence it scores a finite log density, or no class of a hypothesis
+    of two or more classes gives the evidence it is conditioned on one.
+    """
+    if np.isnan(scores).any():
         raise DegenerateDensityError(
             "the input has no finite joint log density under any class of either "
-            "hypothesis; it lies too far from every class mean"
+            "hypothesis, or its conditioning part has none under any class of one; "
+            "it lies too far from every class mean"
         )
-    return a, b, terms
+    return scores
 
 
 def woe(entailed, contrast, evidence, model: GaussianClassModel) -> float:
     """woe(A/B : e) over all observed coordinates of the evidence.
 
-    Raises DegenerateDensityError, as posterior does, when no class of
-    A u B gives the evidence a finite joint log density.
+    +inf (-inf) when no class of B (A) gives the evidence a finite joint
+    log density. Raises DegenerateDensityError, as posterior does, when
+    no class of A u B does.
     """
     a, b, terms = _pair_terms(entailed, contrast, evidence, model)
-    return _chain_scores(a, b, [terms.shape[1]], terms, np.log(model.priors))[0]
+    return _defined(_chain_scores(a, b, [terms.shape[1]], terms, np.log(model.priors))[0])
 
 
 def woe_conditional(
@@ -219,12 +243,21 @@ def woe_conditional_many(
 
     Targets of one length are checked together and scored by stacked
     calls of the density primitive: the one-request case of
-    _stacked_woe. Returns the scores in target order.
+    _stacked_woe. Returns the scores in target order. A score is +-inf
+    where one side gives the target no finite density, as in woe, and
+    an undefined score raises DegenerateDensityError: where neither
+    side gives the target a finite density, or one side's classes all
+    give the prefix none.
     """
-    a, b = _checked_pair(entailed, contrast, model)
+    a, b = map(list, _checked_pair(entailed, contrast, model))
     e = _checked_evidence(evidence, model)
     p_idx = _checked_prefix(prefix, e)
-    return _stacked_woe([(list(a), list(b), p_idx, targets)], e, model)[0]
+    with np.errstate(invalid="ignore"):
+        scores = _stacked_woe([(a, b, p_idx, targets)], e, model)[0]
+    for k in np.flatnonzero(np.isnan(scores)):
+        # _stacked_woe leaves a side with no mass NaN; the chain route reads it as -inf
+        scores[k] = _chains([(a, b, [p_idx, tuple(targets[k])])], e, model)[0][1]
+    return _defined(scores)
 
 
 def _stacked_woe(requests, e: Evidence, model: GaussianClassModel) -> list[np.ndarray]:
@@ -314,11 +347,13 @@ def woe_chain(
 
     The ordering must partition the observed coordinates of the evidence.
     The scores sum to woe(entailed, contrast, evidence, model) regardless
-    of the order; individual terms do depend on it.
+    of the order; individual terms do depend on it. Infinite and
+    undefined terms are as in woe_conditional_many, so an evidence
+    beyond every density of A u B raises as in woe.
     """
     a, b = _checked_pair(entailed, contrast, model)
     e = _checked_evidence(evidence, model)
-    return _chains([(list(a), list(b), _checked_ordering(ordering, e))], e, model)[0]
+    return _defined(_chains([(list(a), list(b), _checked_ordering(ordering, e))], e, model)[0])
 
 
 def _prior_log_odds(a: list[int], b: list[int], priors: np.ndarray) -> float:
@@ -340,8 +375,10 @@ def _posterior_log_odds(a: list[int], b: list[int], terms: np.ndarray,
     both = a + b
     joint = np.log(priors[both]) + terms[both].sum(axis=1)
     in_a = np.arange(len(both)) < len(a)
-    return (mixture_log_ratio(joint, np.where(in_a, 0.0, -np.inf))
-            - mixture_log_ratio(joint, np.where(in_a, -np.inf, 0.0)))
+    # A's and B's log shares of the mass of A u B, one row each: -inf for a side without mass
+    with np.errstate(invalid="ignore"):
+        shares = _log_mass(np.tile(joint, (2, 1)), np.where([in_a, ~in_a], 0.0, -np.inf))
+    return float(shares[0] - shares[1])
 
 
 def posterior_log_odds(entailed, contrast, evidence, model: GaussianClassModel) -> float:
@@ -351,10 +388,10 @@ def posterior_log_odds(entailed, contrast, evidence, model: GaussianClassModel) 
     B), read off the per-class joint scores log P(c) + log P(e | c) with
     mixture_log_ratio: a delta of 0 on the side's classes and -inf on the
     other's. woe is not involved, so the decomposition identity below
-    checks the mixture bookkeeping. Raises where woe does.
+    checks the mixture bookkeeping. Infinite, and raises, where woe is.
     """
     a, b, terms = _pair_terms(entailed, contrast, evidence, model)
-    return _posterior_log_odds(a, b, terms, model.priors)
+    return _defined(_posterior_log_odds(a, b, terms, model.priors))
 
 
 def bayes_decomposition(
@@ -368,9 +405,9 @@ def bayes_decomposition(
     and an evidence beyond every density of A u B raises as in woe.
     """
     a, b, terms = _pair_terms(entailed, contrast, evidence, model)
-    prior = _prior_log_odds(a, b, model.priors)
-    total = _chain_scores(a, b, [terms.shape[1]], terms, np.log(model.priors))[0]
-    return prior, total, _posterior_log_odds(a, b, terms, model.priors)
+    total = _defined(_chain_scores(a, b, [terms.shape[1]], terms, np.log(model.priors))[0])
+    return (_prior_log_odds(a, b, model.priors), total,
+            _posterior_log_odds(a, b, terms, model.priors))
 
 
 def information_value(feature: int, class_a: int, class_b: int,

@@ -19,8 +19,8 @@ It runs in three phases that share one per-input state:
    marginal scoring) is a generator that asks for (prefix, targets)
    scores; the searches advance in lockstep, and each round's requests
    go to one stacked scoring call that deduplicates orders across
-   steps. Fixed and random orderings then score every step's chain, one
-   density call per distinct order (one in all for a fixed partition).
+   steps. Fixed and random orderings then score every step's chain from
+   one stacked density call over their distinct orders.
 
 Every score keeps the arithmetic of a lone call, so a report does not
 depend on how its steps were stacked.

@@ -51,32 +51,45 @@ DEFAULT_FLOOR_SCALE = 1e-6
 DEGENERATE_FLOOR = 1e-12
 
 
-def _index_tuple(indices: Iterable[int], n: int, what: str) -> tuple[int, ...]:
-    """Normalize a coordinate collection and bounds-check it against n."""
+def _index_rows(rows, n: int, what: str) -> np.ndarray:
+    """Check every row of an (M, m) stack of coordinate indices against n.
+
+    Each entry must be an integer in 0..n-1 and no row may repeat one;
+    the first offending entry in row-major order is the one named.
+    Returns the stack as an intp array.
+    """
     try:
-        idx = tuple(operator.index(i) for i in indices)
-    except (TypeError, ValueError) as exc:
+        rows = np.asarray(rows)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidPartitionError(f"{what} indices must be integers") from exc
-    for i in idx:
-        if not 0 <= i < n:
-            raise InvalidPartitionError(f"{what} index {i} outside 0..{n - 1}")
-    if len(set(idx)) != len(idx):
-        raise InvalidPartitionError(f"duplicate index in {what}: {list(idx)}")
-    return idx
-
-
-def _index_rows(rows: np.ndarray, n: int, what: str) -> np.ndarray:
-    """_index_tuple for every row of an (M, m) integer array at once."""
-    if rows.size and rows.dtype.kind not in "iu":
+    if rows.ndim != 2 or rows.size and rows.dtype.kind not in "iu":
         raise InvalidPartitionError(f"{what} indices must be integers")
-    bad = rows[(rows < 0) | (rows >= n)]
-    if bad.size:
-        raise InvalidPartitionError(f"{what} index {int(bad[0])} outside 0..{n - 1}")
+    bad = (rows < 0) | (rows >= n)
+    if bad.any():
+        raise InvalidPartitionError(f"{what} index {int(rows[bad][0])} outside 0..{n - 1}")
     ranked = np.sort(rows, axis=1)
-    dup = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
-    if dup.size:
-        raise InvalidPartitionError(f"duplicate index in {what}: {rows[dup[0]].tolist()}")
+    dup = ranked[:, 1:] == ranked[:, :-1]
+    if dup.any():
+        raise InvalidPartitionError(
+            f"duplicate index in {what}: {rows[dup.any(axis=1).argmax()].tolist()}")
     return rows.astype(np.intp, copy=False)
+
+
+def _factor(covs: np.ndarray, error: type) -> np.ndarray:
+    """np.linalg.cholesky of a class-major stack of covariances.
+
+    A failure raises error naming the first class whose own matrices do
+    not factor; a batch fails exactly where one of its matrices does, so
+    the search, which runs on this path only, always finds one.
+    """
+    try:
+        return np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError as exc:
+        for c, cov in enumerate(covs):
+            try:
+                np.linalg.cholesky(cov)
+            except np.linalg.LinAlgError:
+                raise error(f"the covariance of class {c} is not positive definite") from exc
 
 
 @dataclass(frozen=True)
@@ -159,12 +172,7 @@ class GaussianClassModel:
                 cov = self.covariances[c]
                 if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10 * (1.0 + np.abs(cov).max())):
                     raise InvalidModelError(f"covariance of class {c} is not symmetric")
-            try:
-                np.linalg.cholesky(self.covariances)
-            except np.linalg.LinAlgError as exc:
-                raise InvalidModelError(
-                    "a class covariance is not positive definite"
-                ) from exc
+            _factor(self.covariances, InvalidModelError)
         return self
 
     def check_label(self, label: int) -> int:
@@ -179,38 +187,37 @@ class GaussianClassModel:
     def marginal_moments(self, label: int, feature: int) -> tuple[float, float]:
         """Mean and variance of one feature under one class."""
         c = self.check_label(label)
-        (i,) = _index_tuple((feature,), self.n_features, "feature")
+        ((i,),) = _index_rows([[feature]], self.n_features, "feature")
         var = self.covariances[c, i] if self.mode == DIAGONAL else self.covariances[c, i, i]
         return float(self.means[c, i]), float(var)
 
     def log_density_terms(self, order: Sequence[int], values: Sequence[float]) -> np.ndarray:
         """Sequential conditional log densities of every class along `order`.
 
-        Returns a (K, len(order)) array whose entry [c, i] is
-        log P(X_{o_i} = v_i | X_{o_1..o_{i-1}} = v_1..v_{i-1}, Y = c), so
-        the prefix sums of row c are the joint log densities of every
-        prefix of the order. The covariances, permuted into the order, are
-        factored once as S = L L^T, batched over classes; with
-        z = L^-1 (v - mu) the i-th term is -(log 2 pi + 2 log L_ii + z_i^2)/2
-        (Rasmussen & Williams, GPML, App. A). Diagonal mode is the case
-        L = diag(sqrt(var)).
-
         A stack of M equal-length orders, an (M, m) integer array with
-        values of the same shape, gives (K, M, m) from one factorization
-        batched over classes and orders; [:, j] equals the result for
-        order j alone, bit for bit.
+        values of the same shape, gives a (K, M, m) array whose entry
+        [c, j, i] is log P(X_{o_i} = v_i | X_{o_1..o_{i-1}} = v_1..v_{i-1},
+        Y = c) along order j, so the prefix sums of [c, j] are the joint
+        log densities of every prefix of that order. The covariances,
+        permuted into the orders, are factored as S = L L^T in one batch
+        over classes and orders; with z = L^-1 (v - mu) the i-th term is
+        -(log 2 pi + 2 log L_ii + z_i^2)/2 (Rasmussen & Williams, GPML,
+        App. A). Diagonal mode is the case L = diag(sqrt(var)).
+
+        A single order, any other index sequence with its values, is
+        scored as a one-order stack and gives that order's (K, m) row.
+        Row [:, j] of a stack equals order j's result alone, bit for bit.
 
         Past about 1e154 standard deviations the squared distance
         overflows and the term is -inf, silently: the density is 0 there.
         A covariance that fails to factor raises NumericalConditioningError
         naming the first such class.
         """
-        if isinstance(order, np.ndarray) and order.ndim == 2:
-            idx = _index_rows(order, self.n_features, "order")
-            v = np.asarray(values, dtype=float)
-        else:
-            idx = np.array(_index_tuple(order, self.n_features, "order"), dtype=np.intp)
-            v = np.asarray(values, dtype=float).reshape(-1)
+        single = not (isinstance(order, np.ndarray) and order.ndim == 2)
+        idx = _index_rows([order] if single else order, self.n_features, "order")
+        v = np.asarray(values, dtype=float)
+        if single:
+            v = v.reshape(1, -1)
         if v.shape != idx.shape:
             raise InvalidDataError(f"{v.size} values for {idx.size} ordered indices")
         dev = v - self.means[:, idx]
@@ -218,23 +225,15 @@ class GaussianClassModel:
         with np.errstate(over="ignore"):
             if self.mode == DIAGONAL:
                 var = self.covariances[:, idx]
-                return -0.5 * (LOG_2PI + np.log(var) + dev * dev / var)
-            covs = self.covariances[:, idx[..., :, None], idx[..., None, :]]
-            try:
-                chol = np.linalg.cholesky(covs)
-            except np.linalg.LinAlgError as exc:
-                # the batch fails where a class's own matrices do; searched on this path only
-                for c, cov in enumerate(covs):
-                    try:
-                        np.linalg.cholesky(cov)
-                    except np.linalg.LinAlgError:
-                        raise NumericalConditioningError(
-                            f"the covariance of class {c} is not positive definite"
-                        ) from exc
-            # batched over classes; scipy's solve_triangular takes one matrix at scipy 1.10
-            z = np.linalg.solve(chol, dev[..., None])[..., 0]
-            log_var = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1))
-            return -0.5 * (LOG_2PI + log_var + z * z)
+                terms = -0.5 * (LOG_2PI + np.log(var) + dev * dev / var)
+            else:
+                covs = self.covariances[:, idx[..., :, None], idx[..., None, :]]
+                chol = _factor(covs, NumericalConditioningError)
+                # batched over classes; scipy's solve_triangular takes one matrix at scipy 1.10
+                z = np.linalg.solve(chol, dev[..., None])[..., 0]
+                log_var = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1))
+                terms = -0.5 * (LOG_2PI + log_var + z * z)
+        return terms[:, 0] if single else terms
 
     def class_conditional_log_density(
         self,

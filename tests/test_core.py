@@ -6,6 +6,8 @@ so none of the package's conditioning or mixture code is on both sides
 of an assertion.
 """
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -27,7 +29,7 @@ from woexplain import (
     woe_conditional,
     woe_conditional_many,
 )
-from woexplain.core import first_max
+from woexplain.core import _chains, first_max
 from woexplain.errors import (
     DegenerateDensityError,
     DegeneratePriorError,
@@ -36,6 +38,8 @@ from woexplain.errors import (
     MissingEvidenceError,
     UnknownLabelError,
 )
+
+from woexplain.gaussian import mixture_log_ratio
 
 from oracles import random_model, random_ordered_partition, woe_between
 
@@ -235,6 +239,9 @@ class TestWoeConditional:
                 score([0], [1], 1, (), x, model)
             with pytest.raises(InvalidPartitionError, match="sequence of integer indices"):
                 score([0], [1], [[1, 2]], (), x, model)
+            for ragged in ((0, (1,)), ((0, 1),)):
+                with pytest.raises(InvalidPartitionError, match="prefix indices must be integers"):
+                    score([0], [1], (2,), ragged, x, model)
 
     def test_float_index_is_partition_error(self):
         """A non-integral index is rejected, never truncated to a feature."""
@@ -376,6 +383,61 @@ class TestWoeChain:
             woe_chain([0], [1], [(0, 1, 2), (3,)], x, model)
 
 
+class TestStackedChains:
+    """Chains are factored together and scored group-parallel, bit for bit as one at a time."""
+
+    def test_orders_in_one_call_equal_each_alone(self, monkeypatch):
+        rng = np.random.default_rng(70)
+        density = GaussianClassModel.log_density_terms
+        calls = []
+
+        def counted(self, order, values):
+            calls.append(np.shape(order))
+            return density(self, order, values)
+
+        monkeypatch.setattr(GaussianClassModel, "log_density_terms", counted)
+        for mode in ("diagonal", "full"):
+            for k, n in ((13, 40), (2, 1), (8, 9), (5, 17)):
+                model = random_model(rng, k, n, mode)
+                e = Evidence(rng.normal(0.0, 3.0, size=n))
+                requests = [(*random_sets(rng, k), random_ordered_partition(rng, range(n)))
+                            for _ in range(4)]
+                requests.append(requests[0])
+                calls.clear()
+                together = _chains(requests, e, model)
+                assert len(calls) == 1 and calls[0][1] == n
+                alone = [_chains([request], e, model)[0] for request in requests]
+                assert repr(together) == repr(alone)
+                assert all(type(s) is float for chain in together for s in chain)
+
+    def test_woe_chain_equals_a_running_base_loop(self):
+        rng = np.random.default_rng(71)
+        for mode in ("diagonal", "full"):
+            for _ in range(12):
+                k, n = int(rng.integers(2, 14)), int(rng.integers(1, 41))
+                model = random_model(rng, k, n, mode)
+                x = rng.normal(0.0, 3.0, size=n) * rng.choice([1.0, 20.0])
+                # hypotheses hold their classes sorted, and mixtures sum in that order
+                a, b = map(sorted, random_sets(rng, k))
+                ordering = random_ordered_partition(rng, range(n))
+                order = [i for g in ordering for i in g]
+                terms = model.log_density_terms(order, x[order])
+                base, start, expected = np.log(model.priors), 0, []
+                for group in ordering:
+                    delta = terms[:, start:start + len(group)].sum(axis=1)
+                    expected.append(mixture_log_ratio(base[a], delta[a])
+                                    - mixture_log_ratio(base[b], delta[b]))
+                    base, start = base + delta, start + len(group)
+                assert repr(woe_chain(a, b, ordering, x, model)) == repr(expected)
+
+    def test_no_observed_coordinate_gives_an_empty_chain(self):
+        rng = np.random.default_rng(72)
+        for mode in ("diagonal", "full"):
+            model = random_model(rng, 3, 2, mode)
+            e = Evidence(np.zeros(2), observed_mask=np.zeros(2, dtype=bool))
+            assert woe_chain([0], [1, 2], [], e, model) == []
+
+
 class TestBayesDecomposition:
     def test_uniform_prior_example(self):
         """Equal priors, x=1: (0, 0.5, 0.5)."""
@@ -458,6 +520,45 @@ class TestInputBeyondEveryDensity:
         assert np.isfinite([prior, total, post]).all()
         assert total == woe([0], [1, 2], near, model)
         assert post == posterior_log_odds([0], [1, 2], near, model)
+
+    def test_a_side_without_density_scores_infinity(self):
+        """Only class 2 (variance 1e300) has a density at 1e200: the other side's mass is 0."""
+        model = GaussianClassModel(
+            means=np.zeros((3, 1)),
+            covariances=np.array([[[1.0]], [[1.0]], [[1e300]]]),
+            priors=np.full(3, 1.0 / 3.0),
+            mode="full",
+            feature_names=("x",),
+        ).validate()
+        x = [1e200]
+        for a, b, inf in (([0, 1], [2], -math.inf), ([2], [0, 1], math.inf)):
+            assert woe(a, b, x, model) == inf
+            assert posterior_log_odds(a, b, x, model) == inf
+            assert bayes_decomposition(a, b, x, model)[1:] == (inf, inf)
+            assert woe_chain(a, b, [(0,)], x, model) == [inf]
+            assert woe_conditional_many(a, b, [(0,)], (), x, model).tolist() == [inf]
+
+    def test_undefined_scores_raise(self):
+        """No class of A u B has a density on feature 0, so no score that reads it is defined."""
+        model = GaussianClassModel(
+            means=np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+            covariances=np.ones((3, 3)),
+            priors=np.full(3, 1.0 / 3.0),
+            mode="diagonal",
+            feature_names=("a", "b", "c"),
+        ).validate()
+        far = [1e200, 0.0, 0.0]
+        undefined = [
+            lambda: woe_chain([0], [1, 2], [[0], [1, 2]], far, model),
+            lambda: woe_conditional_many([0], [1, 2], [(1,), (0,)], (), far, model),
+            # B's mixture weights are undefined given feature 0
+            lambda: woe_conditional([0], [1, 2], (1,), (0,), far, model),
+        ]
+        for route in undefined:
+            with pytest.raises(DegenerateDensityError, match="no finite joint log density"):
+                route()
+        scores = woe_conditional_many([0], [1, 2], [(1,), (1, 2)], (), far, model)
+        assert np.isfinite(scores).all()
 
 
 class TestInformationValue:

@@ -166,6 +166,22 @@ class TestExplainLoop:
             with pytest.raises(DegenerateDensityError, match="no finite joint log density"):
                 explain([1e200, 0.0, 0.0], model, params)
 
+    # the contrast search scores a candidate whose side has no mass as NaN, with numpy's warning
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_contrast_without_density_has_infinite_posterior_odds(self):
+        """Only class 2 (variance 1e300) has a density at 1e200: each contrast has no mass."""
+        model = GaussianClassModel(
+            means=np.zeros((3, 1)),
+            covariances=np.array([[[1.0]], [[1.0]], [[1e300]]]),
+            priors=np.full(3, 1.0 / 3.0),
+            mode="full",
+            feature_names=("x",),
+        ).validate()
+        for params in (single_group_params(1), ExplainerParams(attribute_size=1)):
+            steps = explain([1e200], model, params).steps
+            assert [s.posterior_log_odds for s in steps] == [math.inf, math.inf]
+            assert [a.woe for s in steps for a in s.attributes] == [math.inf, math.inf]
+
     # every candidate is the NaN of -inf - -inf, which numpy warns about
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_no_comparable_attribute_is_an_error(self):

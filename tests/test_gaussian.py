@@ -451,9 +451,10 @@ class TestModelValidation:
 
     def test_covariance_must_be_positive_definite(self):
         kwargs = self.base_kwargs()
-        kwargs["covariances"] = np.array([[[1.0, 2.0], [2.0, 1.0]], np.eye(2).tolist()])
+        kwargs["covariances"] = np.array([np.eye(2).tolist(), [[1.0, 2.0], [2.0, 1.0]]])
         model = GaussianClassModel(priors=np.array([0.5, 0.5]), **kwargs)
-        with pytest.raises(InvalidModelError, match="definite"):
+        with pytest.raises(InvalidModelError,
+                           match="^the covariance of class 1 is not positive definite$"):
             model.validate()
 
     def test_covariance_must_be_symmetric(self):

@@ -1,5 +1,6 @@
 """Self-validation suite: invariant checks over sampled data rows."""
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -74,6 +75,15 @@ class TestRunValidation:
         assert last.name == "contrast-equivalence"
         assert last.passed
         assert last.detail == "skipped: 13 classes exceed the exhaustive cap 12"
+
+    def test_nan_deviation_fails(self):
+        """Row 0 lies beyond every density, so each identity there reads NaN, the worst."""
+        model = random_model(np.random.default_rng(4), 13, 2)
+        checks = run_validation(model, np.array([[1e200, 0.0], [0.0, 0.0]]))
+        for check in checks[:3]:
+            assert not check.passed
+            assert math.isnan(check.max_deviation)
+            assert check.detail == "worst at row 0"
 
     def test_input_validation(self):
         model, data = fitted_case()
