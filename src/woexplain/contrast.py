@@ -33,11 +33,13 @@ that size:
 
 Sizes are scored in descending bound order, and a size is skipped when
 its bound is below the best score so far by more than the rounding
-slack PRUNE_SLACK * eps * (sum of |bound terms| + |best|). A NaN bound
-never prunes. A skipped size holds no split that ties or beats the
-best, so the first maximum over the scored sizes, concatenated in size
-order, is the candidate the full enumeration picks: the same
-(size, lexicographic) tie-break, bit for bit.
+slack PRUNE_SLACK * eps * (sum of |bound terms| + |best|). With -inf
+densities the bound still holds, in the extended reals; a size with an
+infinite term has an infinite slack and is never pruned. A skipped size
+holds no split that ties or beats the best, so the first maximum over
+the scored sizes, concatenated in size order, is the candidate the full
+enumeration picks: the same (size, lexicographic) tie-break, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -152,14 +154,13 @@ def _size_bounds(log_prior: np.ndarray, joint: np.ndarray, own: np.ndarray,
     Entry s - 1 of each array is for splits with |U| = s, s = 1..n-1,
     where U holds the class flagged in `own` (see the module docstring).
     The scale is the sum of the magnitudes of the bound's terms, the
-    size of the rounding error the pruning slack allows for. A
-    non-finite a gives NaN bounds, which prune nothing.
+    size of the rounding error the pruning slack allows for. With -inf
+    densities the bound holds in the extended reals; a size with an
+    infinite term has an infinite scale, and maybe the NaN bound of
+    inf - inf, whose "invalid" flag callers silence.
     """
     n = len(own)
     a = log_prior + joint
-    if not np.isfinite(a).all():
-        unknown = np.full(n - 1, np.nan)
-        return unknown, unknown
     a_other, q_other = np.sort(a[~own]), np.sort(log_prior[~own])
     lse = np.logaddexp.accumulate
     terms = (
@@ -213,37 +214,38 @@ def _best_contrast(v: HypothesisSet, c: int, joint: np.ndarray, log_prior: np.nd
     def scores(member: np.ndarray) -> np.ndarray:
         return _split_scores(member, labels, log_prior, joint, params.alpha_reg)
 
-    if len(v) <= params.max_exhaustive_classes:
-        bound, scale = _size_bounds(log_prior[labels], joint[labels], own,
-                                    params.alpha_reg)
-        order = np.argsort(-bound, kind="stable").tolist()
-        # as Python floats, inf - inf gives a NaN threshold, which prunes nothing
-        bound, scale = bound.tolist(), scale.tolist()
-        rows, pos = _subset_rows(len(v)), v.classes.index(c)
-        scored, top = {}, -math.inf
-        for k in order:
-            if bound[k] < top - PRUNE_SLACK * sys.float_info.epsilon * (scale[k] + abs(top)):
-                continue
-            table = rows[k][rows[k][:, pos]]
-            found = scores(table)
-            scored[k] = table, found
-            top = max(top, float(np.where(np.isnan(found), -np.inf, found).max()))
-        tables, found = zip(*(scored[k] for k in sorted(scored)))
-        best = first_max(np.concatenate(found))
-        if best is None:
-            raise DegenerateDensityError("no candidate split has a comparable score")
-        return HypothesisSet(tuple(labels[np.concatenate(tables)[best]]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if len(v) <= params.max_exhaustive_classes:
+            bound, scale = _size_bounds(log_prior[labels], joint[labels], own,
+                                        params.alpha_reg)
+            order = np.argsort(-bound, kind="stable").tolist()
+            # as Python floats, inf - inf gives a NaN threshold, which prunes nothing
+            bound, scale = bound.tolist(), scale.tolist()
+            rows, pos = _subset_rows(len(v)), v.classes.index(c)
+            scored, top = {}, -math.inf
+            for k in order:
+                if bound[k] < top - PRUNE_SLACK * sys.float_info.epsilon * (scale[k] + abs(top)):
+                    continue
+                table = rows[k][rows[k][:, pos]]
+                found = scores(table)
+                scored[k] = table, found
+                top = max(top, float(np.where(np.isnan(found), -np.inf, found).max()))
+            tables, found = zip(*(scored[k] for k in sorted(scored)))
+            best = first_max(np.concatenate(found))
+            if best is None:
+                raise DegenerateDensityError("no candidate split has a comparable score")
+            return HypothesisSet(tuple(labels[np.concatenate(tables)[best]]))
 
-    # greedy regime: grow U while an addition strictly improves the score
-    member = own
-    current = scores(member[None])[0]
-    while member.sum() < len(v) - 1:
-        adds = np.flatnonzero(~member)
-        grown = np.repeat(member[None], len(adds), axis=0)
-        grown[np.arange(len(adds)), adds] = True
-        found = scores(grown)
-        best = first_max(found, current)
-        if best is None:
-            break
-        member, current = grown[best], found[best]
-    return HypothesisSet(tuple(labels[member]))
+        # greedy regime: grow U while an addition strictly improves the score
+        member = own
+        current = scores(member[None])[0]
+        while member.sum() < len(v) - 1:
+            adds = np.flatnonzero(~member)
+            grown = np.repeat(member[None], len(adds), axis=0)
+            grown[np.arange(len(adds)), adds] = True
+            found = scores(grown)
+            best = first_max(found, current)
+            if best is None:
+                break
+            member, current = grown[best], found[best]
+        return HypothesisSet(tuple(labels[member]))

@@ -118,21 +118,6 @@ def first_max(keys: np.ndarray, floor: float = -math.inf) -> "int | None":
     return i if keys[i] > floor else None
 
 
-def _log_mass(base: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """mixture_log_ratio(base, delta) for (sides, classes) arrays, one side a row.
-
-    mixture_log_ratio keeps its finite path free of a zero-mass check: a
-    side whose classes hold mass in base and none in base + delta comes
-    out as the NaN of -inf - -inf, with numpy's "invalid value" warning.
-    Such a side is read here as log 0 = -inf. A side with no mass in base
-    stays NaN, since its mixture weights are undefined. Callers silence
-    the warning with np.errstate(invalid="ignore").
-    """
-    ratio = mixture_log_ratio(base, delta)
-    return ratio if not np.isnan(ratio).any() else np.where(
-        np.isnan(ratio) & (base > -np.inf).any(axis=-1), -np.inf, ratio)
-
-
 def _chain_scores(a: list[int], b: list[int], lengths, terms: np.ndarray,
                   log_prior: np.ndarray) -> list[float]:
     """woe(A/B : e_g | e of the groups before g) for each group g in turn.
@@ -140,16 +125,17 @@ def _chain_scores(a: list[int], b: list[int], lengths, terms: np.ndarray,
     terms holds every class's log_density_terms along the concatenated
     groups, of the given lengths, so each group's delta is a slice sum;
     the mixture base of each class is one running sum of its log prior
-    and the deltas before, and all groups are scored by one _log_mass
-    pair over (groups, classes) arrays. A group where both sides are
-    -inf is undefined and scores NaN.
+    and the deltas before, and all groups are scored by one
+    mixture_log_ratio pair over (groups, classes) arrays. A group where
+    both sides are -inf is undefined and scores NaN.
     """
     bounds = [0, *accumulate(lengths)]
     steps = np.array([log_prior, *(terms[:, start:stop].sum(axis=1)
                                    for start, stop in zip(bounds, bounds[1:]))])
     base = np.cumsum(steps, axis=0)[:-1]
-    with np.errstate(invalid="ignore"):
-        return (_log_mass(base[:, a], steps[1:, a]) - _log_mass(base[:, b], steps[1:, b])).tolist()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (mixture_log_ratio(base[:, a], steps[1:, a])
+                - mixture_log_ratio(base[:, b], steps[1:, b])).tolist()
 
 
 def _chains(requests, e: Evidence, model: GaussianClassModel) -> list[list[float]]:
@@ -252,12 +238,7 @@ def woe_conditional_many(
     a, b = map(list, _checked_pair(entailed, contrast, model))
     e = _checked_evidence(evidence, model)
     p_idx = _checked_prefix(prefix, e)
-    with np.errstate(invalid="ignore"):
-        scores = _stacked_woe([(a, b, p_idx, targets)], e, model)[0]
-    for k in np.flatnonzero(np.isnan(scores)):
-        # _stacked_woe leaves a side with no mass NaN; the chain route reads it as -inf
-        scores[k] = _chains([(a, b, [p_idx, tuple(targets[k])])], e, model)[0][1]
-    return _defined(scores)
+    return _defined(_stacked_woe([(a, b, p_idx, targets)], e, model)[0])
 
 
 def _stacked_woe(requests, e: Evidence, model: GaussianClassModel) -> list[np.ndarray]:
@@ -289,28 +270,29 @@ def _stacked_woe(requests, e: Evidence, model: GaussianClassModel) -> list[np.nd
         raise InvalidPartitionError("each target must be a sequence of integer indices") from exc
     scores = [np.empty(len(targets)) for _, _, _, targets in requests]
     log_prior = np.log(model.priors)[:, None]
-    for p, entries, keys, orders in stacks:
-        _checked_orders(orders, p, e)
-        # checked orders hold integers only, so equal keys are equal orders
-        slot: dict = {}
-        where = np.array([slot.setdefault(order, len(slot)) for order in keys])
-        m = orders.shape[1]
-        distinct = np.array(list(slot), dtype=np.intp).reshape(len(slot), m)
-        base = np.empty((model.n_classes, len(slot)))
-        delta = np.empty_like(base)
-        step = max(1, BATCH_ELEMENTS // (model.n_classes * m * m))
-        for start in range(0, len(slot), step):
-            chunk = distinct[start:start + step]
-            terms = model.log_density_terms(chunk, e.values[chunk])
-            base[:, start:start + step] = log_prior + terms[:, :, :p].sum(axis=2)
-            delta[:, start:start + step] = terms[:, :, p:].sum(axis=2)
-        at = 0
-        for j, rows, _ in entries:
-            pick = where[at:at + len(rows), None]
-            at += len(rows)
-            a, b = requests[j][0], requests[j][1]
-            scores[j][rows] = (mixture_log_ratio(base[a, pick], delta[a, pick])
-                               - mixture_log_ratio(base[b, pick], delta[b, pick]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for p, entries, keys, orders in stacks:
+            _checked_orders(orders, p, e)
+            # checked orders hold integers only, so equal keys are equal orders
+            slot: dict = {}
+            where = np.array([slot.setdefault(order, len(slot)) for order in keys])
+            m = orders.shape[1]
+            distinct = np.array(list(slot), dtype=np.intp).reshape(len(slot), m)
+            base = np.empty((model.n_classes, len(slot)))
+            delta = np.empty_like(base)
+            step = max(1, BATCH_ELEMENTS // (model.n_classes * m * m))
+            for start in range(0, len(slot), step):
+                chunk = distinct[start:start + step]
+                terms = model.log_density_terms(chunk, e.values[chunk])
+                base[:, start:start + step] = log_prior + terms[:, :, :p].sum(axis=2)
+                delta[:, start:start + step] = terms[:, :, p:].sum(axis=2)
+            at = 0
+            for j, rows, _ in entries:
+                pick = where[at:at + len(rows), None]
+                at += len(rows)
+                a, b = requests[j][0], requests[j][1]
+                scores[j][rows] = (mixture_log_ratio(base[a, pick], delta[a, pick])
+                                   - mixture_log_ratio(base[b, pick], delta[b, pick]))
     return scores
 
 
@@ -376,8 +358,8 @@ def _posterior_log_odds(a: list[int], b: list[int], terms: np.ndarray,
     joint = np.log(priors[both]) + terms[both].sum(axis=1)
     in_a = np.arange(len(both)) < len(a)
     # A's and B's log shares of the mass of A u B, one row each: -inf for a side without mass
-    with np.errstate(invalid="ignore"):
-        shares = _log_mass(np.tile(joint, (2, 1)), np.where([in_a, ~in_a], 0.0, -np.inf))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shares = mixture_log_ratio(np.tile(joint, (2, 1)), np.where([in_a, ~in_a], 0.0, -np.inf))
     return float(shares[0] - shares[1])
 
 

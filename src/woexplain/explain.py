@@ -49,6 +49,7 @@ from .core import (
     _checked_evidence,
     _checked_ordering,
     _checked_pair,
+    _defined,
     _observed_terms,
     _posterior_log_odds,
     _prior_log_odds,
@@ -285,7 +286,8 @@ def _score_splits(splits: list, e: Evidence, model: GaussianClassModel,
     """Attribute scores of every (a, b) split, given as label lists.
 
     Every split's search runs in lockstep (see _lockstep), then the
-    fixed or random chains of all splits are scored together.
+    fixed or random chains of all splits are scored together; an
+    undefined chain term raises DegenerateDensityError, as in woe_chain.
     """
     observed = list(e.observed_indices)
     found = _lockstep([_attribute_search(params, observed) for _ in splits], splits, e, model)
@@ -293,7 +295,7 @@ def _score_splits(splits: list, e: Evidence, model: GaussianClassModel,
     orderings = [_checked_ordering([found[k][0][g] for g in found[k][1]], e) for k in chained]
     chains = _chains([(*splits[k], o) for k, o in zip(chained, orderings)], e, model)
     for k, scores in zip(chained, chains):
-        found[k] = (*found[k][:2], scores)
+        found[k] = (*found[k][:2], _defined(scores))
     conditional = params.scoring_mode != MARGINAL
     names = params.partition.names if params.partition is not None else None
     return [tuple(

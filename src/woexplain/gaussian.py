@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import operator
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -264,6 +265,16 @@ def mixture_log_ratio(base: np.ndarray, delta: np.ndarray) -> "float | np.ndarra
     A single class is no mixture: its delta comes back as is. Leading
     axes hold independent mixtures; a 1-D input gives a float.
 
+    A mixture whose classes hold mass in base but none in base + delta
+    gives the new evidence log 0 = -inf: the maximum over base + delta
+    starts at the lowest finite float, so such a row's shifted
+    exponentials sum to 0 rather than to the NaN of exp(-inf - -inf).
+    The log of 0 raises numpy's "divide" flag, which callers silence
+    once per kernel call with np.errstate. A mixture with no mass in
+    base has undefined weights and stays NaN. Where base + delta has a
+    finite entry the maximum, and so every bit of the result, is
+    unchanged.
+
     Rows are made C-contiguous first: numpy sums a contiguous row
     pairwise but the rows of a Fortran-ordered array (a gathered
     x[:, idx]) sequentially, and from 8 classes on the two can differ in
@@ -274,7 +285,7 @@ def mixture_log_ratio(base: np.ndarray, delta: np.ndarray) -> "float | np.ndarra
     else:
         new = np.ascontiguousarray(base + delta)
         base = np.ascontiguousarray(base)
-        top_new = new.max(axis=-1, keepdims=True)
+        top_new = new.max(axis=-1, keepdims=True, initial=-sys.float_info.max)
         top_old = base.max(axis=-1, keepdims=True)
         out = (top_new - top_old
                + np.log(np.exp(new - top_new).sum(axis=-1, keepdims=True))
@@ -296,7 +307,9 @@ def set_conditional_log_likelihood(
     weights w_c proportional to P(c) P(x_prefix | c), renormalized over C:
     mixture_log_ratio with base b_c = log P(c) + log P(x_prefix | c) and
     delta the conditional target log density. This form makes chained
-    scores telescope.
+    scores telescope. -inf where no class of C gives the target a finite
+    density given the prefix; NaN where no class of C (of two or more)
+    gives the prefix one, since the weights are then undefined.
     """
     h = list(as_hypothesis(hypothesis).check_against(model.n_classes))
     t_idx, p_idx = tuple(target), tuple(prefix)
@@ -309,7 +322,8 @@ def set_conditional_log_likelihood(
     terms = model.log_density_terms(p_idx + t_idx, np.concatenate([x_p, x_t]))
     base = np.log(model.priors) + terms[:, :len(p_idx)].sum(axis=1)
     delta = terms[:, len(p_idx):].sum(axis=1)
-    return mixture_log_ratio(base[h], delta[h])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return mixture_log_ratio(base[h], delta[h])
 
 
 def posterior(model: GaussianClassModel, evidence: "Evidence | Sequence[float]") -> np.ndarray:

@@ -146,31 +146,32 @@ def run_validation(
     mismatches = 0
     first_bad = None
     brute_rows = row_ids[:BRUTE_MAX_ROWS]
-    for i in brute_rows:
-        terms = observed[i]
-        joint = terms.sum(axis=1)
-        c_star = int(np.argmax(_posterior(priors, terms)))
-        chosen = _best_contrast(universe, c_star, joint, log_prior, params)
-        # score_subset's arithmetic, one candidate at a time, in the search's tie-break order
-        others = [c for c in range(k) if c != c_star]
-        brute_best, brute_score = None, -np.inf
-        for size in range(1, k):
-            candidates = sorted(
-                tuple(sorted((c_star, *combo))) for combo in combinations(others, size - 1)
-            )
-            penalty = _penalty(size, k, params.alpha_reg)
-            for cand in candidates:
-                u = list(cand)
-                rest = [c for c in range(k) if c not in cand]
-                s = (mixture_log_ratio(log_prior[u], joint[u])
-                     - mixture_log_ratio(log_prior[rest], joint[rest])
-                     - penalty)
-                if s > brute_score:
-                    brute_best, brute_score = cand, s
-        if chosen.classes != brute_best:
-            mismatches += 1
-            if first_bad is None:
-                first_bad = i
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in brute_rows:
+            terms = observed[i]
+            joint = terms.sum(axis=1)
+            c_star = int(np.argmax(_posterior(priors, terms)))
+            chosen = _best_contrast(universe, c_star, joint, log_prior, params)
+            # score_subset's arithmetic, one candidate at a time, in the search's tie-break order
+            others = [c for c in range(k) if c != c_star]
+            brute_best, brute_score = None, -np.inf
+            for size in range(1, k):
+                candidates = sorted(
+                    tuple(sorted((c_star, *combo))) for combo in combinations(others, size - 1)
+                )
+                penalty = _penalty(size, k, params.alpha_reg)
+                for cand in candidates:
+                    u = list(cand)
+                    rest = [c for c in range(k) if c not in cand]
+                    s = (mixture_log_ratio(log_prior[u], joint[u])
+                         - mixture_log_ratio(log_prior[rest], joint[rest])
+                         - penalty)
+                    if s > brute_score:
+                        brute_best, brute_score = cand, s
+            if chosen.classes != brute_best:
+                mismatches += 1
+                if first_bad is None:
+                    first_bad = i
     checks.append(InvariantCheck(
         name="contrast-equivalence",
         passed=mismatches == 0,

@@ -24,6 +24,7 @@ from woexplain import (
     score_subset,
 )
 from woexplain import contrast
+from woexplain.core import first_max
 from woexplain.errors import (
     DegenerateDensityError,
     EmptyContrastError,
@@ -205,14 +206,32 @@ class TestScoreSubset:
 
 
 class TestBestContrast:
-    # every candidate is the NaN of -inf - -inf, which numpy warns about
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_no_comparable_candidate_is_an_error(self):
         rng = np.random.default_rng(45)
         model = random_model(rng, 3, 3)
         with pytest.raises(DegenerateDensityError,
                            match="no candidate split has a comparable score"):
             best_contrast([0, 1, 2], 0, [1e200, 0.0, 0.0], model, ContrastParams())
+
+    def test_contrast_without_density_wins_at_the_smallest_size(self):
+        """Only class 2 (variance 1e300) has a density at 1e200.
+
+        (2,) and (0, 2) both score +inf, so the tie-break picks (2,).
+        """
+        model = GaussianClassModel(
+            means=np.zeros((3, 1)),
+            covariances=np.array([[[1.0]], [[1.0]], [[1e300]]]),
+            priors=np.full(3, 1.0 / 3.0),
+            mode="full",
+            feature_names=("x",),
+        ).validate()
+        params = ContrastParams()
+        for u in ([2], [0, 2], [1, 2]):
+            assert score_subset(u, [0, 1, 2], [1e200], model, params) == math.inf
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            oracle = brute_force_best(model, range(3), 2, params, [1e200])
+        assert oracle == (2,)
+        assert best_contrast([0, 1, 2], 2, [1e200], model, params) == HypothesisSet((2,))
 
     def test_two_classes_forced(self):
         rng = np.random.default_rng(44)
@@ -438,11 +457,48 @@ class TestSizeBounds:
             threshold = bound + contrast.PRUNE_SLACK * eps * (size_scale + np.abs(best))
             assert np.all(best <= threshold), (trial, best - bound)
 
-    def test_non_finite_densities_give_nan_bounds(self):
-        log_prior = np.log(np.full(4, 0.25))
-        joint = np.array([0.0, -np.inf, -1.0, -2.0])
-        bound, scale = contrast._size_bounds(log_prior, joint, np.arange(4) == 0, 0.1)
-        assert np.isnan(bound).all() and np.isnan(scale).all()
+    def test_pruned_search_matches_enumeration_with_infinite_densities(self, monkeypatch):
+        """-inf joints leave the bound valid in the extended reals.
+
+        Up to 90% of the joints are -inf and priors reach 1e-300; the
+        pruned search must pick the first maximum of the unpruned
+        enumeration, and raise where that has none. Sizes still get
+        skipped, so the -inf joints do not switch pruning off.
+        """
+        rng = np.random.default_rng(55)
+        params = ContrastParams(alpha_reg=0.1)
+        calls = []
+        split_scores = contrast._split_scores
+
+        def counted(member, *args):
+            calls.append(1)
+            return split_scores(member, *args)
+
+        monkeypatch.setattr(contrast, "_split_scores", counted)
+        skipped = 0
+        for _ in range(300):
+            k = int(rng.integers(2, 13))
+            weights = rng.choice([1.0, 0.5, 1e-3, 1e-300], size=k)
+            log_prior = np.log(weights / weights.sum())
+            joint = rng.normal(0.0, 20.0, size=k)
+            joint[rng.random(k) < rng.choice([0.2, 0.5, 0.9])] = -np.inf
+            labels = np.arange(k)
+            c_star = int(rng.integers(0, k))
+            enumerated = [table[table[:, c_star]] for table in contrast._subset_rows(k)]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                found = np.concatenate([split_scores(t, labels, log_prior, joint, params.alpha_reg)
+                                        for t in enumerated])
+            best = first_max(found)
+            calls.clear()
+            universe = HypothesisSet(tuple(range(k)))
+            if best is None:
+                with pytest.raises(DegenerateDensityError):
+                    contrast._best_contrast(universe, c_star, joint, log_prior, params)
+                continue
+            got = contrast._best_contrast(universe, c_star, joint, log_prior, params)
+            assert got.classes == tuple(labels[np.concatenate(enumerated)[best]])
+            skipped += len(calls) < k - 1
+        assert skipped > 0
 
     def test_pruning_skips_sizes_and_keeps_the_argmax(self, monkeypatch):
         """Well-separated classes at K = 12: few of the 11 sizes get scored.

@@ -29,6 +29,7 @@ from woexplain import (
     woe_conditional,
     woe_conditional_many,
 )
+from woexplain import core
 from woexplain.core import _chains, first_max
 from woexplain.errors import (
     DegenerateDensityError,
@@ -537,6 +538,29 @@ class TestInputBeyondEveryDensity:
             assert bayes_decomposition(a, b, x, model)[1:] == (inf, inf)
             assert woe_chain(a, b, [(0,)], x, model) == [inf]
             assert woe_conditional_many(a, b, [(0,)], (), x, model).tolist() == [inf]
+
+    def test_woe_conditional_many_scores_a_side_without_density_itself(self, monkeypatch):
+        """Class 2 alone has a density on feature 0 at 1e200; the stacked route gives +inf.
+
+        The chain kernel is not consulted. Every class has the same
+        density on feature 1, so its woe is 0.
+        """
+        model = GaussianClassModel(
+            means=np.zeros((3, 2)),
+            covariances=np.array([np.eye(2), np.eye(2), np.diag([1e300, 1.0])]),
+            priors=np.full(3, 1.0 / 3.0),
+            mode="full",
+            feature_names=("a", "b"),
+        ).validate()
+        x = [1e200, 0.5]
+
+        def unused(*args):
+            raise AssertionError("the chain kernel scored a stacked target")
+
+        monkeypatch.setattr(core, "_chains", unused)
+        scores = woe_conditional_many([2], [0, 1], [(0,), (1,), (0, 1)], (), x, model)
+        assert scores[[0, 2]].tolist() == [math.inf, math.inf]
+        assert_allclose(scores[1], 0.0, atol=1e-12)
 
     def test_undefined_scores_raise(self):
         """No class of A u B has a density on feature 0, so no score that reads it is defined."""

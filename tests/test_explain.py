@@ -166,10 +166,12 @@ class TestExplainLoop:
             with pytest.raises(DegenerateDensityError, match="no finite joint log density"):
                 explain([1e200, 0.0, 0.0], model, params)
 
-    # the contrast search scores a candidate whose side has no mass as NaN, with numpy's warning
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_contrast_without_density_has_infinite_posterior_odds(self):
-        """Only class 2 (variance 1e300) has a density at 1e200: each contrast has no mass."""
+        """Only class 2 (variance 1e300) has a density at 1e200: its contrast has no mass.
+
+        Every split holding class 2 scores +inf, so the first step's
+        tie-break picks the smallest, (2,), and one step ends the run.
+        """
         model = GaussianClassModel(
             means=np.zeros((3, 1)),
             covariances=np.array([[[1.0]], [[1.0]], [[1e300]]]),
@@ -179,11 +181,37 @@ class TestExplainLoop:
         ).validate()
         for params in (single_group_params(1), ExplainerParams(attribute_size=1)):
             steps = explain([1e200], model, params).steps
-            assert [s.posterior_log_odds for s in steps] == [math.inf, math.inf]
-            assert [a.woe for s in steps for a in s.attributes] == [math.inf, math.inf]
+            assert [(s.entailed.classes, s.contrast.classes) for s in steps] == [((2,), (0, 1))]
+            assert [s.posterior_log_odds for s in steps] == [math.inf]
+            assert [a.woe for s in steps for a in s.attributes] == [math.inf]
 
-    # every candidate is the NaN of -inf - -inf, which numpy warns about
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_undefined_chain_term_raises(self):
+        """Class 2 alone has a density on feature 0 at 1e200.
+
+        Given feature 0 the contrast [0, 1] has no mixture weights, so
+        feature 1's chain term is undefined under every ordering, while
+        its marginal woe is 0 (every class has the same density there).
+        """
+        model = GaussianClassModel(
+            means=np.zeros((3, 2)),
+            covariances=np.array([np.eye(2), np.eye(2), np.diag([1e300, 1.0])]),
+            priors=np.full(3, 1.0 / 3.0),
+            mode="full",
+            feature_names=("a", "b"),
+        ).validate()
+        x = [1e200, 0.5]
+        partition = AttributePartition(((0,), (1,)))
+        for policy in ("greedy_max_woe", "fixed", "random"):
+            params = ExplainerParams(partition=partition, ordering_policy=policy)
+            with pytest.raises(DegenerateDensityError):
+                score_attributes([2], [0, 1], x, model, params)
+            with pytest.raises(DegenerateDensityError):
+                explain(x, model, params)
+        marginal = ExplainerParams(partition=partition, scoring_mode="marginal")
+        first, second = (a.woe for a in score_attributes([2], [0, 1], x, model, marginal))
+        assert first == math.inf
+        assert_allclose(second, 0.0, atol=1e-12)
+
     def test_no_comparable_attribute_is_an_error(self):
         rng = np.random.default_rng(50)
         model = random_model(rng, 3, 3)

@@ -11,6 +11,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from scipy import stats
 from scipy.integrate import trapezoid
@@ -39,6 +41,7 @@ from woexplain.errors import (
     NumericalConditioningError,
     UnknownLabelError,
 )
+from woexplain.gaussian import mixture_log_ratio
 
 from oracles import (
     conditional_logpdf as oracle_conditional_logpdf,
@@ -281,6 +284,47 @@ class TestSetLikelihood:
                 ))
         total = trapezoid(trapezoid(dens, grid, axis=1), grid)
         assert_allclose(total, 1.0, atol=1e-4)
+
+
+    def test_hypothesis_without_density_on_the_target_gives_minus_inf(self):
+        """Classes 0 and 1 give 1e200 no finite density: log 0, with no warning."""
+        model = GaussianClassModel(
+            means=np.zeros((3, 2)),
+            covariances=np.array([np.eye(2), np.eye(2), np.diag([1e300, 1.0])]),
+            priors=np.full(3, 1.0 / 3.0),
+            mode="full",
+            feature_names=("a", "b"),
+        ).validate()
+        assert set_conditional_log_likelihood(model, [0, 1], [0], [1e200]) == -np.inf
+        assert np.isfinite(set_conditional_log_likelihood(model, [1, 2], [0], [1e200]))
+
+
+@st.composite
+def mixtures(draw):
+    """(base, delta) of shape (rows, classes): finite bases, deltas partly -inf.
+
+    The first row's deltas are all -inf, a mixture with no mass on the
+    new evidence.
+    """
+    shape = (draw(st.integers(1, 6)), draw(st.integers(2, 13)))
+    base = draw(arrays(float, shape, elements=st.floats(-50.0, 50.0)))
+    delta = draw(arrays(float, shape, elements=st.one_of(
+        st.just(-np.inf), st.floats(-50.0, 50.0))))
+    delta[0] = -np.inf
+    return base, delta
+
+
+class TestMixtureLogRatio:
+    @settings(deadline=None)
+    @given(mixtures())
+    def test_matches_logsumexp_and_is_never_nan(self, mixture):
+        base, delta = mixture
+        with np.errstate(divide="ignore"):
+            ours = mixture_log_ratio(base, delta)
+            oracle = logsumexp(base + delta, axis=-1) - logsumexp(base, axis=-1)
+        assert not np.isnan(ours).any()
+        assert ours[0] == -np.inf
+        assert_allclose(ours, oracle, rtol=1e-12, atol=1e-12)
 
 
 class TestPosterior:
