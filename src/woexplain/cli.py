@@ -14,15 +14,12 @@ Examples:
     woexplain validate --model model.json --data train.csv --labels diagnosis --trials 200
 
 Exit codes: 0 success, 1 validation failure, 2 usage or configuration
-error, 3 I/O or oracle failure. Set WOE_LOG_LEVEL to error, info, or
-debug to control logging verbosity.
+error, 3 I/O or oracle failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
-import os
 import sys
 
 import numpy as np
@@ -49,8 +46,6 @@ from .explain import (
 )
 from .gaussian import DIAGONAL, FULL, fit, load_model, save_model
 from .validate import run_validation
-
-log = logging.getLogger("woexplain")
 
 _SCORING = {"conditional": CONDITIONAL_CHAIN, "marginal": MARGINAL}
 _ORDERING = {"greedy": GREEDY_MAX_WOE, "fixed": FIXED, "random": RANDOM}
@@ -110,13 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_logging() -> None:
-    level_name = os.environ.get("WOE_LOG_LEVEL", "error").strip().lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    log.setLevel(levels.get(level_name, logging.ERROR))
-
-
 def _parse_input_row(spec: str, feature_names: tuple[str, ...]) -> np.ndarray:
     """Resolve a row spec: @file.csv:ROWINDEX or an inline vector.
 
@@ -157,7 +145,6 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     if args.labels is not None:
         labels = dataset.labels
     else:
-        log.info("querying oracle command for %d rows", dataset.n_rows)
         labels = query_oracle(args.oracle_cmd, dataset)
     model = fit(
         dataset.rows,
@@ -223,7 +210,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             max_exhaustive_classes=args.max_exhaustive,
         ),
     )
-    log.info("explaining input against %d-class model", model.n_classes)
     report = explain(values, model, params)
     write_report(report, args.out)
     _print_report(report_to_dict(report), model.feature_names)
@@ -245,7 +231,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    _configure_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -53,14 +53,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import _checked_count, _checked_evidence, _observed_terms, first_max, woe
+from .core import _checked_count, _observed_terms, first_max, woe
 from .errors import (
     DegenerateDensityError,
     EmptyContrastError,
     InvalidHypothesisError,
     InvalidParameterError,
 )
-from .gaussian import GaussianClassModel, mixture_log_ratio
+from .gaussian import GaussianClassModel, _checked_evidence, mixture_log_ratio
 from .types import HypothesisSet, as_hypothesis
 
 

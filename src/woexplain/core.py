@@ -34,8 +34,14 @@ from .errors import (
     InvalidPartitionError,
     MissingEvidenceError,
 )
-from .gaussian import GaussianClassModel, _index_rows, mixture_log_ratio
-from .types import Evidence, HypothesisSet, as_evidence, as_hypothesis
+from .gaussian import (
+    GaussianClassModel,
+    _checked_evidence,
+    _defined,
+    _index_rows,
+    mixture_log_ratio,
+)
+from .types import Evidence, HypothesisSet, as_hypothesis
 
 # covariance entries (classes x orders x m x m) one stacked density call may gather
 BATCH_ELEMENTS = 1 << 20
@@ -69,15 +75,6 @@ def _checked_pair(
     return a, b
 
 
-def _checked_evidence(e, model: GaussianClassModel) -> Evidence:
-    ev = as_evidence(e)
-    if ev.n_features != model.n_features:
-        raise MissingEvidenceError(
-            f"evidence has {ev.n_features} features, model expects {model.n_features}"
-        )
-    return ev
-
-
 def _checked_observed(idx: np.ndarray, e: Evidence, what: str) -> None:
     unseen = idx[~e.observed_mask[idx]]
     if unseen.size:
@@ -90,20 +87,31 @@ def _checked_prefix(prefix: Sequence[int], e: Evidence) -> tuple[int, ...]:
     return tuple(p_idx.tolist())
 
 
-def _checked_orders(orders: np.ndarray, p: int, e: Evidence) -> None:
-    """Check an (M, p + t) stack of orders, each p prefix features then a target.
+def _checked_targets(targets, prefix: tuple[int, ...], e: Evidence) -> list[tuple]:
+    """The targets as tuples, each nonempty, in range, observed and disjoint from prefix.
 
-    Every target must be nonempty, in range, observed and disjoint from
-    its own row's prefix; the first offending feature in row-major
-    order is the one named.
+    Targets of one length are checked together as a stack of
+    prefix-then-target orders, shortest length first; the first
+    offending feature of a stack in row-major order is the one named.
     """
-    if orders.shape[1] == p:
-        raise InvalidPartitionError("target attribute must be nonempty")
-    t = _index_rows(orders[:, p:], e.n_features, "target")
-    shared = t[(t[:, :, None] == orders[:, None, :p]).any(axis=2)]
-    if shared.size:
-        raise InvalidPartitionError(f"feature {int(shared[0])} is in both target and prefix")
-    _checked_observed(t, e, "target")
+    p = len(prefix)
+    try:
+        targets = [tuple(t) for t in targets]
+        stacks = []
+        for n in sorted(set(map(len, targets))):
+            keys = [prefix + t for t in targets if len(t) == n]
+            stacks.append(np.array(keys).reshape(len(keys), p + n))
+    except (TypeError, ValueError) as exc:
+        raise InvalidPartitionError("each target must be a sequence of integer indices") from exc
+    for orders in stacks:
+        if orders.shape[1] == p:
+            raise InvalidPartitionError("target attribute must be nonempty")
+        t = _index_rows(orders[:, p:], e.n_features, "target")
+        shared = t[(t[:, :, None] == orders[:, None, :p]).any(axis=2)]
+        if shared.size:
+            raise InvalidPartitionError(f"feature {int(shared[0])} is in both target and prefix")
+        _checked_observed(t, e, "target")
+    return targets
 
 
 def first_max(keys: np.ndarray, floor: float = -math.inf) -> "int | None":
@@ -138,22 +146,41 @@ def _chain_scores(a: list[int], b: list[int], lengths, terms: np.ndarray,
                 - mixture_log_ratio(base[:, b], steps[1:, b])).tolist()
 
 
+def _factored(orders: list[tuple], e: Evidence,
+              model: GaussianClassModel) -> tuple[np.ndarray, np.ndarray]:
+    """log_density_terms of the distinct orders among a nonempty list of checked orders.
+
+    The orders share one length m. Returns the (K, D, m) terms of the D
+    distinct orders, first seen first, and each order's row in them. The
+    distinct orders are factored by stacked calls of the density
+    primitive in chunks of at most BATCH_ELEMENTS gathered covariance
+    entries; a stacked order's terms equal that order's alone bit for
+    bit, so chunks never move a score.
+    """
+    slot: dict = {}
+    rows = np.array([slot.setdefault(order, len(slot)) for order in orders], dtype=np.intp)
+    m = len(orders[0])
+    distinct = np.array(list(slot), dtype=np.intp).reshape(len(slot), m)
+    step = max(1, BATCH_ELEMENTS // (model.n_classes * max(m, 1) ** 2))
+    # concatenate keeps the chunks' memory layout, which fixes the last bit of a sum of terms
+    return np.concatenate([model.log_density_terms(chunk, e.values[chunk])
+                           for chunk in np.split(distinct, range(step, len(slot), step))],
+                          axis=1), rows
+
+
 def _chains(requests, e: Evidence, model: GaussianClassModel) -> list[list[float]]:
     """_chain_scores for every (a, b, groups) request, groups already checked.
 
     Every request's groups partition the observed coordinates, so the
-    concatenated orders share one length: the distinct orders are
-    factored by one stacked call of the density primitive.
+    concatenated orders share one length and are factored together.
     """
     if not requests:
         return []
     orders = [tuple(i for g in groups for i in g) for _, _, groups in requests]
-    slot = {order: j for j, order in enumerate(dict.fromkeys(orders))}
-    distinct = np.array(list(slot), dtype=np.intp)
-    terms = model.log_density_terms(distinct, e.values[distinct])
+    terms, rows = _factored(orders, e, model)
     log_prior = np.log(model.priors)
-    return [_chain_scores(a, b, map(len, groups), terms[:, slot[order]], log_prior)
-            for (a, b, groups), order in zip(requests, orders)]
+    return [_chain_scores(a, b, map(len, groups), terms[:, row], log_prior)
+            for (a, b, groups), row in zip(requests, rows)]
 
 
 def _observed_terms(e: Evidence, model: GaussianClassModel) -> np.ndarray:
@@ -172,22 +199,6 @@ def _pair_terms(entailed, contrast, evidence,
     """The checked labels of A and B and _observed_terms of the checked evidence."""
     a, b = map(list, _checked_pair(entailed, contrast, model))
     return a, b, _observed_terms(_checked_evidence(evidence, model), model)
-
-
-def _defined(scores):
-    """scores, each of which must be defined: a NaN raises DegenerateDensityError.
-
-    A score is undefined where no class of either hypothesis gives the
-    evidence it scores a finite log density, or no class of a hypothesis
-    of two or more classes gives the evidence it is conditioned on one.
-    """
-    if np.isnan(scores).any():
-        raise DegenerateDensityError(
-            "the input has no finite joint log density under any class of either "
-            "hypothesis, or its conditioning part has none under any class of one; "
-            "it lies too far from every class mean"
-        )
-    return scores
 
 
 def woe(entailed, contrast, evidence, model: GaussianClassModel) -> float:
@@ -238,54 +249,36 @@ def woe_conditional_many(
     a, b = map(list, _checked_pair(entailed, contrast, model))
     e = _checked_evidence(evidence, model)
     p_idx = _checked_prefix(prefix, e)
+    targets = _checked_targets(targets, p_idx, e)
     return _defined(_stacked_woe([(a, b, p_idx, targets)], e, model)[0])
 
 
 def _stacked_woe(requests, e: Evidence, model: GaussianClassModel) -> list[np.ndarray]:
     """woe(A/B : e_t | e_prefix) for every target t of every (a, b, prefix, targets) request.
 
-    a and b are label lists and prefix a checked tuple of observed
-    features. Every (prefix, target) order of every request is bucketed
-    by (|prefix|, |target|); a bucket's orders are checked together,
-    deduplicated across requests and scored by stacked calls of the
-    density primitive, one order per row, in chunks of at most
-    BATCH_ELEMENTS covariance entries. A stacked order's terms equal that
-    order's alone bit for bit, and each request's mixtures are reduced
+    a and b are label lists, prefix a tuple and targets a list of tuples
+    of observed features, each target nonempty and disjoint from its
+    prefix. Every (prefix, target) order of every request is bucketed by
+    (|prefix|, |target|) and a bucket's orders, across requests, are
+    factored together (_factored); each request's mixtures are reduced
     over its own rows, so every score is the one a lone call gives.
     Returns one array per request, in target order.
     """
     buckets: dict[tuple[int, int], list] = {}
-    try:
-        for j, (_, _, prefix, targets) in enumerate(requests):
-            lengths = list(map(len, targets))
-            for length in set(lengths):
-                rows = [k for k, n in enumerate(lengths) if n == length]
-                buckets.setdefault((len(prefix), length), []).append(
-                    (j, rows, [prefix + tuple(targets[k]) for k in rows]))
-        stacks = []
-        for (p, length), entries in sorted(buckets.items()):
-            keys = [order for _, _, orders in entries for order in orders]
-            stacks.append((p, entries, keys, np.array(keys).reshape(len(keys), p + length)))
-    except (TypeError, ValueError) as exc:
-        raise InvalidPartitionError("each target must be a sequence of integer indices") from exc
+    for j, (_, _, prefix, targets) in enumerate(requests):
+        lengths = list(map(len, targets))
+        for length in set(lengths):
+            rows = [k for k, n in enumerate(lengths) if n == length]
+            buckets.setdefault((len(prefix), length), []).append(
+                (j, rows, [prefix + targets[k] for k in rows]))
     scores = [np.empty(len(targets)) for _, _, _, targets in requests]
     log_prior = np.log(model.priors)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        for p, entries, keys, orders in stacks:
-            _checked_orders(orders, p, e)
-            # checked orders hold integers only, so equal keys are equal orders
-            slot: dict = {}
-            where = np.array([slot.setdefault(order, len(slot)) for order in keys])
-            m = orders.shape[1]
-            distinct = np.array(list(slot), dtype=np.intp).reshape(len(slot), m)
-            base = np.empty((model.n_classes, len(slot)))
-            delta = np.empty_like(base)
-            step = max(1, BATCH_ELEMENTS // (model.n_classes * m * m))
-            for start in range(0, len(slot), step):
-                chunk = distinct[start:start + step]
-                terms = model.log_density_terms(chunk, e.values[chunk])
-                base[:, start:start + step] = log_prior + terms[:, :, :p].sum(axis=2)
-                delta[:, start:start + step] = terms[:, :, p:].sum(axis=2)
+        for (p, _), entries in buckets.items():
+            terms, where = _factored([order for *_, orders in entries for order in orders],
+                                     e, model)
+            base = log_prior + terms[:, :, :p].sum(axis=2)
+            delta = terms[:, :, p:].sum(axis=2)
             at = 0
             for j, rows, _ in entries:
                 pick = where[at:at + len(rows), None]

@@ -46,10 +46,8 @@ from .contrast import ContrastParams, _best_contrast
 from .core import (
     _chains,
     _checked_count,
-    _checked_evidence,
-    _checked_ordering,
+    _checked_observed,
     _checked_pair,
-    _defined,
     _observed_terms,
     _posterior_log_odds,
     _prior_log_odds,
@@ -63,13 +61,8 @@ from .errors import (
     MissingEvidenceError,
     NothingToExplainError,
 )
-from .gaussian import GaussianClassModel, _posterior
-from .types import (
-    AttributePartition,
-    Evidence,
-    HypothesisSet,
-    as_evidence,
-)
+from .gaussian import _UNDEFINED, GaussianClassModel, _checked_evidence, _defined, _posterior
+from .types import AttributePartition, Evidence, HypothesisSet
 
 REPORT_FORMAT_VERSION = 2
 
@@ -172,10 +165,14 @@ class ExplanationReport:
 
 
 def _checked_best(keys: np.ndarray) -> int:
-    """first_max over a search's keys; a search with no comparable key fails."""
+    """first_max over a search's keys; a search with no comparable key fails.
+
+    Where a key is NaN the error also says why a score is undefined.
+    """
     best = first_max(keys)
     if best is None:
-        raise DegenerateDensityError("every candidate attribute scored NaN or -inf")
+        cause = f": {_UNDEFINED}" if np.isnan(keys).any() else ""
+        raise DegenerateDensityError(f"every candidate attribute scored NaN or -inf{cause}")
     return best
 
 
@@ -268,12 +265,18 @@ def _lockstep(searches: list, splits: list, e: Evidence, model: GaussianClassMod
 
 def _check_attribute_source(params: ExplainerParams, e: Evidence,
                             model: GaussianClassModel) -> None:
+    """Check the attribute source against the model and the checked evidence.
+
+    A partition must cover the model's features, every one of them
+    observed, so that its groups partition the observed coordinates.
+    """
     if params.partition is not None:
         if params.partition.n_features != model.n_features:
             raise InvalidPartitionError(
                 f"partition covers {params.partition.n_features} features, "
                 f"model has {model.n_features}"
             )
+        _checked_observed(np.concatenate(params.partition.groups), e, "partition")
     elif params.attribute_size > len(e.observed_indices):
         raise InvalidParameterError(
             f"attribute_size {params.attribute_size} exceeds the "
@@ -292,8 +295,8 @@ def _score_splits(splits: list, e: Evidence, model: GaussianClassModel,
     observed = list(e.observed_indices)
     found = _lockstep([_attribute_search(params, observed) for _ in splits], splits, e, model)
     chained = [k for k, (_, _, scores) in enumerate(found) if scores is None]
-    orderings = [_checked_ordering([found[k][0][g] for g in found[k][1]], e) for k in chained]
-    chains = _chains([(*splits[k], o) for k, o in zip(chained, orderings)], e, model)
+    chains = _chains([(*splits[k], [found[k][0][g] for g in found[k][1]]) for k in chained],
+                     e, model)
     for k, scores in zip(chained, chains):
         found[k] = (*found[k][:2], _defined(scores))
     conditional = params.scoring_mode != MARGINAL
@@ -317,9 +320,9 @@ def score_attributes(entailed, contrast, evidence, model: GaussianClassModel,
     steps at once.
     """
     a, b = _checked_pair(entailed, contrast, model)
-    e = as_evidence(evidence)
+    e = _checked_evidence(evidence, model)
     _check_attribute_source(params, e, model)
-    return _score_splits([(list(a), list(b))], _checked_evidence(e, model), model, params)[0]
+    return _score_splits([(list(a), list(b))], e, model, params)[0]
 
 
 def filter_display(step: ExplanationStep, threshold: float) -> ExplanationStep:

@@ -293,6 +293,34 @@ def mixture_log_ratio(base: np.ndarray, delta: np.ndarray) -> "float | np.ndarra
     return float(out) if out.ndim == 0 else out
 
 
+# why a score can be undefined, said once for every route that raises on one
+_UNDEFINED = ("the input has no finite joint log density under any class of either "
+              "hypothesis, or its conditioning part has none under any class of one; "
+              "it lies too far from every class mean")
+
+
+def _defined(scores):
+    """scores, each of which must be defined: a NaN raises DegenerateDensityError.
+
+    A score is undefined where no class of either hypothesis gives the
+    evidence it scores a finite log density, or no class of a hypothesis
+    of two or more classes gives the evidence it is conditioned on one.
+    """
+    if np.isnan(scores).any():
+        raise DegenerateDensityError(_UNDEFINED)
+    return scores
+
+
+def _checked_evidence(e, model: GaussianClassModel) -> Evidence:
+    """e as Evidence with one entry per model feature."""
+    ev = as_evidence(e)
+    if ev.n_features != model.n_features:
+        raise MissingEvidenceError(
+            f"evidence has {ev.n_features} features, model expects {model.n_features}"
+        )
+    return ev
+
+
 def set_conditional_log_likelihood(
     model: GaussianClassModel,
     hypothesis: "HypothesisSet | int | Iterable[int]",
@@ -308,8 +336,9 @@ def set_conditional_log_likelihood(
     mixture_log_ratio with base b_c = log P(c) + log P(x_prefix | c) and
     delta the conditional target log density. This form makes chained
     scores telescope. -inf where no class of C gives the target a finite
-    density given the prefix; NaN where no class of C (of two or more)
-    gives the prefix one, since the weights are then undefined.
+    density given the prefix. Where no class of C (of two or more) gives
+    the prefix one the weights are undefined, and DegenerateDensityError
+    is raised, as in woe_conditional.
     """
     h = list(as_hypothesis(hypothesis).check_against(model.n_classes))
     t_idx, p_idx = tuple(target), tuple(prefix)
@@ -323,7 +352,7 @@ def set_conditional_log_likelihood(
     base = np.log(model.priors) + terms[:, :len(p_idx)].sum(axis=1)
     delta = terms[:, len(p_idx):].sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return mixture_log_ratio(base[h], delta[h])
+        return _defined(mixture_log_ratio(base[h], delta[h]))
 
 
 def posterior(model: GaussianClassModel, evidence: "Evidence | Sequence[float]") -> np.ndarray:
@@ -335,11 +364,7 @@ def posterior(model: GaussianClassModel, evidence: "Evidence | Sequence[float]")
     where every class's joint log density is -inf, raises
     DegenerateDensityError.
     """
-    e = as_evidence(evidence)
-    if e.n_features != model.n_features:
-        raise InvalidDataError(
-            f"evidence has {e.n_features} features, model expects {model.n_features}"
-        )
+    e = _checked_evidence(evidence, model)
     if not e.fully_observed:
         missing = int(np.flatnonzero(~e.observed_mask)[0])
         raise MissingEvidenceError(f"posterior needs all features, feature {missing} unobserved")

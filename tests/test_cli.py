@@ -5,6 +5,7 @@ captured by capsys and exit codes are the return values.
 """
 
 import json
+import logging
 import re
 import sys
 
@@ -269,6 +270,14 @@ class TestValidateCommand:
                      "--labels", "target", "--trials", "5"])
         assert code == 2
         assert "single class" in capsys.readouterr().err
+
+
+def test_main_leaves_logging_alone(tmp_path, monkeypatch):
+    """A program that calls main() in-process keeps its own logging setup."""
+    monkeypatch.setattr(logging.root, "handlers", [])
+    fit_model(tmp_path)
+    assert logging.root.handlers == []
+    assert logging.getLogger("woexplain").level == logging.NOTSET
 
 
 class TestExitCodes:

@@ -431,6 +431,44 @@ class TestStackedChains:
                     base, start = base + delta, start + len(group)
                 assert repr(woe_chain(a, b, ordering, x, model)) == repr(expected)
 
+    @pytest.mark.parametrize("mode", ["diagonal", "full"])
+    def test_chunked_factoring_is_bit_exact(self, monkeypatch, mode):
+        """Chunked factoring gives the one-call scores bit for bit,
+        also where a term sum runs over more than eight features."""
+        rng = np.random.default_rng(74)
+        unchunked = core.BATCH_ELEMENTS
+        density = GaussianClassModel.log_density_terms
+        calls = []
+
+        def counted(self, order, values):
+            calls.append(len(order))
+            return density(self, order, values)
+
+        monkeypatch.setattr(GaussianClassModel, "log_density_terms", counted)
+        for k, n in ((3, 9), (5, 12), (12, 20)):
+            model = random_model(rng, k, n, mode)
+            x = rng.normal(0.0, 3.0, size=n)
+            e = Evidence(x)
+            a, b = random_sets(rng, k)
+            perm = [int(i) for i in rng.permutation(n)]
+            prefix, free = tuple(perm[:n // 2]), perm[n // 2:]
+            targets = [tuple(rng.choice(free, size=int(rng.integers(1, len(free) + 1)),
+                                        replace=False)) for _ in range(9)]
+            requests = [(a, b, random_ordered_partition(rng, range(n))) for _ in range(7)]
+
+            def scores():
+                return (woe_conditional_many(a, b, targets, prefix, x, model).tobytes(),
+                        repr(_chains(requests, e, model)))
+
+            whole = scores()
+            # one order per chunk, then three full-length orders (or more shorter ones)
+            for batch in (1, 3 * k * n * n):
+                monkeypatch.setattr(core, "BATCH_ELEMENTS", batch)
+                calls.clear()
+                assert scores() == whole
+                assert len(calls) > 2 and (batch > 1 or max(calls) == 1)
+            monkeypatch.setattr(core, "BATCH_ELEMENTS", unchunked)
+
     def test_no_observed_coordinate_gives_an_empty_chain(self):
         rng = np.random.default_rng(72)
         for mode in ("diagonal", "full"):

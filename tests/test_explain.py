@@ -212,6 +212,21 @@ class TestExplainLoop:
         assert first == math.inf
         assert_allclose(second, 0.0, atol=1e-12)
 
+    def test_greedy_error_names_its_cause(self):
+        """Feature 1's chain term after feature 0 is undefined on this input, and the
+        greedy ordering's error says why, as the fixed ordering's does."""
+        model = GaussianClassModel(
+            means=np.zeros((3, 2)),
+            covariances=np.array([np.eye(2), np.eye(2), np.diag([1e300, 1.0])]),
+            priors=np.full(3, 1.0 / 3.0),
+            mode="full",
+            feature_names=("a", "b"),
+        ).validate()
+        partition = AttributePartition(((0,), (1,)))
+        with pytest.raises(DegenerateDensityError, match="every candidate attribute scored "
+                           "NaN or -inf: .* lies too far from every class mean"):
+            score_attributes([2], [0, 1], [1e200, 0.5], model, ExplainerParams(partition=partition))
+
     def test_no_comparable_attribute_is_an_error(self):
         rng = np.random.default_rng(50)
         model = random_model(rng, 3, 3)
@@ -429,10 +444,22 @@ class TestBatchedSearchesMatchLoops:
         model = random_model(rng, 3, 4)
         x = Evidence(rng.normal(size=4), observed_mask=np.array([True, True, False, True]))
         partition = AttributePartition(((0,), (1, 2), (3,)))
-        for mode in ("conditional_chain", "marginal"):
-            params = ExplainerParams(partition=partition, scoring_mode=mode)
+        for mode, policy in (("conditional_chain", "greedy_max_woe"),
+                             ("conditional_chain", "fixed"),
+                             ("conditional_chain", "random"),
+                             ("marginal", "greedy_max_woe")):
+            params = ExplainerParams(partition=partition, scoring_mode=mode,
+                                     ordering_policy=policy)
             with pytest.raises(MissingEvidenceError, match="feature 2"):
                 score_attributes([0], [1, 2], x, model, params)
+
+    def test_short_evidence_is_missing_evidence(self):
+        """The evidence is checked before the attribute source reads it."""
+        model = random_model(np.random.default_rng(64), 3, 3)
+        for params in (single_group_params(3), ExplainerParams(attribute_size=3)):
+            with pytest.raises(MissingEvidenceError,
+                               match="evidence has 2 features, model expects 3"):
+                score_attributes([0], [1, 2], [0.5, 0.5], model, params)
 
 
 def assert_steps_match_one_split(x, model, params):

@@ -29,6 +29,7 @@ from woexplain import (
     predicted_class,
     save_model,
     set_conditional_log_likelihood,
+    woe_conditional,
 )
 from woexplain.errors import (
     DegenerateDensityError,
@@ -298,6 +299,22 @@ class TestSetLikelihood:
         assert set_conditional_log_likelihood(model, [0, 1], [0], [1e200]) == -np.inf
         assert np.isfinite(set_conditional_log_likelihood(model, [1, 2], [0], [1e200]))
 
+    def test_prefix_without_density_under_the_hypothesis_raises(self):
+        """No class of [0, 1] gives the prefix 1e200 a density: its weights are undefined,
+        and the set likelihood raises as woe_conditional does for the same condition."""
+        model = GaussianClassModel(
+            means=np.zeros((3, 2)),
+            covariances=np.array([np.eye(2), np.eye(2), np.diag([1e300, 1.0])]),
+            priors=np.full(3, 1.0 / 3.0),
+            mode="full",
+            feature_names=("a", "b"),
+        ).validate()
+        with pytest.raises(DegenerateDensityError, match="lies too far from every class mean"):
+            set_conditional_log_likelihood(model, [0, 1], [1], [0.5], [0], [1e200])
+        with pytest.raises(DegenerateDensityError, match="lies too far from every class mean"):
+            woe_conditional([0, 1], [2], (1,), (0,), [1e200, 0.5], model)
+        assert np.isfinite(set_conditional_log_likelihood(model, [1, 2], [1], [0.5], [0], [1e200]))
+
 
 @st.composite
 def mixtures(draw):
@@ -391,6 +408,14 @@ class TestPosterior:
         e = Evidence(np.zeros(3), observed_mask=np.array([True, False, True]))
         with pytest.raises(MissingEvidenceError):
             posterior(model, e)
+
+    def test_wrong_length_is_missing_evidence(self):
+        """The same error, with the same message, as woe and best_contrast give."""
+        model = random_model(np.random.default_rng(57), 2, 2)
+        for route in (posterior, predicted_class):
+            with pytest.raises(MissingEvidenceError,
+                               match="evidence has 1 features, model expects 2"):
+                route(model, [0.0])
 
 
 class TestFit:
