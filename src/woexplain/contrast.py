@@ -17,8 +17,9 @@ of gathered (log prior, joint) arrays for U and for the rest, taken from
 membership tables cached per |V|, and mixture_log_ratio reduces every
 row at once. The arithmetic per row is that of score_subset's route, so
 the batched search returns the argmax a one-candidate-at-a-time loop
-returns, bit for bit; validate.py keeps such a loop as the independent
-check.
+returns, bit for bit; validate.py keeps its own enumeration of every
+candidate and a strictly-better scan in tie-break order as the
+independent check.
 
 The exhaustive search scores only the sizes that can win. With
 a_c = log p_c + J_c and q_c = log p_c, woe(U / V\\U) is

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from itertools import accumulate
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,8 +35,11 @@ from .errors import (
     MissingEvidenceError,
 )
 from .gaussian import (
+    FULL,
     GaussianClassModel,
+    _block_terms,
     _checked_evidence,
+    _condition,
     _defined,
     _index_rows,
     mixture_log_ratio,
@@ -87,23 +90,28 @@ def _checked_prefix(prefix: Sequence[int], e: Evidence) -> tuple[int, ...]:
     return tuple(p_idx.tolist())
 
 
-def _checked_targets(targets, prefix: tuple[int, ...], e: Evidence) -> list[tuple]:
-    """The targets as tuples, each nonempty, in range, observed and disjoint from prefix.
+def _checked_targets(targets, prefix: tuple[int, ...], e: Evidence) -> list[tuple[int, ...]]:
+    """The targets as tuples of ints, each nonempty, in range, observed and disjoint from prefix.
 
-    Targets of one length are checked together as a stack of
-    prefix-then-target orders, shortest length first; the first
-    offending feature of a stack in row-major order is the one named.
+    Targets of one length are checked together as an (M, |prefix| + t)
+    stack of prefix-then-target orders, shortest length first; the first
+    offending feature of a stack in row-major order is the one named. A
+    target whose entries are not integers, nested sequences included, is
+    an InvalidPartitionError. The targets returned are rebuilt from the
+    checked stacks.
     """
     p = len(prefix)
+    stacks = []
     try:
         targets = [tuple(t) for t in targets]
-        stacks = []
         for n in sorted(set(map(len, targets))):
-            keys = [prefix + t for t in targets if len(t) == n]
-            stacks.append(np.array(keys).reshape(len(keys), p + n))
+            rows = [k for k, t in enumerate(targets) if len(t) == n]
+            stacks.append((rows, np.array([prefix + targets[k] for k in rows])))
     except (TypeError, ValueError) as exc:
         raise InvalidPartitionError("each target must be a sequence of integer indices") from exc
-    for orders in stacks:
+    for rows, orders in stacks:
+        if orders.shape != (len(rows), p + len(targets[rows[0]])):
+            raise InvalidPartitionError("each target must be a sequence of integer indices")
         if orders.shape[1] == p:
             raise InvalidPartitionError("target attribute must be nonempty")
         t = _index_rows(orders[:, p:], e.n_features, "target")
@@ -111,6 +119,8 @@ def _checked_targets(targets, prefix: tuple[int, ...], e: Evidence) -> list[tupl
         if shared.size:
             raise InvalidPartitionError(f"feature {int(shared[0])} is in both target and prefix")
         _checked_observed(t, e, "target")
+        for k, target in zip(rows, t.tolist()):
+            targets[k] = tuple(target)
     return targets
 
 
@@ -146,16 +156,20 @@ def _chain_scores(a: list[int], b: list[int], lengths, terms: np.ndarray,
                 - mixture_log_ratio(base[:, b], steps[1:, b])).tolist()
 
 
-def _factored(orders: list[tuple], e: Evidence,
+def _factored(orders: list[tuple], x: np.ndarray,
               model: GaussianClassModel) -> tuple[np.ndarray, np.ndarray]:
     """log_density_terms of the distinct orders among a nonempty list of checked orders.
 
-    The orders share one length m. Returns the (K, D, m) terms of the D
-    distinct orders, first seen first, and each order's row in them. The
-    distinct orders are factored by stacked calls of the density
-    primitive in chunks of at most BATCH_ELEMENTS gathered covariance
-    entries; a stacked order's terms equal that order's alone bit for
-    bit, so chunks never move a score.
+    x holds the evidence values, one per model feature. The orders share
+    one length m. The chains' full orders are factored here, and so are
+    the candidates of diagonal mode and of an empty prefix; a full-mode
+    candidate with a nonempty prefix is read from its prefix's carried
+    state instead (_carried). Returns the (K, D, m) terms of the D distinct orders,
+    first seen first, and each order's row in them. The distinct orders
+    are factored by stacked calls of the density primitive in chunks of
+    at most BATCH_ELEMENTS gathered covariance entries; a stacked order's
+    terms equal that order's alone bit for bit, so chunks never move a
+    score.
     """
     slot: dict = {}
     rows = np.array([slot.setdefault(order, len(slot)) for order in orders], dtype=np.intp)
@@ -163,9 +177,123 @@ def _factored(orders: list[tuple], e: Evidence,
     distinct = np.array(list(slot), dtype=np.intp).reshape(len(slot), m)
     step = max(1, BATCH_ELEMENTS // (model.n_classes * max(m, 1) ** 2))
     # concatenate keeps the chunks' memory layout, which fixes the last bit of a sum of terms
-    return np.concatenate([model.log_density_terms(chunk, e.values[chunk])
-                           for chunk in np.split(distinct, range(step, len(slot), step))],
+    return np.concatenate([model.log_density_terms(chunk, x[chunk])
+                           for chunk in (distinct[lo:lo + step]
+                                         for lo in range(0, len(slot), step))],
                           axis=1), rows
+
+
+class _Stack(NamedTuple):
+    """Prefixes conditioned on, in full mode, stacked: what the next prefixes extend.
+
+    Column d of the (K, D) base holds each class's log P(c) plus the log
+    density of prefix d; aug[:, d] holds each class's covariance and
+    residual x - mu conditioned on that prefix, as gaussian._condition
+    keeps them, with the prefix's own rows and columns spent.
+    """
+
+    base: np.ndarray
+    aug: np.ndarray
+
+
+def _prefix_states(prefixes, x: np.ndarray, model: GaussianClassModel,
+                   memo: dict) -> dict:
+    """The (stack, column) of every distinct nonempty prefix, in full mode; none in diagonal mode.
+
+    memo maps prefixes to their (stack, column). A prefix extends the
+    longest memo entry that begins it, or the model itself, by
+    conditioning on its remaining coordinates in order
+    (gaussian._condition); prefixes that add as many coordinates to one
+    stack are conditioned in one call, and every prefix ends up in one
+    new stack. Conditioning updates each entry from its own value and
+    the pivot's alone, so a prefix carried group by group equals one
+    conditioned in one call, bit for bit.
+    """
+    if model.mode != FULL:
+        return {}
+    grown: dict = {}
+    lengths = sorted({len(k) for k in memo}, reverse=True)
+    for prefix in dict.fromkeys(prefixes):
+        if prefix:
+            done = next((prefix[:n] for n in lengths if prefix[:n] in memo), ())
+            stack, d = memo.get(done, (None, 0))
+            grown.setdefault((len(prefix) - len(done), id(stack)), (stack, []))[1].append(
+                (prefix, d))
+    if not grown:
+        return {}
+    parts = []
+    for (j, _), (stack, entries) in grown.items():
+        rows = [d for _, d in entries]
+        if stack is None:
+            stack = _root(x, model)
+        aug = stack.aug[:, rows]
+        base = _condition(aug, stack.base[:, rows],
+                          np.array([prefix[len(prefix) - j:] for prefix, _ in entries]))
+        parts.append((base, aug, [prefix for prefix, _ in entries]))
+    if len(parts) == 1:
+        (base, aug, order), = parts
+    else:
+        base, aug, order = (np.concatenate([part[0] for part in parts], axis=1),
+                            np.concatenate([part[1] for part in parts], axis=1),
+                            [prefix for part in parts for prefix in part[2]])
+    stack = _Stack(base, aug)
+    return {prefix: (stack, d) for d, prefix in enumerate(order)}
+
+
+def _root(x: np.ndarray, model: GaussianClassModel) -> _Stack:
+    """The empty prefix as a one-column _Stack: the model itself."""
+    n = model.n_features
+    aug = np.zeros((model.n_classes, 1, n + 1, n + 1))
+    aug[:, 0, :n, :n] = model.covariances
+    aug[:, 0, n, :n] = aug[:, 0, :n, n] = x - model.means
+    return _Stack(np.log(model.priors)[:, None], aug)
+
+
+def _carried(orders: list, p: int, states: dict,
+             model: GaussianClassModel) -> tuple[np.ndarray, np.ndarray]:
+    """base (K, D) and target terms (K, D, t) of D prefix-then-target orders, prefixes p long.
+
+    Every prefix has a state, and all are in one stack. Each target's
+    block of its prefix's conditioned covariance and its residuals are
+    gathered, in chunks of at most BATCH_ELEMENTS entries, and factored
+    by the density primitive's term code (gaussian._block_terms), one
+    matrix at a time, so chunks never move a score.
+    """
+    stack = states[orders[0][:p]][0]
+    cols = np.array([states[order[:p]][1] for order in orders], dtype=np.intp)
+    t = len(orders[0]) - p
+    if not t:
+        return stack.base[:, cols], np.zeros((model.n_classes, len(orders), 0))
+    idx = np.array(orders, dtype=np.intp)[:, p:]
+    step = max(1, BATCH_ELEMENTS // (model.n_classes * t * t))
+    aug, n = stack.aug, model.n_features
+    return stack.base[:, cols], np.concatenate([
+        _block_terms(aug[:, d[:, None, None], i[:, :, None], i[:, None, :]],
+                     aug[:, d[:, None], n, i])
+        for d, i in ((cols[lo:lo + step], idx[lo:lo + step])
+                     for lo in range(0, len(orders), step))], axis=1)
+
+
+def _densities(orders: list, p: int, x: np.ndarray, model: GaussianClassModel,
+               states: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-class log weights of the distinct orders among prefix-then-target orders of one shape.
+
+    The orders share one length and prefix length p. Returns (K, D)
+    arrays base and delta over the D distinct orders, first seen first,
+    with base[c, d] = log P(c) + log P(x_prefix | c) and delta[c, d] =
+    log P(x_target | x_prefix, c), and each order's column. In full mode
+    a nonempty prefix is read from its state in states (_carried); an
+    empty prefix, or any prefix in diagonal mode, is factored with its
+    target as one order (_factored).
+    """
+    if not (p and model.mode == FULL):
+        terms, rows = _factored(orders, x, model)
+        return (np.log(model.priors)[:, None] + terms[:, :, :p].sum(axis=2),
+                terms[:, :, p:].sum(axis=2), rows)
+    slot: dict = {}
+    rows = np.array([slot.setdefault(order, len(slot)) for order in orders], dtype=np.intp)
+    base, terms = _carried(list(slot), p, states, model)
+    return base, terms.sum(axis=2), rows
 
 
 def _chains(requests, e: Evidence, model: GaussianClassModel) -> list[list[float]]:
@@ -177,7 +305,7 @@ def _chains(requests, e: Evidence, model: GaussianClassModel) -> list[list[float
     if not requests:
         return []
     orders = [tuple(i for g in groups for i in g) for _, _, groups in requests]
-    terms, rows = _factored(orders, e, model)
+    terms, rows = _factored(orders, e.values, model)
     log_prior = np.log(model.priors)
     return [_chain_scores(a, b, map(len, groups), terms[:, row], log_prior)
             for (a, b, groups), row in zip(requests, rows)]
@@ -250,20 +378,29 @@ def woe_conditional_many(
     e = _checked_evidence(evidence, model)
     p_idx = _checked_prefix(prefix, e)
     targets = _checked_targets(targets, p_idx, e)
-    return _defined(_stacked_woe([(a, b, p_idx, targets)], e, model)[0])
+    return _defined(_stacked_woe([(a, b, p_idx, targets)], e, model, {})[0])
 
 
-def _stacked_woe(requests, e: Evidence, model: GaussianClassModel) -> list[np.ndarray]:
+def _stacked_woe(requests, e: Evidence, model: GaussianClassModel,
+                 memo: dict) -> list[np.ndarray]:
     """woe(A/B : e_t | e_prefix) for every target t of every (a, b, prefix, targets) request.
 
     a and b are label lists, prefix a tuple and targets a list of tuples
     of observed features, each target nonempty and disjoint from its
-    prefix. Every (prefix, target) order of every request is bucketed by
-    (|prefix|, |target|) and a bucket's orders, across requests, are
-    factored together (_factored); each request's mixtures are reduced
+    prefix. Every prefix-then-target order of every request is bucketed
+    by (|prefix|, |target|) and a bucket's orders, across requests, are
+    scored together (_densities); each request's mixtures are reduced
     over its own rows, so every score is the one a lone call gives.
     Returns one array per request, in target order.
+
+    memo maps prefixes to their (stack, column) states (_prefix_states).
+    The requests' prefixes extend its entries, and on return it holds
+    their states and no others: what a next round, whose prefixes extend
+    these, can carry on from.
     """
+    states = _prefix_states([prefix for _, _, prefix, _ in requests], e.values, model, memo)
+    memo.clear()
+    memo.update(states)
     buckets: dict[tuple[int, int], list] = {}
     for j, (_, _, prefix, targets) in enumerate(requests):
         lengths = list(map(len, targets))
@@ -272,18 +409,17 @@ def _stacked_woe(requests, e: Evidence, model: GaussianClassModel) -> list[np.nd
             buckets.setdefault((len(prefix), length), []).append(
                 (j, rows, [prefix + targets[k] for k in rows]))
     scores = [np.empty(len(targets)) for _, _, _, targets in requests]
-    log_prior = np.log(model.priors)[:, None]
+    # index arrays, not lists: numpy converts a list on every gather
+    sides = [(np.array(a), np.array(b)) for a, b, _, _ in requests]
     with np.errstate(divide="ignore", invalid="ignore"):
         for (p, _), entries in buckets.items():
-            terms, where = _factored([order for *_, orders in entries for order in orders],
-                                     e, model)
-            base = log_prior + terms[:, :, :p].sum(axis=2)
-            delta = terms[:, :, p:].sum(axis=2)
+            base, delta, where = _densities([order for *_, orders in entries for order in orders],
+                                            p, e.values, model, states)
             at = 0
             for j, rows, _ in entries:
                 pick = where[at:at + len(rows), None]
                 at += len(rows)
-                a, b = requests[j][0], requests[j][1]
+                a, b = sides[j]
                 scores[j][rows] = (mixture_log_ratio(base[a, pick], delta[a, pick])
                                    - mixture_log_ratio(base[b, pick], delta[b, pick]))
     return scores

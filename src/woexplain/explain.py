@@ -19,8 +19,13 @@ It runs in three phases that share one per-input state:
    marginal scoring) is a generator that asks for (prefix, targets)
    scores; the searches advance in lockstep, and each round's requests
    go to one stacked scoring call that deduplicates orders across
-   steps. Fixed and random orderings then score every step's chain from
-   one stacked density call over their distinct orders.
+   steps. With a full covariance, a greedy ordering's prefix is carried
+   from round to round: the lockstep keeps a memo of each live prefix's
+   conditioned covariance and residual, and a round's prefix, the last
+   one plus the picked group, is that state conditioned on the group,
+   not a new factorization. The memo holds only the states the next
+   round extends. Fixed and random orderings then score every step's
+   chain from one stacked density call over their distinct orders.
 
 Every score keeps the arithmetic of a lone call, so a report does not
 depend on how its steps were stacked.
@@ -240,10 +245,13 @@ def _lockstep(searches: list, splits: list, e: Evidence, model: GaussianClassMod
     """Run every split's search to its end, all advancing together.
 
     Each round gathers the (prefix, targets) request of every live search
-    and scores them all in one _stacked_woe call.
+    and scores them all in one _stacked_woe call. The memo of carried
+    prefix states lives for this call: each round leaves in it the
+    states of its own prefixes, which the next round's prefixes extend.
     """
     results: list = [None] * len(searches)
     live: dict[int, tuple] = {}
+    memo: dict = {}
 
     def advance(s: int, sent) -> None:
         try:
@@ -257,7 +265,7 @@ def _lockstep(searches: list, splits: list, e: Evidence, model: GaussianClassMod
     while live:
         asked = list(live.items())
         found = _stacked_woe([(*splits[s], prefix, targets) for s, (prefix, targets) in asked],
-                             e, model)
+                             e, model, memo)
         for (s, _), scores in zip(asked, found):
             advance(s, scores)
     return results

@@ -2,10 +2,15 @@
 
 One Gaussian per class, diagonal or full covariance, plus class priors.
 This is the likelihood model behind every weight-of-evidence computation.
-Its one density primitive, log_density_terms, factors each class
-covariance permuted into a coordinate order once (Cholesky) and returns
-every sequential conditional log density along that order, so any
-conditional log P(x_target | x_prefix, Y = c) is a sum of terms. Composite
+Its density primitive, log_density_terms, factors each class covariance
+permuted into a coordinate order once (Cholesky, _block_terms) and
+returns every sequential conditional log density along that order, so
+any conditional log P(x_target | x_prefix, Y = c) is a sum of terms. A
+full covariance can also be conditioned on a prefix first (_condition):
+pivot by pivot, a Schur-complement update leaves the covariance and
+residual of the other coordinates given the prefix, whose target blocks
+_block_terms then factors. Conditioning a state further extends it, so
+a prefix that grows group by group is never refactored. Composite
 hypotheses Y in C are prior-weighted mixtures combined by
 mixture_log_ratio, which makes chained conditional scores telescope
 exactly.
@@ -91,6 +96,69 @@ def _factor(covs: np.ndarray, error: type) -> np.ndarray:
                 np.linalg.cholesky(cov)
             except np.linalg.LinAlgError:
                 raise error(f"the covariance of class {c} is not positive definite") from exc
+
+
+def _block_terms(covs: np.ndarray, dev: np.ndarray) -> np.ndarray:
+    """Sequential conditional log densities of (K, M, m) residuals dev under (K, M, m, m) covs.
+
+    Each covariance is factored as S = L L^T; with z = L^-1 dev the i-th
+    term is -(log 2 pi + 2 log L_ii + z_i^2)/2. Each matrix is factored
+    and solved on its own, so a block's terms do not depend on what is
+    stacked with it. A covariance that fails to factor raises
+    NumericalConditioningError naming the first such class.
+    """
+    chol = _factor(covs, NumericalConditioningError)
+    # batched over classes; scipy's solve_triangular takes one matrix at scipy 1.10
+    z = np.linalg.solve(chol, dev[..., None])[..., 0]
+    log_var = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1))
+    with np.errstate(over="ignore"):
+        return -0.5 * (LOG_2PI + log_var + z * z)
+
+
+def _condition(aug: np.ndarray, base: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """Condition, in place, D stacked class Gaussians on their coordinates `pivots`, one at a time.
+
+    aug is a (K, D, n+1, n+1) stack: entry [c, d] holds class c's
+    covariance S in its leading n x n block and the residual r = x - mu
+    in its last row (and column); pivots is a (D, j) index array. A pivot
+    p of conditional variance s = S_pp and residual r_p = aug[c, d, n, p]
+    has the term -(log 2 pi + log s + r_p (r_p / s))/2, the log density of
+    x_p given the pivots before it, and is then eliminated from every
+    entry of the augmented matrix by the Schur-complement update
+    (Rasmussen & Williams, GPML, App. A.2)
+
+        S_ab -= S_ap (S_bp / s),
+
+    which takes the residual row with it. Every entry is updated from its
+    own value and the pivot's row and column alone, so it is
+    bit-identical whether a prefix is conditioned on in one call or group
+    by group, and whatever else is stacked with it.
+
+    base is a (K, D) array of log weights, to which the terms are added
+    one pivot at a time, left to right, so a base carried group by group
+    also equals one accumulated in one call; the new base is returned. A
+    pivot that is not positive raises NumericalConditioningError naming
+    the first class that has one.
+    """
+    at = np.arange(aug.shape[1])
+    scale = np.empty(base.shape + pivots.shape[1:])
+    resid = np.empty_like(scale)
+    # a far input overflows r (r / s) to inf, as the squares in _block_terms do
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i, p in enumerate(pivots.T):
+            col = aug[:, at, :, p]  # (D, K, n+1): advanced indices lead
+            scale[..., i] = aug[:, at, p, p]
+            resid[..., i] = col[:, :, -1].T
+            # einsum forms the plain products S_ap (S_bp / s), faster than broadcasting
+            aug -= np.einsum("dka,dkb->kdab", col, col / scale[..., i].T[..., None])
+        terms = -0.5 * (LOG_2PI + np.log(scale) + resid * (resid / scale))
+    if not scale.min(initial=np.inf) > 0.0:
+        bad = ~(scale > 0.0).all(axis=(1, 2))
+        raise NumericalConditioningError(
+            f"the covariance of class {int(bad.argmax())} is not positive definite")
+    for i in range(terms.shape[-1]):
+        base = base + terms[..., i]
+    return base
 
 
 @dataclass(frozen=True)
@@ -222,18 +290,12 @@ class GaussianClassModel:
         if v.shape != idx.shape:
             raise InvalidDataError(f"{v.size} values for {idx.size} ordered indices")
         dev = v - self.means[:, idx]
-        # np.linalg sets its own error state, so this one covers the squares only
-        with np.errstate(over="ignore"):
-            if self.mode == DIAGONAL:
-                var = self.covariances[:, idx]
+        if self.mode == FULL:
+            terms = _block_terms(self.covariances[:, idx[..., :, None], idx[..., None, :]], dev)
+        else:
+            var = self.covariances[:, idx]
+            with np.errstate(over="ignore"):
                 terms = -0.5 * (LOG_2PI + np.log(var) + dev * dev / var)
-            else:
-                covs = self.covariances[:, idx[..., :, None], idx[..., None, :]]
-                chol = _factor(covs, NumericalConditioningError)
-                # batched over classes; scipy's solve_triangular takes one matrix at scipy 1.10
-                z = np.linalg.solve(chol, dev[..., None])[..., 0]
-                log_var = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1))
-                terms = -0.5 * (LOG_2PI + log_var + z * z)
         return terms[:, 0] if single else terms
 
     def class_conditional_log_density(
@@ -246,9 +308,9 @@ class GaussianClassModel:
     ) -> float:
         """log P(X_target = x_target | X_prefix = x_prefix, Y = label).
 
-        The sum of the target's log_density_terms along prefix then
-        target. In diagonal mode the prefix has no effect. An empty target
-        yields log 1 = 0.
+        set_conditional_log_likelihood of the one class, so the same
+        conditional route as woe_conditional. In diagonal mode the prefix
+        has no effect. An empty target yields log 1 = 0.
         """
         return set_conditional_log_likelihood(
             self, self.check_label(label), target, x_target, prefix, x_prefix
@@ -339,7 +401,14 @@ def set_conditional_log_likelihood(
     density given the prefix. Where no class of C (of two or more) gives
     the prefix one the weights are undefined, and DegenerateDensityError
     is raised, as in woe_conditional.
+
+    b_c and the delta come from the route woe_conditional reads
+    (core._densities), so woe_conditional([c], [d], ...) is this for {c}
+    minus this for {d}, bit for bit.
     """
+    # core builds on this module, so its conditional route is imported here
+    from .core import _densities, _prefix_states
+
     h = list(as_hypothesis(hypothesis).check_against(model.n_classes))
     t_idx, p_idx = tuple(target), tuple(prefix)
     x_t = np.asarray(x_target, dtype=float).reshape(-1)
@@ -348,11 +417,14 @@ def set_conditional_log_likelihood(
     x_p = np.asarray(x_prefix, dtype=float).reshape(-1)
     if x_p.size != len(p_idx):
         raise InvalidDataError(f"{x_p.size} prefix values for {len(p_idx)} prefix indices")
-    terms = model.log_density_terms(p_idx + t_idx, np.concatenate([x_p, x_t]))
-    base = np.log(model.priors) + terms[:, :len(p_idx)].sum(axis=1)
-    delta = terms[:, len(p_idx):].sum(axis=1)
+    (order,) = _index_rows([p_idx + t_idx], model.n_features, "order")
+    x = np.full(model.n_features, np.nan)
+    x[order] = np.concatenate([x_p, x_t])
+    order = tuple(order.tolist())
+    p = len(p_idx)
+    base, delta, _ = _densities([order], p, x, model, _prefix_states([order[:p]], x, model, {}))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _defined(mixture_log_ratio(base[h], delta[h]))
+        return _defined(mixture_log_ratio(base[h, 0], delta[h, 0]))
 
 
 def posterior(model: GaussianClassModel, evidence: "Evidence | Sequence[float]") -> np.ndarray:

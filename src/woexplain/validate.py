@@ -149,20 +149,20 @@ def run_validation(
             joint = terms.sum(axis=1)
             c_star = int(np.argmax(_posterior(priors, terms)))
             chosen = _best_contrast(universe, c_star, joint, log_prior, params)
-            # score_subset's arithmetic, one candidate at a time, in the search's tie-break order
+            # score_subset's arithmetic, each size's candidates as rows of one call pair,
+            # scanned for a strictly better score in the search's tie-break order
             others = [c for c in range(k) if c != c_star]
             brute_best, brute_score = None, -np.inf
             for size in range(1, k):
                 candidates = sorted(
                     tuple(sorted((c_star, *combo))) for combo in combinations(others, size - 1)
                 )
-                penalty = _penalty(size, k, params.alpha_reg)
-                for cand in candidates:
-                    u = list(cand)
-                    rest = [c for c in range(k) if c not in cand]
-                    s = (mixture_log_ratio(log_prior[u], joint[u])
-                         - mixture_log_ratio(log_prior[rest], joint[rest])
-                         - penalty)
+                u = np.array(candidates)
+                rest = np.array([[c for c in range(k) if c not in cand] for cand in candidates])
+                scores = (mixture_log_ratio(log_prior[u], joint[u])
+                          - mixture_log_ratio(log_prior[rest], joint[rest])
+                          - _penalty(size, k, params.alpha_reg))
+                for cand, s in zip(candidates, scores.tolist()):
                     if s > brute_score:
                         brute_best, brute_score = cand, s
             if chosen.classes != brute_best:

@@ -37,12 +37,13 @@ from woexplain.errors import (
     InvalidHypothesisError,
     InvalidPartitionError,
     MissingEvidenceError,
+    NumericalConditioningError,
     UnknownLabelError,
 )
 
 from woexplain.gaussian import mixture_log_ratio
 
-from oracles import random_model, random_ordered_partition, woe_between
+from oracles import joint_logpdf, random_model, random_ordered_partition, woe_between
 
 
 def two_unit_gaussians(mean_b=1.0):
@@ -300,6 +301,96 @@ class TestWoeConditionalMany:
             woe_conditional_many([0], [1], [(1,)], (2,), masked, model)
         with pytest.raises(InvalidHypothesisError):
             woe_conditional_many([0], [0, 1], [(1,)], (), x, model)
+
+    def test_nested_targets_are_rejected(self):
+        """A target whose entries are sequences is no target, whatever its shape."""
+        rng = np.random.default_rng(55)
+        model = random_model(rng, 2, 3)
+        x = rng.normal(size=3)
+        for targets in ([[(1,)]], [[[1]]], [(0,), [(1,)]]):
+            with pytest.raises(InvalidPartitionError, match="sequence of integer indices"):
+                woe_conditional_many([0], [1], targets, (), x, model)
+            with pytest.raises(InvalidPartitionError, match="sequence of integer indices"):
+                woe_conditional_many([0], [1], targets, (2,), x, model)
+        # integer-valued numpy scalars are indices
+        got = woe_conditional_many([0], [1], [np.array([1]), (np.int64(0),)], (2,), x, model)
+        assert got.tolist() == [woe_conditional([0], [1], (1,), (2,), x, model),
+                                woe_conditional([0], [1], (0,), (2,), x, model)]
+
+
+class TestCarriedPrefixes:
+    """Full-mode scores with a nonempty prefix read the prefix's conditioned state."""
+
+    # c in the tolerance c * eps * kappa * (sum over the classes of A and B of
+    # |log prior| + |J(prefix)| + |J(prefix + target)|), with kappa the largest
+    # condition number of their (prefix + target) covariance blocks: the scipy
+    # oracle itself loses about log10(kappa) digits, so no kappa-free c bounds
+    # both routes at kappa = 1e8 and still says something at kappa = 1
+    ORACLE_SLACK = 16.0
+
+    @staticmethod
+    def conditioned_model(rng, k, n, cond):
+        """Random class covariances whose eigenvalues span a factor cond."""
+        covs = []
+        for _ in range(k):
+            q = stats.ortho_group.rvs(n, random_state=rng)
+            cov = (q * (np.logspace(0.0, -np.log10(cond), n) * rng.uniform(0.5, 2.0))) @ q.T
+            covs.append((cov + cov.T) / 2.0)
+        weights = rng.uniform(0.5, 2.0, size=k)
+        return GaussianClassModel(
+            means=rng.normal(0.0, 2.0, size=(k, n)),
+            covariances=np.array(covs),
+            priors=weights / weights.sum(),
+            mode="full",
+            feature_names=tuple(f"x{i}" for i in range(n)),
+        ).validate()
+
+    def test_matches_oracle_when_ill_conditioned_and_far(self):
+        """Condition numbers up to 1e8, inputs up to 50 sd out, K up to 12."""
+        eps = np.finfo(float).eps
+        for seed in range(48):
+            rng = np.random.default_rng(2000 + seed)
+            k = (2, 3, 5, 12)[seed % 4]
+            n = int(rng.integers(3, 9))
+            cond = (1e2, 1e4, 1e6, 1e8)[seed // 4 % 4]
+            model = self.conditioned_model(rng, k, n, cond)
+            c = int(rng.integers(k))
+            sd = np.sqrt(np.diagonal(model.covariances[c]))
+            far = (0.0, 5.0, 50.0)[seed // 16]
+            x = model.means[c] + sd * (far * rng.choice([-1.0, 1.0], size=n) if far
+                                       else rng.normal(size=n))
+            perm = [int(i) for i in rng.permutation(n)]
+            cut = int(rng.integers(1, n))
+            prefix = tuple(perm[:cut])
+            target = tuple(perm[cut:cut + int(rng.integers(1, n - cut + 1))])
+            labels = [int(i) for i in rng.permutation(k)]
+            split = int(rng.integers(1, k))
+            a, b = sorted(labels[:split]), sorted(labels[split:])
+            both = list(prefix + target)
+            scale = sum(abs(math.log(model.priors[cc]))
+                        + abs(joint_logpdf(model, cc, prefix, x[list(prefix)]))
+                        + abs(joint_logpdf(model, cc, both, x[both])) for cc in a + b)
+            kappa = max(np.linalg.cond(model.covariances[cc][np.ix_(both, both)])
+                        for cc in a + b)
+            ours = woe_conditional(a, b, target, prefix, x, model)
+            oracle = woe_between(model, a, b, target, x[list(target)], prefix, x[list(prefix)])
+            assert abs(ours - oracle) <= self.ORACLE_SLACK * eps * kappa * scale, seed
+
+    def test_non_positive_pivot_names_its_class(self):
+        """A prefix whose covariance is not positive definite under class 1."""
+        bad = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        model = GaussianClassModel(
+            means=np.zeros((3, 3)),
+            covariances=np.array([np.eye(3), bad, bad]),
+            priors=np.full(3, 1.0 / 3.0),
+            mode="full",
+            feature_names=("a", "b", "c"),
+        )
+        with pytest.raises(NumericalConditioningError,
+                           match="^the covariance of class 1 is not positive definite$"):
+            woe_conditional([0], [1, 2], (2,), (0, 1), np.zeros(3), model)
+        # a prefix that does condition is scored as usual
+        assert np.isfinite(woe_conditional([0], [1, 2], (1,), (2,), np.zeros(3), model))
 
 
 def test_first_max_picks_what_a_strict_loop_picks():

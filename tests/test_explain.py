@@ -426,6 +426,30 @@ class TestBatchedSearchesMatchLoops:
             got = [(s.features, s.woe) for s in score_attributes(a, b, x, model, params)]
             assert got == loop_greedy_order(a, b, x, model, groups)
 
+    @pytest.mark.parametrize("batch", [1, None])
+    def test_carried_prefixes_never_move_a_score(self, monkeypatch, batch):
+        """K = 5, n = 40, 10 groups of 4: every step's greedy scores, its prefixes
+        carried from round to round and stacked with the other steps', equal a
+        loop of one-call woe_conditional, with one target block per chunk too."""
+        from woexplain import core
+
+        if batch is not None:
+            monkeypatch.setattr(core, "BATCH_ELEMENTS", batch)
+        rng = np.random.default_rng(61)
+        model = random_model(rng, 5, 40)
+        x = rng.normal(0.0, 2.0, size=40)
+        groups = tuple(tuple(range(i, i + 4)) for i in range(0, 40, 4))
+        params = ExplainerParams(partition=AttributePartition(groups))
+        a, b = [0, 3], [1, 2, 4]
+        got = [(s.features, s.woe) for s in score_attributes(a, b, x, model, params)]
+        assert got == loop_greedy_order(a, b, x, model, groups)
+        report = explain(x, model, params)
+        assert len(report.steps) > 1
+        for step in report.steps:
+            got = [(s.features, s.woe) for s in step.attributes]
+            assert got == loop_greedy_order(list(step.entailed), list(step.contrast), x, model,
+                                            groups)
+
     def test_group_scan_and_grow(self, monkeypatch):
         """A low scan cap sends the first round of 8 features through the grow
         fallback; the 5 left after it are scanned."""

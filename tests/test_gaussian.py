@@ -220,6 +220,22 @@ class TestClassConditionalLogDensity:
 
 
 class TestSetLikelihood:
+    def test_class_difference_is_conditional_woe_bit_for_bit(self):
+        """woe_conditional and the set likelihood read one conditional route."""
+        rng = np.random.default_rng(66)
+        for _ in range(20):
+            model = random_model(rng, 4, 7)
+            x = rng.normal(0.0, 2.0, size=7)
+            perm = [int(i) for i in rng.permutation(7)]
+            cut = int(rng.integers(1, 7))
+            prefix, target = tuple(perm[:cut]), tuple(perm[cut:cut + int(rng.integers(1, 8 - cut))])
+            c, d = (int(i) for i in rng.choice(4, size=2, replace=False))
+            sides = [set_conditional_log_likelihood(model, [h], target, x[list(target)],
+                                                    prefix, x[list(prefix)]) for h in (c, d)]
+            assert woe_conditional([c], [d], target, prefix, x, model) == sides[0] - sides[1]
+            assert sides[0] == model.class_conditional_log_density(
+                c, target, x[list(target)], prefix, x[list(prefix)])
+
     def test_singleton_equals_class_conditional(self):
         """A one-class set is not a mixture at all."""
         rng = np.random.default_rng(49)
