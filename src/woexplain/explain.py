@@ -19,8 +19,13 @@ It runs in three phases that share one per-input state:
    marginal scoring) is a generator that asks for (prefix, targets)
    scores; the searches advance in lockstep, and each round's requests
    go to one stacked scoring call that deduplicates orders across
-   steps. With a full covariance, a greedy ordering's prefix is carried
-   from round to round: the lockstep keeps a memo of each live prefix's
+   steps. A split's marginal (empty-prefix) scores do not depend on
+   the groups picked before, so each is requested once per split: a
+   scan asks for its candidates in one round and picks every later
+   group from their scores, and marginal scoring and a greedy
+   ordering's first round read the discovered groups' scores. With a
+   full covariance, a greedy ordering's prefix is carried from round
+   to round: the lockstep keeps a memo of each live prefix's
    conditioned covariance and residual, and a round's prefix, the last
    one plus the picked group, is that state conditioned on the group,
    not a new factorization. The memo holds only the states the next
@@ -181,7 +186,26 @@ def _checked_best(keys: np.ndarray) -> int:
     return best
 
 
-def _discover_groups(remaining: list[int], size: int):
+def _marginal(known: dict, targets: list):
+    """The split's marginal woe of each target, as a search step.
+
+    known maps targets to the empty-prefix scores this split has
+    received. Only targets not in it are asked for, with one ((), new)
+    request, and none when all are known: a split's marginal score does
+    not depend on the groups picked before it, so a repeated request
+    would return the same number. When nothing is known, as in a fixed
+    partition's first round, the scores come back as received.
+    """
+    new = [t for t in targets if t not in known]
+    if new:
+        found = yield (), new
+        known.update(zip(new, found.tolist()))
+        if len(new) == len(targets):
+            return found
+    return np.array([known[t] for t in targets])
+
+
+def _discover_groups(remaining: list[int], size: int, known: dict):
     """One split's greedy group discovery, as a search of repeated marginal-WoE argmax.
 
     While more than `size` features remain, pick the size-`size` subset
@@ -190,20 +214,22 @@ def _discover_groups(remaining: list[int], size: int):
     a time), remove it, repeat. Whatever remains becomes one final
     residual group so the groups always partition the features.
 
-    Each pick yields a (prefix, candidates) request and receives the
-    candidates' scores; the groups are the return value.
+    Each split's marginal scores are requested once (_marginal): a scan
+    asks for its candidates once and picks every later group from those
+    scores; a grown group asks only for sets not scored yet. The groups
+    are the return value.
     """
     groups: list[tuple[int, ...]] = []
     while len(remaining) > size:
         if math.comb(len(remaining), size) <= MAX_SUBSET_SCAN:
             candidates = list(combinations(remaining, size))
-            best = candidates[_checked_best((yield (), candidates))]
+            best = candidates[_checked_best((yield from _marginal(known, candidates)))]
         else:
             # grow the group one feature at a time
             best = ()
             for _ in range(size):
                 candidates = [tuple(sorted(best + (f,))) for f in remaining if f not in best]
-                best = candidates[_checked_best((yield (), candidates))]
+                best = candidates[_checked_best((yield from _marginal(known, candidates)))]
         groups.append(best)
         remaining = [f for f in remaining if f not in best]
     if remaining:
@@ -217,13 +243,18 @@ def _attribute_search(params: ExplainerParams, observed: list[int]):
     Greedy orderings pick, round by round, the group with the largest
     |conditional woe| given the groups already picked. Fixed and random
     orderings leave scores as None: their chains are scored afterwards.
+    Every marginal score the search needs (discovery's candidates,
+    marginal scoring's groups, a greedy ordering's first round) is
+    requested once per split, so discovered groups are not asked for
+    again.
     """
+    known: dict = {}
     if params.partition is not None:
         groups = params.partition.groups
     else:
-        groups = yield from _discover_groups(observed, params.attribute_size)
+        groups = yield from _discover_groups(observed, params.attribute_size, known)
     if params.scoring_mode == MARGINAL:
-        return groups, range(len(groups)), (yield (), groups)
+        return groups, range(len(groups)), (yield from _marginal(known, groups))
     if params.ordering_policy == FIXED:
         return groups, range(len(groups)), None
     if params.ordering_policy == RANDOM:
@@ -233,7 +264,11 @@ def _attribute_search(params: ExplainerParams, observed: list[int]):
     prefix: tuple[int, ...] = ()
     left = list(range(len(groups)))
     while left:
-        found = yield prefix, [groups[k] for k in left]
+        targets = [groups[k] for k in left]
+        if prefix:
+            found = yield prefix, targets
+        else:
+            found = yield from _marginal(known, targets)
         best = _checked_best(np.abs(found))
         order.append(left.pop(best))
         scores.append(found[best])

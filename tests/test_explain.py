@@ -10,6 +10,8 @@ driven by the scipy scoring route.
 import importlib
 import json
 import math
+import re
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -35,6 +37,7 @@ from woexplain import (
     score_attributes,
     score_subset,
     woe,
+    woe_conditional,
     write_report,
 )
 from woexplain.errors import (
@@ -48,6 +51,13 @@ from woexplain.errors import (
 )
 
 from oracles import random_model, woe_between
+
+
+# the whole message of a search whose candidates all score NaN or -inf
+UNDEFINED_ATTRIBUTES = "^" + re.escape(
+    "every candidate attribute scored NaN or -inf: the input has no finite joint log "
+    "density under any class of either hypothesis, or its conditioning part has none "
+    "under any class of one; it lies too far from every class mean") + "$"
 
 
 def single_group_params(n_features, **kwargs):
@@ -185,6 +195,35 @@ class TestExplainLoop:
             assert [s.posterior_log_odds for s in steps] == [math.inf]
             assert [a.woe for s in steps for a in s.attributes] == [math.inf]
 
+    @pytest.mark.parametrize("scan_cap", [10_000, 1])
+    def test_discovered_groups_keep_infinite_scores(self, scan_cap, monkeypatch):
+        """As above on three features: only class 2 has a density on feature 0.
+
+        Discovery, scanned or grown (scan cap 1), scores every group holding
+        feature 0 +inf, and marginal scoring reports the scores discovery
+        received. Given feature 0 the contrast has no mass, so a conditional
+        chain's second term is undefined and greedy ordering says why.
+        """
+        monkeypatch.setattr(importlib.import_module("woexplain.explain"),
+                            "MAX_SUBSET_SCAN", scan_cap)
+        model = GaussianClassModel(
+            means=np.zeros((3, 3)),
+            covariances=np.array([np.eye(3), np.eye(3), np.diag([1e300, 1.0, 1.0])]),
+            priors=np.full(3, 1.0 / 3.0),
+            mode="full",
+            feature_names=("a", "b", "c"),
+        ).validate()
+        x = [1e200, 0.5, -0.5]
+        for size, groups in ((1, [(0,), (1,), (2,)]), (2, [(0, 1), (2,)])):
+            marginal = ExplainerParams(attribute_size=size, scoring_mode="marginal")
+            steps = explain(x, model, marginal).steps
+            assert [(s.entailed.classes, s.contrast.classes) for s in steps] == [((2,), (0, 1))]
+            assert [a.features for a in steps[0].attributes] == groups
+            assert [a.woe for a in steps[0].attributes] == [math.inf] + [
+                woe_conditional([2], [0, 1], g, (), x, model) for g in groups[1:]]
+            with pytest.raises(DegenerateDensityError, match=UNDEFINED_ATTRIBUTES):
+                explain(x, model, ExplainerParams(attribute_size=size))
+
     def test_undefined_chain_term_raises(self):
         """Class 2 alone has a density on feature 0 at 1e200.
 
@@ -235,6 +274,25 @@ class TestExplainLoop:
             with pytest.raises(DegenerateDensityError,
                                match="every candidate attribute scored NaN or -inf"):
                 score_attributes([0], [1, 2], [1e200, 0.0, 0.0], model, params)
+
+    @pytest.mark.parametrize("scan_cap", [10_000, 1])
+    def test_no_comparable_attribute_in_discovered_groups(self, scan_cap, monkeypatch):
+        """Feature 0 scores NaN for this split wherever it is a group's, in every
+        discovery round: greedy ordering fails with the cause, and marginal
+        scoring reports the NaN discovery received for the residual group."""
+        monkeypatch.setattr(importlib.import_module("woexplain.explain"),
+                            "MAX_SUBSET_SCAN", scan_cap)
+        model = random_model(np.random.default_rng(50), 3, 3)
+        x = [1e200, 0.0, 0.0]
+        for size, groups in ((1, [(1,), (2,), (0,)]), (2, [(1, 2), (0,)])):
+            with pytest.raises(DegenerateDensityError, match=UNDEFINED_ATTRIBUTES):
+                score_attributes([0], [1, 2], x, model, ExplainerParams(attribute_size=size))
+            marginal = ExplainerParams(attribute_size=size, scoring_mode="marginal")
+            got = score_attributes([0], [1, 2], x, model, marginal)
+            assert [a.features for a in got] == groups
+            assert [a.woe for a in got[:-1]] == [
+                woe_conditional([0], [1, 2], g, (), x, model) for g in groups[:-1]]
+            assert math.isnan(got[-1].woe)
 
     def test_covariance_that_fails_to_factor_names_its_class(self):
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])
@@ -451,17 +509,25 @@ class TestBatchedSearchesMatchLoops:
                                             groups)
 
     def test_group_scan_and_grow(self, monkeypatch):
-        """A low scan cap sends the first round of 8 features through the grow
-        fallback; the 5 left after it are scanned."""
-        monkeypatch.setattr(importlib.import_module("woexplain.explain"), "MAX_SUBSET_SCAN", 10)
+        """Discovered groups, their marginal scores and their greedy conditional
+        order and scores are what the loops give. Scan cap 10 sends the first
+        round of 8 features through the grow fallback and scans the 5 left after
+        it; scan cap 1 grows every group."""
+        explain_module = importlib.import_module("woexplain.explain")
         rng = np.random.default_rng(61)
-        for mode in ("full", "diagonal"):
-            model = random_model(rng, 12, 8, mode=mode)
-            x = rng.normal(0.0, 2.0, size=8)
-            a, b = list(range(4)), list(range(4, 12))
-            params = ExplainerParams(attribute_size=3, scoring_mode="marginal")
-            got = [s.features for s in score_attributes(a, b, x, model, params)]
-            assert got == loop_groups(a, b, x, model, 3)
+        for scan_cap in (10_000, 10, 1):
+            monkeypatch.setattr(explain_module, "MAX_SUBSET_SCAN", scan_cap)
+            for mode in ("full", "diagonal"):
+                model = random_model(rng, 12, 8, mode=mode)
+                x = rng.normal(0.0, 2.0, size=8)
+                a, b = list(range(4)), list(range(4, 12))
+                groups = loop_groups(a, b, x, model, 3)
+                params = ExplainerParams(attribute_size=3, scoring_mode="marginal")
+                got = [(s.features, s.woe) for s in score_attributes(a, b, x, model, params)]
+                assert got == [(g, woe_conditional(a, b, g, (), x, model)) for g in groups]
+                params = ExplainerParams(attribute_size=3)
+                got = [(s.features, s.woe) for s in score_attributes(a, b, x, model, params)]
+                assert got == loop_greedy_order(a, b, x, model, groups)
 
     def test_unobserved_feature_still_rejected(self):
         rng = np.random.default_rng(62)
@@ -484,6 +550,46 @@ class TestBatchedSearchesMatchLoops:
             with pytest.raises(MissingEvidenceError,
                                match="evidence has 2 features, model expects 3"):
                 score_attributes([0], [1, 2], [0.5, 0.5], model, params)
+
+
+class TestMarginalScoresRequestedOnce:
+    """Each split's attribute search asks for a target's marginal score once."""
+
+    @pytest.mark.parametrize("scoring", ["conditional_chain", "marginal"])
+    @pytest.mark.parametrize("scan_cap", [10_000, 5])
+    def test_no_marginal_request_repeats(self, scan_cap, scoring, monkeypatch):
+        """Every request that reaches the stacked scorer in one explain() call is
+        recorded. No (split, empty prefix, target) is sent twice, no request is
+        empty, and a scan sends each split's C(8, 3) candidates once. A scan cap
+        of 5 grows every group; the single features the second group grows
+        from were all scored while the first grew."""
+        explain_module = importlib.import_module("woexplain.explain")
+        monkeypatch.setattr(explain_module, "MAX_SUBSET_SCAN", scan_cap)
+        stacked = explain_module._stacked_woe
+        sent = Counter()
+
+        def recording(requests, *args):
+            for a, b, prefix, targets in requests:
+                assert len(targets) > 0
+                if not prefix:
+                    sent.update(((tuple(a), tuple(b)), t) for t in targets)
+            return stacked(requests, *args)
+
+        monkeypatch.setattr(explain_module, "_stacked_woe", recording)
+        rng = np.random.default_rng(74)
+        model = random_model(rng, 6, 8)
+        x = rng.normal(0.0, 2.0, size=8)
+        params = ExplainerParams(attribute_size=3, scoring_mode=scoring,
+                                 contrast=ContrastParams(alpha_reg=0.0))
+        steps = explain(x, model, params).steps
+        assert len(steps) > 1
+        assert max(sent.values()) == 1
+        splits = {(step.entailed.classes, step.contrast.classes) for step in steps}
+        assert {split for split, _ in sent} == splits
+        if scan_cap == 10_000:
+            for split in splits:
+                assert ({t for s, t in sent if s == split and len(t) == 3}
+                        == set(combinations(range(8), 3)))
 
 
 def assert_steps_match_one_split(x, model, params):
