@@ -15,6 +15,14 @@ and makes the chain rule over evidence subsets hold identically:
     woe(A/B : e) = sum_i woe(A/B : e_{S_i} | e_{S_1}, ..., e_{S_{i-1}})
 
 for any ordered partition S_1..S_m of the evidence coordinates.
+
+Every score here is a log-sum-exp or a difference of per-class log
+densities read from gaussian's one route per covariance mode
+(_densities). Diagonal terms are computed directly. In full mode a
+scoring round's prefix-then-target orders are read from the stack
+states of their prefixes, and a chain's full order from the root
+state, the model itself. This module checks the inputs and reduces the
+mixtures.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from __future__ import annotations
 import math
 import operator
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,19 +43,15 @@ from .errors import (
     MissingEvidenceError,
 )
 from .gaussian import (
-    FULL,
     GaussianClassModel,
-    _block_terms,
     _checked_evidence,
-    _condition,
     _defined,
+    _densities,
     _index_rows,
+    _prefix_states,
     mixture_log_ratio,
 )
 from .types import Evidence, HypothesisSet, as_hypothesis
-
-# covariance entries (classes x orders x m x m) one stacked density call may gather
-BATCH_ELEMENTS = 1 << 20
 
 
 def _checked_count(value, name: str, least: int) -> int:
@@ -140,10 +144,10 @@ def _chain_scores(a: list[int], b: list[int], lengths, terms: np.ndarray,
                   log_prior: np.ndarray) -> list[float]:
     """woe(A/B : e_g | e of the groups before g) for each group g in turn.
 
-    terms holds every class's log_density_terms along the concatenated
-    groups, of the given lengths, so each group's delta is a slice sum;
-    the mixture base of each class is one running sum of its log prior
-    and the deltas before, and all groups are scored by one
+    terms holds every class's sequential log density terms along the
+    concatenated groups, of the given lengths, so each group's delta is
+    a slice sum; the mixture base of each class is one running sum of
+    its log prior and the deltas before, and all groups are scored by one
     mixture_log_ratio pair over (groups, classes) arrays. A group where
     both sides are -inf is undefined and scores NaN.
     """
@@ -156,156 +160,18 @@ def _chain_scores(a: list[int], b: list[int], lengths, terms: np.ndarray,
                 - mixture_log_ratio(base[:, b], steps[1:, b])).tolist()
 
 
-def _factored(orders: list[tuple], x: np.ndarray,
-              model: GaussianClassModel) -> tuple[np.ndarray, np.ndarray]:
-    """log_density_terms of the distinct orders among a nonempty list of checked orders.
-
-    x holds the evidence values, one per model feature. The orders share
-    one length m. The chains' full orders are factored here, and so are
-    the candidates of diagonal mode and of an empty prefix; a full-mode
-    candidate with a nonempty prefix is read from its prefix's carried
-    state instead (_carried). Returns the (K, D, m) terms of the D distinct orders,
-    first seen first, and each order's row in them. The distinct orders
-    are factored by stacked calls of the density primitive in chunks of
-    at most BATCH_ELEMENTS gathered covariance entries; a stacked order's
-    terms equal that order's alone bit for bit, so chunks never move a
-    score.
-    """
-    slot: dict = {}
-    rows = np.array([slot.setdefault(order, len(slot)) for order in orders], dtype=np.intp)
-    m = len(orders[0])
-    distinct = np.array(list(slot), dtype=np.intp).reshape(len(slot), m)
-    step = max(1, BATCH_ELEMENTS // (model.n_classes * max(m, 1) ** 2))
-    # concatenate keeps the chunks' memory layout, which fixes the last bit of a sum of terms
-    return np.concatenate([model.log_density_terms(chunk, x[chunk])
-                           for chunk in (distinct[lo:lo + step]
-                                         for lo in range(0, len(slot), step))],
-                          axis=1), rows
-
-
-class _Stack(NamedTuple):
-    """Prefixes conditioned on, in full mode, stacked: what the next prefixes extend.
-
-    Column d of the (K, D) base holds each class's log P(c) plus the log
-    density of prefix d; aug[:, d] holds each class's covariance and
-    residual x - mu conditioned on that prefix, as gaussian._condition
-    keeps them, with the prefix's own rows and columns spent.
-    """
-
-    base: np.ndarray
-    aug: np.ndarray
-
-
-def _prefix_states(prefixes, x: np.ndarray, model: GaussianClassModel,
-                   memo: dict) -> dict:
-    """The (stack, column) of every distinct nonempty prefix, in full mode; none in diagonal mode.
-
-    memo maps prefixes to their (stack, column). A prefix extends the
-    longest memo entry that begins it, or the model itself, by
-    conditioning on its remaining coordinates in order
-    (gaussian._condition); prefixes that add as many coordinates to one
-    stack are conditioned in one call, and every prefix ends up in one
-    new stack. Conditioning updates each entry from its own value and
-    the pivot's alone, so a prefix carried group by group equals one
-    conditioned in one call, bit for bit.
-    """
-    if model.mode != FULL:
-        return {}
-    grown: dict = {}
-    lengths = sorted({len(k) for k in memo}, reverse=True)
-    for prefix in dict.fromkeys(prefixes):
-        if prefix:
-            done = next((prefix[:n] for n in lengths if prefix[:n] in memo), ())
-            stack, d = memo.get(done, (None, 0))
-            grown.setdefault((len(prefix) - len(done), id(stack)), (stack, []))[1].append(
-                (prefix, d))
-    if not grown:
-        return {}
-    parts = []
-    for (j, _), (stack, entries) in grown.items():
-        rows = [d for _, d in entries]
-        if stack is None:
-            stack = _root(x, model)
-        aug = stack.aug[:, rows]
-        base = _condition(aug, stack.base[:, rows],
-                          np.array([prefix[len(prefix) - j:] for prefix, _ in entries]))
-        parts.append((base, aug, [prefix for prefix, _ in entries]))
-    if len(parts) == 1:
-        (base, aug, order), = parts
-    else:
-        base, aug, order = (np.concatenate([part[0] for part in parts], axis=1),
-                            np.concatenate([part[1] for part in parts], axis=1),
-                            [prefix for part in parts for prefix in part[2]])
-    stack = _Stack(base, aug)
-    return {prefix: (stack, d) for d, prefix in enumerate(order)}
-
-
-def _root(x: np.ndarray, model: GaussianClassModel) -> _Stack:
-    """The empty prefix as a one-column _Stack: the model itself."""
-    n = model.n_features
-    aug = np.zeros((model.n_classes, 1, n + 1, n + 1))
-    aug[:, 0, :n, :n] = model.covariances
-    aug[:, 0, n, :n] = aug[:, 0, :n, n] = x - model.means
-    return _Stack(np.log(model.priors)[:, None], aug)
-
-
-def _carried(orders: list, p: int, states: dict,
-             model: GaussianClassModel) -> tuple[np.ndarray, np.ndarray]:
-    """base (K, D) and target terms (K, D, t) of D prefix-then-target orders, prefixes p long.
-
-    Every prefix has a state, and all are in one stack. Each target's
-    block of its prefix's conditioned covariance and its residuals are
-    gathered, in chunks of at most BATCH_ELEMENTS entries, and factored
-    by the density primitive's term code (gaussian._block_terms), one
-    matrix at a time, so chunks never move a score.
-    """
-    stack = states[orders[0][:p]][0]
-    cols = np.array([states[order[:p]][1] for order in orders], dtype=np.intp)
-    t = len(orders[0]) - p
-    if not t:
-        return stack.base[:, cols], np.zeros((model.n_classes, len(orders), 0))
-    idx = np.array(orders, dtype=np.intp)[:, p:]
-    step = max(1, BATCH_ELEMENTS // (model.n_classes * t * t))
-    aug, n = stack.aug, model.n_features
-    return stack.base[:, cols], np.concatenate([
-        _block_terms(aug[:, d[:, None, None], i[:, :, None], i[:, None, :]],
-                     aug[:, d[:, None], n, i])
-        for d, i in ((cols[lo:lo + step], idx[lo:lo + step])
-                     for lo in range(0, len(orders), step))], axis=1)
-
-
-def _densities(orders: list, p: int, x: np.ndarray, model: GaussianClassModel,
-               states: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-class log weights of the distinct orders among prefix-then-target orders of one shape.
-
-    The orders share one length and prefix length p. Returns (K, D)
-    arrays base and delta over the D distinct orders, first seen first,
-    with base[c, d] = log P(c) + log P(x_prefix | c) and delta[c, d] =
-    log P(x_target | x_prefix, c), and each order's column. In full mode
-    a nonempty prefix is read from its state in states (_carried); an
-    empty prefix, or any prefix in diagonal mode, is factored with its
-    target as one order (_factored).
-    """
-    if not (p and model.mode == FULL):
-        terms, rows = _factored(orders, x, model)
-        return (np.log(model.priors)[:, None] + terms[:, :, :p].sum(axis=2),
-                terms[:, :, p:].sum(axis=2), rows)
-    slot: dict = {}
-    rows = np.array([slot.setdefault(order, len(slot)) for order in orders], dtype=np.intp)
-    base, terms = _carried(list(slot), p, states, model)
-    return base, terms.sum(axis=2), rows
-
-
 def _chains(requests, e: Evidence, model: GaussianClassModel) -> list[list[float]]:
     """_chain_scores for every (a, b, groups) request, groups already checked.
 
     Every request's groups partition the observed coordinates, so the
-    concatenated orders share one length and are factored together.
+    concatenated orders share one length and are read together, as
+    empty-prefix orders, by one density call (_densities).
     """
     if not requests:
         return []
     orders = [tuple(i for g in groups for i in g) for _, _, groups in requests]
-    terms, rows = _factored(orders, e.values, model)
+    _, terms, rows = _densities(orders, 0, e.values, model,
+                                _prefix_states((), e.values, model, {}))
     log_prior = np.log(model.priors)
     return [_chain_scores(a, b, map(len, groups), terms[:, row], log_prior)
             for (a, b, groups), row in zip(requests, rows)]
@@ -366,13 +232,12 @@ def woe_conditional_many(
 ) -> np.ndarray:
     """woe_conditional for every target against one shared prefix.
 
-    Targets of one length are checked together and scored by stacked
-    calls of the density primitive: the one-request case of
-    _stacked_woe. Returns the scores in target order. A score is +-inf
-    where one side gives the target no finite density, as in woe, and
-    an undefined score raises DegenerateDensityError: where neither
-    side gives the target a finite density, or one side's classes all
-    give the prefix none.
+    Targets of one length are checked together and read together from
+    the density route: the one-request case of _stacked_woe. Returns
+    the scores in target order. A score is +-inf where one side gives
+    the target no finite density, as in woe, and an undefined score
+    raises DegenerateDensityError: where neither side gives the target a
+    finite density, or one side's classes all give the prefix none.
     """
     a, b = map(list, _checked_pair(entailed, contrast, model))
     e = _checked_evidence(evidence, model)
@@ -395,8 +260,8 @@ def _stacked_woe(requests, e: Evidence, model: GaussianClassModel,
 
     memo maps prefixes to their (stack, column) states (_prefix_states).
     The requests' prefixes extend its entries, and on return it holds
-    their states and no others: what a next round, whose prefixes extend
-    these, can carry on from.
+    their states and the root's and no others: what a next round, whose
+    prefixes extend these, can carry on from.
     """
     states = _prefix_states([prefix for _, _, prefix, _ in requests], e.values, model, memo)
     memo.clear()
@@ -413,8 +278,9 @@ def _stacked_woe(requests, e: Evidence, model: GaussianClassModel,
     sides = [(np.array(a), np.array(b)) for a, b, _, _ in requests]
     with np.errstate(divide="ignore", invalid="ignore"):
         for (p, _), entries in buckets.items():
-            base, delta, where = _densities([order for *_, orders in entries for order in orders],
+            base, terms, where = _densities([order for *_, orders in entries for order in orders],
                                             p, e.values, model, states)
+            delta = terms.sum(axis=2)
             at = 0
             for j, rows, _ in entries:
                 pick = where[at:at + len(rows), None]

@@ -9,10 +9,11 @@ step's contrast set, so the steps read as a nested sequence of
 
 It runs in three phases that share one per-input state:
 
-1. The full-order log_density_terms of the input are computed once.
-   Their row sums are the per-class joints J from which the predicted
-   class, every step's contrast search and every step's Bayes
-   decomposition are read.
+1. The input's per-class log density terms along the full order are
+   computed once (log_density_terms; in full mode they are read from
+   the input's root state, the model itself). Their row sums are the
+   per-class joints J from which the predicted class, every step's
+   contrast search and every step's Bayes decomposition are read.
 2. The contrast chain runs to the end: each step's split needs only J.
 3. Attributes are scored for all splits at once. Each step's attribute
    search (greedy group discovery, then greedy max-|woe| ordering or
@@ -24,12 +25,13 @@ It runs in three phases that share one per-input state:
    scan asks for its candidates in one round and picks every later
    group from their scores, and marginal scoring and a greedy
    ordering's first round read the discovered groups' scores. With a
-   full covariance, a greedy ordering's prefix is carried from round
-   to round: the lockstep keeps a memo of each live prefix's
+   full covariance, every score is read from a prefix's state, and a
+   greedy ordering's prefix is carried from round to round: the
+   lockstep keeps a memo of the root and of each live prefix's
    conditioned covariance and residual, and a round's prefix, the last
    one plus the picked group, is that state conditioned on the group,
-   not a new factorization. The memo holds only the states the next
-   round extends. Fixed and random orderings then score every step's
+   not a new factorization. The memo holds only the root and the states
+   the next round extends. Fixed and random orderings then score every step's
    chain from one stacked density call over their distinct orders.
 
 Every score keeps the arithmetic of a lone call, so a report does not
@@ -281,8 +283,9 @@ def _lockstep(searches: list, splits: list, e: Evidence, model: GaussianClassMod
 
     Each round gathers the (prefix, targets) request of every live search
     and scores them all in one _stacked_woe call. The memo of carried
-    prefix states lives for this call: each round leaves in it the
-    states of its own prefixes, which the next round's prefixes extend.
+    prefix states lives for this call: each round leaves in it the root
+    and the states of its own prefixes, which the next round's prefixes
+    extend.
     """
     results: list = [None] * len(searches)
     live: dict[int, tuple] = {}

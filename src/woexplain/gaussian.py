@@ -2,18 +2,22 @@
 
 One Gaussian per class, diagonal or full covariance, plus class priors.
 This is the likelihood model behind every weight-of-evidence computation.
-Its density primitive, log_density_terms, factors each class covariance
-permuted into a coordinate order once (Cholesky, _block_terms) and
-returns every sequential conditional log density along that order, so
-any conditional log P(x_target | x_prefix, Y = c) is a sum of terms. A
-full covariance can also be conditioned on a prefix first (_condition):
-pivot by pivot, a Schur-complement update leaves the covariance and
-residual of the other coordinates given the prefix, whose target blocks
-_block_terms then factors. Conditioning a state further extends it, so
-a prefix that grows group by group is never refactored. Composite
-hypotheses Y in C are prior-weighted mixtures combined by
-mixture_log_ratio, which makes chained conditional scores telescope
-exactly.
+Every per-class log density takes one route per covariance mode
+(_densities), which returns the sequential conditional log densities
+along prefix-then-target coordinate orders, so any conditional
+log P(x_target | x_prefix, Y = c) is a sum of terms. A diagonal
+covariance gives each term directly. A full covariance is read from a
+stack state (_Stack): the model's covariances and residuals x - mu at
+the root, the empty prefix, conditioned pivot by pivot on a prefix by a
+Schur-complement update (_condition) that leaves the covariance and
+residual of the other coordinates given the prefix. A target block of a
+state is factored (Cholesky, _block_terms) for its terms; from the root
+that is the covariance permuted into the order. Conditioning a state
+further extends it, so a prefix that grows group by group is never
+refactored. The public primitive log_density_terms is the one-order
+case of the same route. Composite hypotheses Y in C are prior-weighted
+mixtures combined by mixture_log_ratio, which makes chained conditional
+scores telescope exactly.
 
 All probability arithmetic happens in log space.
 """
@@ -25,7 +29,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 # unused here; perfbench/tracing.py counts factorizations through gaussian.cho_factor
@@ -161,6 +165,145 @@ def _condition(aug: np.ndarray, base: np.ndarray, pivots: np.ndarray) -> np.ndar
     return base
 
 
+# covariance entries (classes x orders x m x m) one stacked density call may gather
+BATCH_ELEMENTS = 1 << 20
+
+
+class _Stack(NamedTuple):
+    """Prefixes conditioned on, in full mode, stacked: what the next prefixes extend.
+
+    Column d of the (K, D) base holds each class's log P(c) plus the log
+    density of prefix d; aug[:, d] holds each class's covariance and
+    residual x - mu conditioned on that prefix, as _condition keeps
+    them, with the prefix's own rows and columns spent.
+    """
+
+    base: np.ndarray
+    aug: np.ndarray
+
+
+def _root(x: np.ndarray, model: GaussianClassModel) -> _Stack:
+    """The empty prefix as a one-column _Stack: the model itself.
+
+    The residual holds x - mu over all n features. A feature no order
+    reads, whatever its value, stays in its own residual entries: no
+    update of another entry reads them.
+    """
+    n = model.n_features
+    aug = np.zeros((model.n_classes, 1, n + 1, n + 1))
+    aug[:, 0, :n, :n] = model.covariances
+    aug[:, 0, n, :n] = aug[:, 0, :n, n] = x - model.means
+    return _Stack(np.log(model.priors)[:, None], aug)
+
+
+def _prefix_states(prefixes, x: np.ndarray, model: GaussianClassModel,
+                   memo: dict) -> dict:
+    """The (stack, column) of the empty prefix and of every distinct prefix, in full mode.
+
+    None in diagonal mode. memo maps prefixes to their (stack, column);
+    the empty prefix is memo's root, or a new one (_root). A nonempty
+    prefix extends the longest memo entry that begins it, or the root,
+    by conditioning on its remaining coordinates in order (_condition);
+    prefixes that add as many coordinates to one stack are conditioned
+    in one call, and every nonempty prefix ends up in one new stack.
+    Conditioning updates each entry from its own value and the pivot's
+    alone, so a prefix carried group by group equals one conditioned in
+    one call, bit for bit.
+    """
+    if model.mode != FULL:
+        return {}
+    root = memo.get(()) or (_root(x, model), 0)
+    grown: dict = {}
+    lengths = sorted({len(k) for k in memo}, reverse=True)
+    for prefix in dict.fromkeys(prefixes):
+        if prefix:
+            done = next((prefix[:n] for n in lengths if prefix[:n] in memo), ())
+            stack, d = memo.get(done, root)
+            grown.setdefault((len(prefix) - len(done), id(stack)), (stack, []))[1].append(
+                (prefix, d))
+    if not grown:
+        return {(): root}
+    parts = []
+    for (j, _), (stack, entries) in grown.items():
+        rows = [d for _, d in entries]
+        aug = stack.aug[:, rows]
+        base = _condition(aug, stack.base[:, rows],
+                          np.array([prefix[len(prefix) - j:] for prefix, _ in entries]))
+        parts.append((base, aug, [prefix for prefix, _ in entries]))
+    if len(parts) == 1:
+        (base, aug, order), = parts
+    else:
+        base, aug, order = (np.concatenate([part[0] for part in parts], axis=1),
+                            np.concatenate([part[1] for part in parts], axis=1),
+                            [prefix for part in parts for prefix in part[2]])
+    stack = _Stack(base, aug)
+    return {(): root, **{prefix: (stack, d) for d, prefix in enumerate(order)}}
+
+
+def _carried(orders: list, p: int, states: dict,
+             model: GaussianClassModel) -> tuple[np.ndarray, np.ndarray]:
+    """base (K, D) and target terms (K, D, t) of D prefix-then-target orders, prefixes p long.
+
+    Every prefix has a state, and all are in one stack. Each target's
+    block of its prefix's conditioned covariance and its residuals are
+    gathered, in chunks of at most BATCH_ELEMENTS entries, and factored
+    (_block_terms) one matrix at a time, so chunks never move a score.
+    """
+    stack = states[orders[0][:p]][0]
+    cols = np.array([states[order[:p]][1] for order in orders], dtype=np.intp)
+    t = len(orders[0]) - p
+    if not t:
+        return stack.base[:, cols], np.zeros((model.n_classes, len(orders), 0))
+    idx = np.array(orders, dtype=np.intp)[:, p:]
+    step = max(1, BATCH_ELEMENTS // (model.n_classes * t * t))
+    aug, n = stack.aug, model.n_features
+    # concatenate keeps the chunks' memory layout, which fixes the last bit of a sum of terms
+    return stack.base[:, cols], np.concatenate([
+        _block_terms(aug[:, d[:, None, None], i[:, :, None], i[:, None, :]],
+                     aug[:, d[:, None], n, i])
+        for d, i in ((cols[lo:lo + step], idx[lo:lo + step])
+                     for lo in range(0, len(orders), step))], axis=1)
+
+
+def _densities(orders: list, p: int, x: np.ndarray, model: GaussianClassModel,
+               states: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-class log densities of the distinct orders among prefix-then-target orders of one shape.
+
+    The orders are tuples of checked features of x, an n-vector, and
+    share one length and prefix length p. Returns, over the D distinct
+    orders, first seen first, the (K, D) base with base[c, d] =
+    log P(c) + log P(x_prefix | c), the (K, D, t) target terms, whose
+    entry [c, d, i] is log P(x of target feature i | x_prefix and the
+    target features before i, c), and each order's column. In full mode
+    every order is read from its prefix's state in states, the empty
+    prefix's root included (_carried); in diagonal mode each term is
+    -(log 2 pi + log var + dev^2 / var)/2 of its own feature.
+    """
+    slot: dict = {}
+    rows = np.array([slot.setdefault(order, len(slot)) for order in orders], dtype=np.intp)
+    if model.mode == FULL:
+        return (*_carried(list(slot), p, states, model), rows)
+    idx = np.array(list(slot), dtype=np.intp)
+    dev = x[idx] - model.means[:, idx]
+    var = model.covariances[:, idx]
+    with np.errstate(over="ignore"):
+        terms = -0.5 * (LOG_2PI + np.log(var) + dev * dev / var)
+    return np.log(model.priors)[:, None] + terms[:, :, :p].sum(axis=2), terms[:, :, p:], rows
+
+
+def _scattered(order: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """The values of a checked order at their features of an n-vector, checked as Evidence.
+
+    A non-finite value raises InvalidDataError naming its feature. The
+    other features hold 0.0 and are never read.
+    """
+    x = np.zeros(n)
+    x[order] = values
+    observed = np.zeros(n, dtype=bool)
+    observed[order] = True
+    return Evidence(x, observed).values
+
+
 @dataclass(frozen=True)
 class GaussianClassModel:
     """Per-class Gaussian densities with shared feature space.
@@ -263,40 +406,33 @@ class GaussianClassModel:
     def log_density_terms(self, order: Sequence[int], values: Sequence[float]) -> np.ndarray:
         """Sequential conditional log densities of every class along `order`.
 
-        A stack of M equal-length orders, an (M, m) integer array with
-        values of the same shape, gives a (K, M, m) array whose entry
-        [c, j, i] is log P(X_{o_i} = v_i | X_{o_1..o_{i-1}} = v_1..v_{i-1},
-        Y = c) along order j, so the prefix sums of [c, j] are the joint
-        log densities of every prefix of that order. The covariances,
-        permuted into the orders, are factored as S = L L^T in one batch
-        over classes and orders; with z = L^-1 (v - mu) the i-th term is
+        Returns a (K, m) array whose entry [c, i] is log P(X_{o_i} = v_i
+        | X_{o_1..o_{i-1}} = v_1..v_{i-1}, Y = c), so the prefix sums of
+        row c are the joint log densities of every prefix of the order.
+        It is the one-order, empty-prefix case of the route every score
+        reads (_densities): the values are placed at their features of
+        an n-vector, and a full covariance is read from that vector's
+        root state. There the covariance permuted into the order is
+        factored as S = L L^T; with z = L^-1 (v - mu) the i-th term is
         -(log 2 pi + 2 log L_ii + z_i^2)/2 (Rasmussen & Williams, GPML,
         App. A). Diagonal mode is the case L = diag(sqrt(var)).
 
-        A single order, any other index sequence with its values, is
-        scored as a one-order stack and gives that order's (K, m) row.
-        Row [:, j] of a stack equals order j's result alone, bit for bit.
-
-        Past about 1e154 standard deviations the squared distance
-        overflows and the term is -inf, silently: the density is 0 there.
-        A covariance that fails to factor raises NumericalConditioningError
-        naming the first such class.
+        A non-finite value raises InvalidDataError naming its feature,
+        as Evidence does. Past about 1e154 standard deviations the
+        squared distance overflows and the term is -inf, silently: the
+        density is 0 there. A covariance that fails to factor raises
+        NumericalConditioningError naming the first such class.
         """
-        single = not (isinstance(order, np.ndarray) and order.ndim == 2)
-        idx = _index_rows([order] if single else order, self.n_features, "order")
-        v = np.asarray(values, dtype=float)
-        if single:
-            v = v.reshape(1, -1)
+        if np.ndim(order) != 1:
+            raise InvalidPartitionError("order must be a 1-D sequence of indices")
+        (idx,) = _index_rows([order], self.n_features, "order")
+        v = np.asarray(values, dtype=float).reshape(-1)
         if v.shape != idx.shape:
             raise InvalidDataError(f"{v.size} values for {idx.size} ordered indices")
-        dev = v - self.means[:, idx]
-        if self.mode == FULL:
-            terms = _block_terms(self.covariances[:, idx[..., :, None], idx[..., None, :]], dev)
-        else:
-            var = self.covariances[:, idx]
-            with np.errstate(over="ignore"):
-                terms = -0.5 * (LOG_2PI + np.log(var) + dev * dev / var)
-        return terms[:, 0] if single else terms
+        x = _scattered(idx, v, self.n_features)
+        _, terms, _ = _densities([tuple(idx.tolist())], 0, x, self,
+                                 _prefix_states((), x, self, {}))
+        return terms[:, 0]
 
     def class_conditional_log_density(
         self,
@@ -403,12 +539,10 @@ def set_conditional_log_likelihood(
     is raised, as in woe_conditional.
 
     b_c and the delta come from the route woe_conditional reads
-    (core._densities), so woe_conditional([c], [d], ...) is this for {c}
-    minus this for {d}, bit for bit.
+    (_densities), so woe_conditional([c], [d], ...) is this for {c}
+    minus this for {d}, bit for bit. A non-finite value raises
+    InvalidDataError naming its feature, as Evidence does.
     """
-    # core builds on this module, so its conditional route is imported here
-    from .core import _densities, _prefix_states
-
     h = list(as_hypothesis(hypothesis).check_against(model.n_classes))
     t_idx, p_idx = tuple(target), tuple(prefix)
     x_t = np.asarray(x_target, dtype=float).reshape(-1)
@@ -418,13 +552,12 @@ def set_conditional_log_likelihood(
     if x_p.size != len(p_idx):
         raise InvalidDataError(f"{x_p.size} prefix values for {len(p_idx)} prefix indices")
     (order,) = _index_rows([p_idx + t_idx], model.n_features, "order")
-    x = np.full(model.n_features, np.nan)
-    x[order] = np.concatenate([x_p, x_t])
+    x = _scattered(order, np.concatenate([x_p, x_t]), model.n_features)
     order = tuple(order.tolist())
     p = len(p_idx)
-    base, delta, _ = _densities([order], p, x, model, _prefix_states([order[:p]], x, model, {}))
+    base, terms, _ = _densities([order], p, x, model, _prefix_states([order[:p]], x, model, {}))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _defined(mixture_log_ratio(base[h, 0], delta[h, 0]))
+        return _defined(mixture_log_ratio(base[h, 0], terms.sum(axis=2)[h, 0]))
 
 
 def posterior(model: GaussianClassModel, evidence: "Evidence | Sequence[float]") -> np.ndarray:

@@ -7,6 +7,7 @@ of an assertion.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from woexplain import (
     woe_conditional,
     woe_conditional_many,
 )
-from woexplain import core
+from woexplain import core, gaussian
 from woexplain.core import _chains, first_max
 from woexplain.errors import (
     DegenerateDensityError,
@@ -121,6 +122,10 @@ class TestWoe:
         assert woe(0, 1, [1.2, -0.4], model) == 0.0
 
     def test_partial_evidence_scores_observed_subset(self):
+        """Only observed coordinates are scored: whatever an unobserved entry holds,
+        NaN, an infinity or a value near the float limit, the empty-prefix,
+        nonempty-prefix, chain and total scores are the bits a 0.0 filler gives,
+        with no warning."""
         rng = np.random.default_rng(44)
         model = random_model(rng, 3, 4)
         values = rng.normal(size=4)
@@ -129,6 +134,19 @@ class TestWoe:
         ours = woe([0], [1, 2], e, model)
         oracle = woe_between(model, [0], [1, 2], (0, 2), values[[0, 2]])
         assert_allclose(ours, oracle, rtol=1e-10)
+
+        def scores(filler):
+            e = Evidence(np.where(mask, values, filler), observed_mask=mask)
+            return repr((woe_conditional([0], [1, 2], (2,), (), e, model),
+                         woe_conditional([0], [1, 2], (2,), (0,), e, model),
+                         woe_chain([0], [1, 2], [(2,), (0,)], e, model),
+                         woe([0], [1, 2], e, model)))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plain = scores(0.0)
+            for filler in (np.nan, np.inf, -np.inf, 1.7e308, -1.7e308):
+                assert scores(filler) == plain
 
     def test_hypothesis_errors(self):
         rng = np.random.default_rng(45)
@@ -480,14 +498,14 @@ class TestStackedChains:
 
     def test_orders_in_one_call_equal_each_alone(self, monkeypatch):
         rng = np.random.default_rng(70)
-        density = GaussianClassModel.log_density_terms
+        density = core._densities
         calls = []
 
-        def counted(self, order, values):
-            calls.append(np.shape(order))
-            return density(self, order, values)
+        def counted(orders, p, *args):
+            calls.append((len(orders[0]), p))
+            return density(orders, p, *args)
 
-        monkeypatch.setattr(GaussianClassModel, "log_density_terms", counted)
+        monkeypatch.setattr(core, "_densities", counted)
         for mode in ("diagonal", "full"):
             for k, n in ((13, 40), (2, 1), (8, 9), (5, 17)):
                 model = random_model(rng, k, n, mode)
@@ -497,7 +515,7 @@ class TestStackedChains:
                 requests.append(requests[0])
                 calls.clear()
                 together = _chains(requests, e, model)
-                assert len(calls) == 1 and calls[0][1] == n
+                assert calls == [(n, 0)]
                 alone = [_chains([request], e, model)[0] for request in requests]
                 assert repr(together) == repr(alone)
                 assert all(type(s) is float for chain in together for s in chain)
@@ -527,15 +545,15 @@ class TestStackedChains:
         """Chunked factoring gives the one-call scores bit for bit,
         also where a term sum runs over more than eight features."""
         rng = np.random.default_rng(74)
-        unchunked = core.BATCH_ELEMENTS
-        density = GaussianClassModel.log_density_terms
+        unchunked = gaussian.BATCH_ELEMENTS
+        block_terms = gaussian._block_terms
         calls = []
 
-        def counted(self, order, values):
-            calls.append(len(order))
-            return density(self, order, values)
+        def counted(covs, dev):
+            calls.append(covs.shape[1])
+            return block_terms(covs, dev)
 
-        monkeypatch.setattr(GaussianClassModel, "log_density_terms", counted)
+        monkeypatch.setattr(gaussian, "_block_terms", counted)
         for k, n in ((3, 9), (5, 12), (12, 20)):
             model = random_model(rng, k, n, mode)
             x = rng.normal(0.0, 3.0, size=n)
@@ -549,16 +567,21 @@ class TestStackedChains:
 
             def scores():
                 return (woe_conditional_many(a, b, targets, prefix, x, model).tobytes(),
+                        woe_conditional_many(a, b, targets, (), x, model).tobytes(),
                         repr(_chains(requests, e, model)))
 
             whole = scores()
             # one order per chunk, then three full-length orders (or more shorter ones)
             for batch in (1, 3 * k * n * n):
-                monkeypatch.setattr(core, "BATCH_ELEMENTS", batch)
+                monkeypatch.setattr(gaussian, "BATCH_ELEMENTS", batch)
                 calls.clear()
                 assert scores() == whole
-                assert len(calls) > 2 and (batch > 1 or max(calls) == 1)
-            monkeypatch.setattr(core, "BATCH_ELEMENTS", unchunked)
+                if mode == "full":
+                    assert len(calls) > 2 and (batch > 1 or max(calls) == 1)
+                else:
+                    # diagonal terms are computed directly, with nothing to factor
+                    assert calls == []
+            monkeypatch.setattr(gaussian, "BATCH_ELEMENTS", unchunked)
 
     def test_no_observed_coordinate_gives_an_empty_chain(self):
         rng = np.random.default_rng(72)

@@ -489,10 +489,10 @@ class TestBatchedSearchesMatchLoops:
         """K = 5, n = 40, 10 groups of 4: every step's greedy scores, its prefixes
         carried from round to round and stacked with the other steps', equal a
         loop of one-call woe_conditional, with one target block per chunk too."""
-        from woexplain import core
+        from woexplain import gaussian
 
         if batch is not None:
-            monkeypatch.setattr(core, "BATCH_ELEMENTS", batch)
+            monkeypatch.setattr(gaussian, "BATCH_ELEMENTS", batch)
         rng = np.random.default_rng(61)
         model = random_model(rng, 5, 40)
         x = rng.normal(0.0, 2.0, size=40)

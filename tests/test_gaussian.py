@@ -82,10 +82,10 @@ class TestLogDensityTerms:
         with pytest.raises(NumericalConditioningError, match=message):
             model.log_density_terms([2, 1, 0], [0.0, 0.0, 0.0])
         with pytest.raises(NumericalConditioningError, match=message):
-            model.log_density_terms(np.array([[0, 1], [2, 0]]), np.zeros((2, 2)))
+            model.log_density_terms([2, 0], [0.0, 0.0])
         # submatrices that do factor are scored as usual
-        terms = model.log_density_terms(np.array([[0, 1], [1, 2]]), np.zeros((2, 2)))
-        assert np.isfinite(terms).all()
+        for order in ([0, 1], [1, 2]):
+            assert np.isfinite(model.log_density_terms(order, [0.0, 0.0])).all()
 
     def test_empty_order(self):
         rng = np.random.default_rng(65)
@@ -93,31 +93,35 @@ class TestLogDensityTerms:
             terms = random_model(rng, 3, 2, mode=mode).log_density_terms((), [])
             assert terms.shape == (3, 0)
 
-    def test_stacked_orders_equal_single_orders(self):
-        """An (M, m) stack gives (K, M, m), each row equal to its own call."""
-        rng = np.random.default_rng(66)
-        for mode in ("full", "diagonal"):
-            model = random_model(rng, 12, 10, mode=mode)
-            x = rng.normal(0.0, 2.0, size=10)
-            for m in (1, 3, 10):
-                orders = np.array([rng.permutation(10)[:m] for _ in range(7)])
-                stacked = model.log_density_terms(orders, x[orders])
-                assert stacked.shape == (12, 7, m)
-                for j, order in enumerate(orders):
-                    single = model.log_density_terms([int(i) for i in order], x[order])
-                    assert (stacked[:, j] == single).all()
-
-    def test_stacked_order_errors(self):
+    def test_order_errors(self):
         rng = np.random.default_rng(67)
         model = random_model(rng, 2, 3)
         with pytest.raises(InvalidPartitionError, match="index 3 outside 0..2"):
-            model.log_density_terms(np.array([[0, 1], [1, 3]]), np.zeros((2, 2)))
+            model.log_density_terms([1, 3], [0.0, 0.0])
         with pytest.raises(InvalidPartitionError, match="duplicate index"):
-            model.log_density_terms(np.array([[0, 1], [2, 2]]), np.zeros((2, 2)))
+            model.log_density_terms([2, 2], [0.0, 0.0])
         with pytest.raises(InvalidPartitionError, match="integers"):
-            model.log_density_terms(np.array([[0.0, 1.0]]), np.zeros((1, 2)))
-        with pytest.raises(InvalidDataError):
-            model.log_density_terms(np.array([[0, 1]]), np.zeros((1, 3)))
+            model.log_density_terms(np.array([0.0, 1.0]), [0.0, 0.0])
+        with pytest.raises(InvalidPartitionError, match="^order must be a 1-D sequence"):
+            model.log_density_terms([[0, 1], [1, 2]], [[0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(InvalidDataError, match="^3 values for 2 ordered indices$"):
+            model.log_density_terms([0, 1], [0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    def test_non_finite_value_names_its_feature(self, mode):
+        """Every route that takes values by index checks them as Evidence does."""
+        rng = np.random.default_rng(68)
+        model = random_model(rng, 3, 4, mode=mode)
+        for bad in (np.nan, np.inf, -np.inf):
+            message = "^non-finite value at observed feature 2$"
+            with pytest.raises(InvalidDataError, match=message):
+                model.log_density_terms([0, 2], [0.5, bad])
+            for score in (model.class_conditional_log_density,
+                          lambda c, *args: set_conditional_log_likelihood(model, [c, 2], *args)):
+                with pytest.raises(InvalidDataError, match=message):
+                    score(0, (2,), [bad])
+                with pytest.raises(InvalidDataError, match=message):
+                    score(0, (1,), [0.5], (3, 2), [0.1, bad])
 
 
 class TestClassConditionalLogDensity:

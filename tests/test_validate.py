@@ -15,7 +15,7 @@ from woexplain import (
     score_subset,
     woe_chain,
 )
-from woexplain import validate as validate_module
+from woexplain import gaussian, validate as validate_module
 from woexplain.contrast import ContrastParams
 from woexplain.errors import InvalidDataError, InvalidParameterError, NothingToExplainError
 from woexplain.gaussian import GaussianClassModel
@@ -163,13 +163,16 @@ def replayed_checks(model, data, trials, seed):
 
 
 class CountingBackend:
-    """A stand-in model that counts calls of the density primitive."""
+    """A stand-in model with the model's arrays that counts calls of the density primitive."""
 
     def __init__(self, model):
         self.model = model
         self.calls = 0
         self.n_features = model.n_features
         self.n_classes = model.n_classes
+        self.mode = model.mode
+        self.means = model.means
+        self.covariances = model.covariances
         self.priors = model.priors
 
     def log_density_terms(self, order, values):
@@ -198,15 +201,24 @@ class TestSharedFactorization:
         assert checks[3].detail == f"{trials} rows enumerated" + (
             f", first mismatch at row {first_bad}" if first_bad is not None else "")
 
-    def test_at_most_three_density_calls_per_trial(self):
+    def test_at_most_three_density_calls_per_trial(self, monkeypatch):
+        """One primitive call per distinct row and at most three factoring calls per trial."""
         rng = np.random.default_rng(23)
         model = random_model(rng, 8, 5)
         data = rng.normal(size=(500, 5))
         trials = 30
         counting = CountingBackend(model)
+        block_terms = gaussian._block_terms
+        factorings = []
+
+        def counted(covs, dev):
+            factorings.append(covs.shape)
+            return block_terms(covs, dev)
+
+        monkeypatch.setattr(gaussian, "_block_terms", counted)
         checks = run_validation(counting, data, trials=trials, seed=4)
         # each brute-force row scores 2^7 - 1 candidates, none by its own call
-        assert counting.calls <= 3 * trials
+        assert counting.calls <= trials and len(factorings) <= 3 * trials
         assert checks == run_validation(model, data, trials=trials, seed=4)
 
     def test_enumeration_is_independent_of_the_search(self, monkeypatch):

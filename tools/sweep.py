@@ -1,0 +1,181 @@
+"""Compare every public route of two woexplain source trees, outcome by outcome.
+
+    python tools/sweep.py OLD_TREE NEW_TREE [--seeds N]
+
+Each tree is a checkout holding src/woexplain. Both run the same seeded
+cases in their own process: OLD_TREE under PYTHONHASHSEED=1 and
+NEW_TREE under PYTHONHASHSEED=2, so a tree swept against itself also
+checks that its outputs do not depend on hash order. Seed s builds a
+random model of 2-12 classes and 2-16 features, full covariance for
+even s (for every tenth s with eigenvalues spread over ten decades) and
+diagonal for odd s, takes inputs 1, 50, 3e3 or 1e160 units from a class
+mean, and runs:
+
+- log_density_terms on every prefix of a random order;
+- posterior and bayes_decomposition;
+- woe_conditional_many with an empty and a nonempty prefix;
+- woe_chain and set_conditional_log_likelihood;
+- explain over {partition, discovery} x {conditional_chain, marginal}
+  x {greedy, fixed, random}, as report JSON;
+- run_validation.
+
+An outcome is the exact repr of what a call returns, or the type and
+message of what it raises, plus the warnings it emits. The sweep prints
+the counts of identical and differing outcomes and the first
+ten differences, and exits 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+SCALES = (1.0, 50.0, 3e3, 1e160)
+SHOWN = 10  # differences listed
+
+
+def _outcome(call) -> list:
+    """[kind, text, warnings] of one call: its exact result, or its error."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            kind, text = "value", call()
+        except Exception as exc:  # every error is an outcome to compare
+            kind, text = "error", f"{type(exc).__name__}: {exc}"
+    return [kind, text, sorted({f"{w.category.__name__}: {w.message}" for w in caught})]
+
+
+def _model(rng, seed: int, wx):
+    """A random model for seed: full for even seeds, diagonal for odd.
+
+    Every tenth seed (an even one divisible by 5) is ill-conditioned.
+    """
+    import numpy as np
+
+    k, n = int(rng.integers(2, 13)), int(rng.integers(2, 17))
+    mode = "full" if seed % 2 == 0 else "diagonal"
+    means = rng.normal(0.0, 2.0, size=(k, n))
+    if mode == "full":
+        spread = np.logspace(0.0, -10.0, n) if seed % 5 == 0 else rng.uniform(0.2, 2.0, (k, n))
+        q = np.linalg.qr(rng.normal(size=(k, n, n)))[0]
+        covs = (q * np.broadcast_to(spread, (k, n))[:, None, :]) @ q.transpose(0, 2, 1)
+        covs = (covs + covs.transpose(0, 2, 1)) / 2.0
+    else:
+        covs = rng.uniform(0.2, 2.0, size=(k, n))
+    priors = rng.dirichlet(np.ones(k))
+    return wx.GaussianClassModel(means=means, covariances=covs, priors=priors / priors.sum(),
+                                 mode=mode, feature_names=[f"f{i}" for i in range(n)]).validate()
+
+
+def _cases(seed: int) -> list:
+    """(key, outcome) of every route for one seed."""
+    import numpy as np
+    import woexplain as wx
+
+    rng = np.random.default_rng(seed)
+    scale = SCALES[(seed // 2) % len(SCALES)]
+    out = []
+
+    def record(key, call):
+        out.append([f"{seed}/{key}", _outcome(call)])
+
+    model = _model(rng, seed, wx)
+    k, n = model.n_classes, model.n_features
+
+    def row():
+        return model.means[int(rng.integers(k))] + scale * rng.normal(size=n)
+
+    def subset(pool, size):
+        return tuple(int(i) for i in rng.choice(pool, size=size, replace=False))
+
+    x = row()
+    perm = rng.permutation(k)
+    cut = int(rng.integers(1, k))
+    a, b = sorted(int(c) for c in perm[:cut]), sorted(int(c) for c in perm[cut:])
+    order = [int(i) for i in rng.permutation(n)]
+    for m in range(n + 1):
+        record(f"log_density_terms/{m}",
+               lambda m=m: repr(model.log_density_terms(order[:m], x[order[:m]]).tolist()))
+    record("posterior", lambda: repr(wx.posterior(model, x).tolist()))
+    record("bayes_decomposition", lambda: repr(wx.bayes_decomposition(a, b, x, model)))
+    targets = [subset(n, int(rng.integers(1, n + 1))) for _ in range(4)]
+    record("woe_conditional_many/empty",
+           lambda: repr(wx.woe_conditional_many(a, b, targets, (), x, model).tolist()))
+    prefix = subset(n, int(rng.integers(1, n)))
+    free = [i for i in range(n) if i not in prefix]
+    targets = [subset(free, int(rng.integers(1, len(free) + 1))) for _ in range(4)]
+    record("woe_conditional_many/prefix",
+           lambda: repr(wx.woe_conditional_many(a, b, targets, prefix, x, model).tolist()))
+    cuts = sorted(int(c) for c in rng.choice(np.arange(1, n), size=int(rng.integers(0, n)),
+                                             replace=False))
+    groups = [tuple(int(i) for i in g) for g in np.split(np.array(order), cuts)]
+    record("woe_chain", lambda: repr(wx.woe_chain(a, b, groups, x, model)))
+    target = list(targets[0])
+    for key, p in (("empty", []), ("prefix", list(prefix))):
+        record(f"set_conditional_log_likelihood/{key}",
+               lambda p=p: repr(wx.set_conditional_log_likelihood(model, a, target, x[target],
+                                                                  p, x[p])))
+    partition = wx.AttributePartition(tuple(groups))
+    size = int(rng.integers(1, min(3, n) + 1))
+    for source, extra in (("partition", {"partition": partition}),
+                          ("discovery", {"attribute_size": size})):
+        for scoring in ("conditional_chain", "marginal"):
+            for ordering in ("greedy_max_woe", "fixed", "random"):
+                params = wx.ExplainerParams(scoring_mode=scoring, ordering_policy=ordering,
+                                            ordering_seed=seed, **extra)
+                record(f"explain/{source}/{scoring}/{ordering}",
+                       lambda params=params: json.dumps(
+                           wx.report_to_dict(wx.explain(x, model, params))))
+    data = np.array([row() for _ in range(6)])
+    record("run_validation", lambda: repr(wx.run_validation(model, data, trials=4, seed=seed)))
+    return out
+
+
+def _worker(tree: Path, seeds: int) -> None:
+    import woexplain
+
+    if not Path(woexplain.__file__).resolve().is_relative_to(tree.resolve()):
+        sys.exit(f"imported {woexplain.__file__}, not the package under {tree}")
+    json.dump([case for seed in range(seeds) for case in _cases(seed)], sys.stdout)
+
+
+def _run(tree: Path, seeds: int, hash_seed: str) -> list:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED=hash_seed)
+    done = subprocess.run([sys.executable, __file__, "--worker", str(tree), "--seeds", str(seeds)],
+                          env=env, capture_output=True, text=True)
+    if done.returncode:
+        sys.exit(f"sweep of {tree} failed:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("trees", nargs="*", type=Path, metavar="TREE")
+    parser.add_argument("--seeds", type=int, default=300)
+    parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker:
+        _worker(args.worker, args.seeds)
+        return 0
+    if len(args.trees) != 2:
+        parser.error("give OLD_TREE and NEW_TREE")
+    old, new = (_run(tree, args.seeds, hash_seed) for tree, hash_seed in zip(args.trees, "12"))
+    if [key for key, _ in old] != [key for key, _ in new]:
+        print("the trees ran different cases")
+        return 1
+    differing = [(key, a, b) for (key, a), (_, b) in zip(old, new) if a != b]
+    errors = sum(outcome[0] == "error" for _, outcome in old)
+    print(f"{len(old) - len(differing)} identical, {len(differing)} differing outcomes "
+          f"over {args.seeds} seeds ({errors} of the old tree's outcomes are errors)")
+    for key, a, b in differing[:SHOWN]:
+        print(f"{key}\n  old: {a}\n  new: {b}")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
