@@ -22,7 +22,9 @@ densities read from gaussian's one route per covariance mode
 scoring round's prefix-then-target orders are read from the stack
 states of their prefixes, and a chain's full order from the root
 state, the model itself. This module checks the inputs and reduces the
-mixtures.
+mixtures: the chains of a call, and the Bayes splits, are stacked and
+reduced by one mixture_log_ratio call per side size, each row with the
+bits of a lone one.
 """
 
 from __future__ import annotations
@@ -140,41 +142,94 @@ def first_max(keys: np.ndarray, floor: float = -math.inf) -> "int | None":
     return i if keys[i] > floor else None
 
 
-def _chain_scores(a: list[int], b: list[int], lengths, terms: np.ndarray,
-                  log_prior: np.ndarray) -> list[float]:
-    """woe(A/B : e_g | e of the groups before g) for each group g in turn.
+def _sized(items) -> dict[int, list[int]]:
+    """The positions of items grouped by their lengths, in order within a group."""
+    groups: dict[int, list[int]] = {}
+    for j, item in enumerate(items):
+        groups.setdefault(len(item), []).append(j)
+    return groups
 
-    terms holds every class's sequential log density terms along the
-    concatenated groups, of the given lengths, so each group's delta is
-    a slice sum; the mixture base of each class is one running sum of
-    its log prior and the deltas before, and all groups are scored by one
-    mixture_log_ratio pair over (groups, classes) arrays. A group where
-    both sides are -inf is undefined and scores NaN.
+
+def _chain_scores(sides: list, deltas: np.ndarray, log_prior: np.ndarray) -> np.ndarray:
+    """woe(A/B : e_g | e of the steps before g) for every step g of every chain.
+
+    Chain j scores sides[j] = (a, b), two label lists, and deltas[j, g]
+    holds every class's log density of step g's evidence given the
+    steps before; the steps past a chain's last are padding, and their
+    scores mean nothing. The mixture base of each class is one running
+    sum of its log prior and the deltas before, and each side's
+    mixtures, over all steps of the chains with as many classes on that
+    side, are reduced by one mixture_log_ratio call, so each score has
+    the bits of a lone chain's. Returns (C, G) scores; a step where both
+    sides are -inf is undefined and scores NaN.
     """
-    bounds = [0, *accumulate(lengths)]
-    steps = np.array([log_prior, *(terms[:, start:stop].sum(axis=1)
-                                   for start, stop in zip(bounds, bounds[1:]))])
-    base = np.cumsum(steps, axis=0)[:-1]
+    c, g, k = deltas.shape
+    steps = np.concatenate([np.broadcast_to(log_prior, (c, 1, k)), deltas], axis=1)
+    base = np.cumsum(steps, axis=1)[:, :-1]
+    mixtures = []
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (mixture_log_ratio(base[:, a], steps[1:, a])
-                - mixture_log_ratio(base[:, b], steps[1:, b])).tolist()
+        # every chain's A, then every chain's B
+        for side in zip(*sides):
+            out = np.empty((c, g))
+            for js in _sized(side).values():
+                labels = np.array([side[j] for j in js])[:, None, :]
+                out[js] = mixture_log_ratio(np.take_along_axis(base[js], labels, axis=2),
+                                            np.take_along_axis(deltas[js], labels, axis=2))
+            mixtures.append(out)
+        return mixtures[0] - mixtures[1]
 
 
-def _chains(requests, e: Evidence, model: GaussianClassModel) -> list[list[float]]:
-    """_chain_scores for every (a, b, groups) request, groups already checked.
+def _total_woe(a: list[int], b: list[int], joint: np.ndarray, log_prior: np.ndarray) -> float:
+    """woe(A/B : e) from every class's joint log density of e: a one-step chain."""
+    return float(_chain_scores([(a, b)], joint[None, None], log_prior)[0, 0])
+
+
+def _group_deltas(terms: np.ndarray, cols: np.ndarray, lengths: list) -> np.ndarray:
+    """The (C, G, K) deltas of chains read from the columns of (K, D, m) terms.
+
+    Chain j reads column cols[j], cut into consecutive groups of the
+    lengths lengths[j]; entry [j, g] holds every class's sum of group g's
+    terms, and entries past a chain's last group are 0. The groups of
+    one length are gathered and summed by one call, the way numpy sums a
+    lone slice: pairwise where the features are the fast axis of terms
+    in memory, else in order (numpy.sum's notes).
+    """
+    cuts: dict = {}
+    for j, lens in enumerate(lengths):
+        for g, (start, stop) in enumerate(zip([0, *accumulate(lens)], accumulate(lens))):
+            cuts.setdefault(stop - start, []).append((j, g, start))
+    k = terms.shape[0]
+    deltas = np.zeros((len(lengths), max(map(len, lengths)), k))
+    pairwise = terms.strides[2] == terms.itemsize
+    for size, entries in cuts.items():
+        j, g, start = np.array(entries).T
+        at = start[:, None] + np.arange(size)
+        # every index advanced, so each gather is C-ordered: features last, or classes last
+        if pairwise:
+            deltas[j, g] = terms[np.arange(k)[:, None, None], cols[j][:, None], at].sum(axis=2).T
+        else:
+            deltas[j, g] = terms[np.arange(k), cols[j][:, None, None], at[:, :, None]].sum(axis=1)
+    return deltas
+
+
+def _chains(requests, e: Evidence, model: GaussianClassModel, memo: dict) -> list[list[float]]:
+    """The chain scores of every (a, b, groups) request, groups already checked.
 
     Every request's groups partition the observed coordinates, so the
     concatenated orders share one length and are read together, as
-    empty-prefix orders, by one density call (_densities).
+    empty-prefix orders of e's root (memo's, or a new one), by one
+    density call (_densities); all chains are then scored together
+    (_chain_scores).
     """
     if not requests:
         return []
+    x = e.values[None]
     orders = [tuple(i for g in groups for i in g) for _, _, groups in requests]
-    _, terms, rows = _densities(orders, 0, e.values, model,
-                                _prefix_states((), e.values, model, {}))
-    log_prior = np.log(model.priors)
-    return [_chain_scores(a, b, map(len, groups), terms[:, row], log_prior)
-            for (a, b, groups), row in zip(requests, rows)]
+    _, terms, where = _densities(orders, 0, x, model, _prefix_states((), x, model, memo))
+    lengths = [list(map(len, groups)) for _, _, groups in requests]
+    scores = _chain_scores([(a, b) for a, b, _ in requests], _group_deltas(terms, where, lengths),
+                           np.log(model.priors))
+    return [row[:len(lens)].tolist() for row, lens in zip(scores, lengths)]
 
 
 def _observed_terms(e: Evidence, model: GaussianClassModel) -> np.ndarray:
@@ -203,7 +258,7 @@ def woe(entailed, contrast, evidence, model: GaussianClassModel) -> float:
     no class of A u B does.
     """
     a, b, terms = _pair_terms(entailed, contrast, evidence, model)
-    return _defined(_chain_scores(a, b, [terms.shape[1]], terms, np.log(model.priors))[0])
+    return _defined(_total_woe(a, b, terms.sum(axis=1), np.log(model.priors)))
 
 
 def woe_conditional(
@@ -263,7 +318,8 @@ def _stacked_woe(requests, e: Evidence, model: GaussianClassModel,
     their states and the root's and no others: what a next round, whose
     prefixes extend these, can carry on from.
     """
-    states = _prefix_states([prefix for _, _, prefix, _ in requests], e.values, model, memo)
+    x = e.values[None]
+    states = _prefix_states([prefix for _, _, prefix, _ in requests], x, model, memo)
     memo.clear()
     memo.update(states)
     buckets: dict[tuple[int, int], list] = {}
@@ -279,7 +335,7 @@ def _stacked_woe(requests, e: Evidence, model: GaussianClassModel,
     with np.errstate(divide="ignore", invalid="ignore"):
         for (p, _), entries in buckets.items():
             base, terms, where = _densities([order for *_, orders in entries for order in orders],
-                                            p, e.values, model, states)
+                                            p, x, model, states)
             delta = terms.sum(axis=2)
             at = 0
             for j, rows, _ in entries:
@@ -330,7 +386,7 @@ def woe_chain(
     """
     a, b = _checked_pair(entailed, contrast, model)
     e = _checked_evidence(evidence, model)
-    return _defined(_chains([(list(a), list(b), _checked_ordering(ordering, e))], e, model)[0])
+    return _defined(_chains([(list(a), list(b), _checked_ordering(ordering, e))], e, model, {})[0])
 
 
 def _prior_log_odds(a: list[int], b: list[int], priors: np.ndarray) -> float:
@@ -347,15 +403,34 @@ def prior_log_odds(entailed, contrast, model: GaussianClassModel) -> float:
     return _prior_log_odds(list(a), list(b), model.priors)
 
 
-def _posterior_log_odds(a: list[int], b: list[int], terms: np.ndarray,
-                        priors: np.ndarray) -> float:
-    both = a + b
-    joint = np.log(priors[both]) + terms[both].sum(axis=1)
-    in_a = np.arange(len(both)) < len(a)
-    # A's and B's log shares of the mass of A u B, one row each: -inf for a side without mass
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shares = mixture_log_ratio(np.tile(joint, (2, 1)), np.where([in_a, ~in_a], 0.0, -np.inf))
-    return float(shares[0] - shares[1])
+def _bayes_joints(terms: np.ndarray) -> np.ndarray:
+    """Every class's joint log density for _posterior_log_odds, from its terms on the last axis.
+
+    The terms are summed as contiguous rows, so pairwise whatever their
+    layout, as the Bayes side has always summed its gathered rows.
+    """
+    return np.ascontiguousarray(terms).sum(axis=-1)
+
+
+def _posterior_log_odds(sides: list, joints: np.ndarray, priors: np.ndarray) -> np.ndarray:
+    """log P(Y in A | e) - log P(Y in B | e) of every (a, b) of sides.
+
+    joints[j] holds every class's joint log density of the evidence of
+    sides[j] (_bayes_joints). The pairs whose A u B are as large are
+    reduced together by one mixture_log_ratio call, each pair's row on
+    its own.
+    """
+    out = np.empty(len(sides))
+    for size, js in _sized([a + b for a, b in sides]).items():
+        both = np.array([sides[j][0] + sides[j][1] for j in js])
+        joint = np.log(priors[both]) + joints[np.array(js)[:, None], both]
+        # A's and B's log shares of the mass of A u B, one row each: -inf for a side without mass
+        in_a = np.arange(size) < np.array([len(sides[j][0]) for j in js])[:, None, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shares = mixture_log_ratio(np.repeat(joint[:, None], 2, axis=1),
+                                       np.where(in_a ^ np.array([[False], [True]]), 0.0, -np.inf))
+        out[js] = shares[:, 0] - shares[:, 1]
+    return out
 
 
 def posterior_log_odds(entailed, contrast, evidence, model: GaussianClassModel) -> float:
@@ -368,7 +443,8 @@ def posterior_log_odds(entailed, contrast, evidence, model: GaussianClassModel) 
     checks the mixture bookkeeping. Infinite, and raises, where woe is.
     """
     a, b, terms = _pair_terms(entailed, contrast, evidence, model)
-    return _defined(_posterior_log_odds(a, b, terms, model.priors))
+    return _defined(float(_posterior_log_odds([(a, b)], _bayes_joints(terms)[None],
+                                              model.priors)[0]))
 
 
 def bayes_decomposition(
@@ -382,9 +458,9 @@ def bayes_decomposition(
     and an evidence beyond every density of A u B raises as in woe.
     """
     a, b, terms = _pair_terms(entailed, contrast, evidence, model)
-    total = _defined(_chain_scores(a, b, [terms.shape[1]], terms, np.log(model.priors))[0])
+    total = _defined(_total_woe(a, b, terms.sum(axis=1), np.log(model.priors)))
     return (_prior_log_odds(a, b, model.priors), total,
-            _posterior_log_odds(a, b, terms, model.priors))
+            float(_posterior_log_odds([(a, b)], _bayes_joints(terms)[None], model.priors)[0]))
 
 
 def information_value(feature: int, class_a: int, class_b: int,

@@ -10,8 +10,9 @@ step's contrast set, so the steps read as a nested sequence of
 It runs in three phases that share one per-input state:
 
 1. The input's per-class log density terms along the full order are
-   computed once (log_density_terms; in full mode they are read from
-   the input's root state, the model itself). Their row sums are the
+   computed once, through the density route with no public re-check
+   (in full mode they are read from the input's root state, the model
+   itself, which phase 3 then carries on from). Their row sums are the
    per-class joints J from which the predicted class, every step's
    contrast search and every step's Bayes decomposition are read.
 2. The contrast chain runs to the end: each step's split needs only J.
@@ -32,7 +33,8 @@ It runs in three phases that share one per-input state:
    one plus the picked group, is that state conditioned on the group,
    not a new factorization. The memo holds only the root and the states
    the next round extends. Fixed and random orderings then score every step's
-   chain from one stacked density call over their distinct orders.
+   chain from one stacked density call over their distinct orders, off
+   the same root, and one stacked mixture reduction per side size.
 
 Every score keeps the arithmetic of a lone call, so a report does not
 depend on how its steps were stacked.
@@ -60,7 +62,7 @@ from .core import (
     _checked_count,
     _checked_observed,
     _checked_pair,
-    _observed_terms,
+    _bayes_joints,
     _posterior_log_odds,
     _prior_log_odds,
     _stacked_woe,
@@ -73,7 +75,15 @@ from .errors import (
     MissingEvidenceError,
     NothingToExplainError,
 )
-from .gaussian import _UNDEFINED, GaussianClassModel, _checked_evidence, _defined, _posterior
+from .gaussian import (
+    _UNDEFINED,
+    GaussianClassModel,
+    _checked_evidence,
+    _defined,
+    _densities,
+    _posterior,
+    _prefix_states,
+)
 from .types import AttributePartition, Evidence, HypothesisSet
 
 REPORT_FORMAT_VERSION = 2
@@ -278,18 +288,18 @@ def _attribute_search(params: ExplainerParams, observed: list[int]):
     return groups, order, scores
 
 
-def _lockstep(searches: list, splits: list, e: Evidence, model: GaussianClassModel) -> list:
+def _lockstep(searches: list, splits: list, e: Evidence, model: GaussianClassModel,
+              memo: dict) -> list:
     """Run every split's search to its end, all advancing together.
 
     Each round gathers the (prefix, targets) request of every live search
-    and scores them all in one _stacked_woe call. The memo of carried
-    prefix states lives for this call: each round leaves in it the root
-    and the states of its own prefixes, which the next round's prefixes
+    and scores them all in one _stacked_woe call. memo holds the carried
+    prefix states (_stacked_woe): each round leaves in it the root and
+    the states of its own prefixes, which the next round's prefixes
     extend.
     """
     results: list = [None] * len(searches)
     live: dict[int, tuple] = {}
-    memo: dict = {}
 
     def advance(s: int, sent) -> None:
         try:
@@ -331,18 +341,20 @@ def _check_attribute_source(params: ExplainerParams, e: Evidence,
 
 
 def _score_splits(splits: list, e: Evidence, model: GaussianClassModel,
-                  params: ExplainerParams) -> list:
+                  params: ExplainerParams, memo: dict) -> list:
     """Attribute scores of every (a, b) split, given as label lists.
 
     Every split's search runs in lockstep (see _lockstep), then the
     fixed or random chains of all splits are scored together; an
     undefined chain term raises DegenerateDensityError, as in woe_chain.
+    memo holds e's prefix states, its root included or not yet built.
     """
     observed = list(e.observed_indices)
-    found = _lockstep([_attribute_search(params, observed) for _ in splits], splits, e, model)
+    found = _lockstep([_attribute_search(params, observed) for _ in splits], splits, e, model,
+                      memo)
     chained = [k for k, (_, _, scores) in enumerate(found) if scores is None]
     chains = _chains([(*splits[k], [found[k][0][g] for g in found[k][1]]) for k in chained],
-                     e, model)
+                     e, model, memo)
     for k, scores in zip(chained, chains):
         found[k] = (*found[k][:2], _defined(scores))
     conditional = params.scoring_mode != MARGINAL
@@ -368,7 +380,7 @@ def score_attributes(entailed, contrast, evidence, model: GaussianClassModel,
     a, b = _checked_pair(entailed, contrast, model)
     e = _checked_evidence(evidence, model)
     _check_attribute_source(params, e, model)
-    return _score_splits([(list(a), list(b))], e, model, params)[0]
+    return _score_splits([(list(a), list(b))], e, model, params, {})[0]
 
 
 def filter_display(step: ExplanationStep, threshold: float) -> ExplanationStep:
@@ -418,24 +430,28 @@ def explain(evidence, model: GaussianClassModel, params: ExplainerParams) -> Exp
         raise NothingToExplainError("model has a single class, nothing to contrast")
     _check_attribute_source(params, e, model)
 
-    # phase 1: one factorization of the full order
-    terms = _observed_terms(e, model)
-    c_star = int(np.argmax(_posterior(model.priors, terms)))
-    joint, log_prior = terms.sum(axis=1), np.log(model.priors)
+    # phase 1: one factorization of the full order, read from the root every later phase reads
+    x = e.values[None]
+    memo = _prefix_states((), x, model, {})
+    _, terms, _ = _densities([tuple(e.observed_indices)], 0, x, model, memo)
+    joint, log_prior = terms[:, 0].sum(axis=1), np.log(model.priors)
+    c_star = int(np.argmax(_posterior(model.priors, joint)))
 
     # phase 2: the contrast chain and each split's Bayes decomposition
-    splits: list[tuple[HypothesisSet, HypothesisSet, float, float]] = []
+    splits: list[tuple[HypothesisSet, HypothesisSet, float]] = []
     remaining = HypothesisSet(tuple(range(model.n_classes)))
     while len(remaining) > 1:
         entailed = _best_contrast(remaining, c_star, joint, log_prior, params.contrast)
         contrast = remaining.difference(entailed)
-        a, b = list(entailed), list(contrast)
-        splits.append((entailed, contrast, _prior_log_odds(a, b, model.priors),
-                       _posterior_log_odds(a, b, terms, model.priors)))
+        splits.append((entailed, contrast,
+                       _prior_log_odds(list(entailed), list(contrast), model.priors)))
         remaining = entailed
+    sides = [(list(u), list(c)) for u, c, _ in splits]
+    posterior_lo = _posterior_log_odds(sides, np.tile(_bayes_joints(terms[:, 0]), (len(sides), 1)),
+                                       model.priors).tolist()
 
     # phase 3: every split's attributes at once
-    attributes = _score_splits([(list(u), list(c)) for u, c, _, _ in splits], e, model, params)
+    attributes = _score_splits(sides, e, model, params, memo)
     steps = tuple(
         filter_display(ExplanationStep(
             entailed=entailed,
@@ -445,7 +461,8 @@ def explain(evidence, model: GaussianClassModel, params: ExplainerParams) -> Exp
             scoring_mode=params.scoring_mode,
             attributes=attrs,
         ), params.display_threshold)
-        for (entailed, contrast, prior_lo, post_lo), attrs in zip(splits, attributes)
+        for (entailed, contrast, prior_lo), post_lo, attrs in zip(splits, posterior_lo,
+                                                                  attributes)
     )
     return ExplanationReport(
         predicted_class=c_star,

@@ -14,8 +14,11 @@ residual of the other coordinates given the prefix. A target block of a
 state is factored (Cholesky, _block_terms) for its terms; from the root
 that is the covariance permuted into the order. Conditioning a state
 further extends it, so a prefix that grows group by group is never
-refactored. The public primitive log_density_terms is the one-order
-case of the same route. Composite hypotheses Y in C are prior-weighted
+refactored. The route takes a stack of input rows, and a state holds
+one column per row: any order is read at any row in one call, and a
+single input is the one-row case. The public primitive
+log_density_terms is the one-order, one-row case of the same route.
+Composite hypotheses Y in C are prior-weighted
 mixtures combined by mixture_log_ratio, which makes chained conditional
 scores telescope exactly.
 
@@ -173,9 +176,11 @@ class _Stack(NamedTuple):
     """Prefixes conditioned on, in full mode, stacked: what the next prefixes extend.
 
     Column d of the (K, D) base holds each class's log P(c) plus the log
-    density of prefix d; aug[:, d] holds each class's covariance and
-    residual x - mu conditioned on that prefix, as _condition keeps
-    them, with the prefix's own rows and columns spent.
+    density of one input row's prefix; aug[:, d] holds each class's
+    covariance and residual x - mu conditioned on that prefix, as
+    _condition keeps them, with the prefix's own rows and columns spent.
+    A prefix's state (stack, d) holds it for every row of the input
+    stack x, row r in column d + r.
     """
 
     base: np.ndarray
@@ -183,32 +188,33 @@ class _Stack(NamedTuple):
 
 
 def _root(x: np.ndarray, model: GaussianClassModel) -> _Stack:
-    """The empty prefix as a one-column _Stack: the model itself.
+    """The empty prefix of every row of x, an (R, n) stack, as an R-column _Stack: the model itself.
 
-    The residual holds x - mu over all n features. A feature no order
-    reads, whatever its value, stays in its own residual entries: no
-    update of another entry reads them.
+    Column r holds the model's covariances and the residual x_r - mu over
+    all n features. A feature no order reads, whatever its value, stays
+    in its own residual entries: no update of another entry reads them.
     """
-    n = model.n_features
-    aug = np.zeros((model.n_classes, 1, n + 1, n + 1))
-    aug[:, 0, :n, :n] = model.covariances
-    aug[:, 0, n, :n] = aug[:, 0, :n, n] = x - model.means
-    return _Stack(np.log(model.priors)[:, None], aug)
+    k, n = model.n_classes, model.n_features
+    aug = np.zeros((k, len(x), n + 1, n + 1))
+    aug[:, :, :n, :n] = model.covariances[:, None]
+    aug[:, :, n, :n] = aug[:, :, :n, n] = x - model.means[:, None]
+    return _Stack(np.repeat(np.log(model.priors)[:, None], len(x), axis=1), aug)
 
 
 def _prefix_states(prefixes, x: np.ndarray, model: GaussianClassModel,
                    memo: dict) -> dict:
     """The (stack, column) of the empty prefix and of every distinct prefix, in full mode.
 
-    None in diagonal mode. memo maps prefixes to their (stack, column);
-    the empty prefix is memo's root, or a new one (_root). A nonempty
-    prefix extends the longest memo entry that begins it, or the root,
-    by conditioning on its remaining coordinates in order (_condition);
-    prefixes that add as many coordinates to one stack are conditioned
-    in one call, and every nonempty prefix ends up in one new stack.
-    Conditioning updates each entry from its own value and the pivot's
-    alone, so a prefix carried group by group equals one conditioned in
-    one call, bit for bit.
+    None in diagonal mode. x is the (R, n) input stack, and a state holds
+    its prefix for each of the R rows (_Stack). memo maps prefixes to
+    their states; the empty prefix is memo's root, or a new one (_root).
+    A nonempty prefix extends the longest memo entry that begins it, or
+    the root, by conditioning on its remaining coordinates in order
+    (_condition); prefixes that add as many coordinates to one stack are
+    conditioned in one call, and every nonempty prefix ends up in one new
+    stack. Conditioning updates each entry from its own value and the
+    pivot's alone, so a prefix carried group by group equals one
+    conditioned in one call, bit for bit.
     """
     if model.mode != FULL:
         return {}
@@ -224,11 +230,12 @@ def _prefix_states(prefixes, x: np.ndarray, model: GaussianClassModel,
     if not grown:
         return {(): root}
     parts = []
+    n_rows = len(x)
     for (j, _), (stack, entries) in grown.items():
-        rows = [d for _, d in entries]
-        aug = stack.aug[:, rows]
-        base = _condition(aug, stack.base[:, rows],
-                          np.array([prefix[len(prefix) - j:] for prefix, _ in entries]))
+        cols = [d + r for _, d in entries for r in range(n_rows)]
+        aug = stack.aug[:, cols]
+        pivots = np.array([prefix[len(prefix) - j:] for prefix, _ in entries])
+        base = _condition(aug, stack.base[:, cols], np.repeat(pivots, n_rows, axis=0))
         parts.append((base, aug, [prefix for prefix, _ in entries]))
     if len(parts) == 1:
         (base, aug, order), = parts
@@ -237,20 +244,22 @@ def _prefix_states(prefixes, x: np.ndarray, model: GaussianClassModel,
                             np.concatenate([part[1] for part in parts], axis=1),
                             [prefix for part in parts for prefix in part[2]])
     stack = _Stack(base, aug)
-    return {(): root, **{prefix: (stack, d) for d, prefix in enumerate(order)}}
+    return {(): root, **{prefix: (stack, n_rows * d) for d, prefix in enumerate(order)}}
 
 
-def _carried(orders: list, p: int, states: dict,
+def _carried(orders: list, rows: np.ndarray, p: int, states: dict,
              model: GaussianClassModel) -> tuple[np.ndarray, np.ndarray]:
     """base (K, D) and target terms (K, D, t) of D prefix-then-target orders, prefixes p long.
 
-    Every prefix has a state, and all are in one stack. Each target's
-    block of its prefix's conditioned covariance and its residuals are
-    gathered, in chunks of at most BATCH_ELEMENTS entries, and factored
-    (_block_terms) one matrix at a time, so chunks never move a score.
+    Order d is read at input row rows[d], from column rows[d] of its
+    prefix's state. Every prefix has a state, and all are in one stack.
+    Each target's block of its prefix's conditioned covariance and its
+    residuals are gathered, in chunks of at most BATCH_ELEMENTS entries,
+    and factored (_block_terms) one matrix at a time, so chunks never
+    move a score.
     """
     stack = states[orders[0][:p]][0]
-    cols = np.array([states[order[:p]][1] for order in orders], dtype=np.intp)
+    cols = np.array([states[order[:p]][1] for order in orders], dtype=np.intp) + rows
     t = len(orders[0]) - p
     if not t:
         return stack.base[:, cols], np.zeros((model.n_classes, len(orders), 0))
@@ -266,29 +275,37 @@ def _carried(orders: list, p: int, states: dict,
 
 
 def _densities(orders: list, p: int, x: np.ndarray, model: GaussianClassModel,
-               states: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-class log densities of the distinct orders among prefix-then-target orders of one shape.
+               states: dict, rows=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-class log densities of the distinct reads among prefix-then-target orders of one shape.
 
-    The orders are tuples of checked features of x, an n-vector, and
-    share one length and prefix length p. Returns, over the D distinct
-    orders, first seen first, the (K, D) base with base[c, d] =
-    log P(c) + log P(x_prefix | c), the (K, D, t) target terms, whose
-    entry [c, d, i] is log P(x of target feature i | x_prefix and the
-    target features before i, c), and each order's column. In full mode
-    every order is read from its prefix's state in states, the empty
-    prefix's root included (_carried); in diagonal mode each term is
+    x is an (R, n) stack of inputs and orders[i] a tuple of checked
+    features read at row rows[i] of x; rows None reads every order at
+    row 0, the one-input case. The orders share one length and prefix
+    length p. Returns, over the D distinct (order, row) reads, first seen
+    first, the (K, D) base with base[c, d] = log P(c) + log P(x_prefix | c),
+    the (K, D, t) target terms, whose entry [c, d, i] is
+    log P(x of target feature i | x_prefix and the target features
+    before i, c), and each order's column. In full mode every read is
+    from its prefix's state in states, the empty prefix's root included
+    (_carried); in diagonal mode each term is
     -(log 2 pi + log var + dev^2 / var)/2 of its own feature.
     """
     slot: dict = {}
-    rows = np.array([slot.setdefault(order, len(slot)) for order in orders], dtype=np.intp)
+    keys = orders if rows is None else zip(orders, rows)
+    where = np.array([slot.setdefault(key, len(slot)) for key in keys], dtype=np.intp)
+    if rows is None:
+        distinct, at = list(slot), np.zeros(len(slot), dtype=np.intp)
+    else:
+        distinct = [order for order, _ in slot]
+        at = np.array([row for _, row in slot], dtype=np.intp)
     if model.mode == FULL:
-        return (*_carried(list(slot), p, states, model), rows)
-    idx = np.array(list(slot), dtype=np.intp)
-    dev = x[idx] - model.means[:, idx]
+        return (*_carried(distinct, at, p, states, model), where)
+    idx = np.array(distinct, dtype=np.intp)
+    dev = x[at[:, None], idx] - model.means[:, idx]
     var = model.covariances[:, idx]
     with np.errstate(over="ignore"):
         terms = -0.5 * (LOG_2PI + np.log(var) + dev * dev / var)
-    return np.log(model.priors)[:, None] + terms[:, :, :p].sum(axis=2), terms[:, :, p:], rows
+    return np.log(model.priors)[:, None] + terms[:, :, :p].sum(axis=2), terms[:, :, p:], where
 
 
 def _scattered(order: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -429,7 +446,7 @@ class GaussianClassModel:
         v = np.asarray(values, dtype=float).reshape(-1)
         if v.shape != idx.shape:
             raise InvalidDataError(f"{v.size} values for {idx.size} ordered indices")
-        x = _scattered(idx, v, self.n_features)
+        x = _scattered(idx, v, self.n_features)[None]
         _, terms, _ = _densities([tuple(idx.tolist())], 0, x, self,
                                  _prefix_states((), x, self, {}))
         return terms[:, 0]
@@ -552,7 +569,7 @@ def set_conditional_log_likelihood(
     if x_p.size != len(p_idx):
         raise InvalidDataError(f"{x_p.size} prefix values for {len(p_idx)} prefix indices")
     (order,) = _index_rows([p_idx + t_idx], model.n_features, "order")
-    x = _scattered(order, np.concatenate([x_p, x_t]), model.n_features)
+    x = _scattered(order, np.concatenate([x_p, x_t]), model.n_features)[None]
     order = tuple(order.tolist())
     p = len(p_idx)
     base, terms, _ = _densities([order], p, x, model, _prefix_states([order[:p]], x, model, {}))
@@ -573,17 +590,18 @@ def posterior(model: GaussianClassModel, evidence: "Evidence | Sequence[float]")
     if not e.fully_observed:
         missing = int(np.flatnonzero(~e.observed_mask)[0])
         raise MissingEvidenceError(f"posterior needs all features, feature {missing} unobserved")
-    return _posterior(model.priors, model.log_density_terms(range(model.n_features), e.values))
+    terms = model.log_density_terms(range(model.n_features), e.values)
+    return _posterior(model.priors, terms.sum(axis=1))
 
 
-def _posterior(priors: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """P(Y = c | x) from the (K, n) full-order log_density_terms of x.
+def _posterior(priors: np.ndarray, joint: np.ndarray) -> np.ndarray:
+    """P(Y = c | x) from every class's joint log density of x.
 
     Raises DegenerateDensityError when no class gives x a finite joint
     log density (the squared standardized distance overflows), since no
     class is then favored.
     """
-    scores = np.log(priors) + terms.sum(axis=1)
+    scores = np.log(priors) + joint
     top = scores.max()
     if not top > -np.inf:
         raise DegenerateDensityError(

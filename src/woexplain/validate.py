@@ -5,6 +5,13 @@ log-odds decomposition, additivity of chained scores, ordering
 invariance of the chain sum, and agreement of the contrast search with
 a brute-force enumeration. Deviations are reported with the offending
 row so a failure is actionable.
+
+Trials run stacked, in chunks: the sampled rows of a chunk are the
+columns of one root state (gaussian._root), so one density call reads
+every row's full-order terms and another every trial's two chain
+orders, and the Bayes, total and chain mixtures of all the chunk's
+trials are reduced together. Every number keeps the bits of the public
+one-call routes.
 """
 
 from __future__ import annotations
@@ -14,17 +21,31 @@ from itertools import combinations
 
 import numpy as np
 
+from . import gaussian
 from .contrast import ContrastParams, _best_contrast, _penalty
 from .core import (
+    _bayes_joints,
     _chain_scores,
-    _chains,
     _checked_count,
-    _observed_terms,
+    _group_deltas,
     _posterior_log_odds,
     _prior_log_odds,
 )
-from .errors import InvalidDataError, InvalidParameterError, NothingToExplainError
-from .gaussian import GaussianClassModel, _checked_evidence, _posterior, mixture_log_ratio
+from .errors import (
+    DegeneratePriorError,
+    InvalidDataError,
+    InvalidParameterError,
+    NothingToExplainError,
+    NumericalConditioningError,
+)
+from .gaussian import (
+    GaussianClassModel,
+    _checked_evidence,
+    _densities,
+    _posterior,
+    _prefix_states,
+    mixture_log_ratio,
+)
 from .types import HypothesisSet
 
 IDENTITY_TOL = 1e-9
@@ -57,19 +78,116 @@ def _identity_check(name: str, deviations: tuple, rows: list[int]) -> InvariantC
 
 
 def _random_split(rng: np.random.Generator, n_classes: int) -> tuple[list[int], list[int]]:
-    perm = rng.permutation(n_classes)
+    perm = rng.permutation(n_classes).tolist()
     cut = int(rng.integers(1, n_classes))
-    return sorted(int(c) for c in perm[:cut]), sorted(int(c) for c in perm[cut:])
+    return sorted(perm[:cut]), sorted(perm[cut:])
 
 
 def _random_partition(rng: np.random.Generator, n: int) -> list[list[int]]:
-    perm = rng.permutation(n)
+    perm = rng.permutation(n).tolist()
     n_groups = int(rng.integers(1, n + 1))
+    cuts = []
     if n_groups > 1:
-        cuts = np.sort(rng.choice(np.arange(1, n), size=n_groups - 1, replace=False))
-    else:
-        cuts = np.array([], dtype=int)
-    return [sorted(int(f) for f in part) for part in np.split(perm, cuts)]
+        cuts = np.sort(rng.choice(np.arange(1, n), size=n_groups - 1, replace=False)).tolist()
+    bounds = [0, *cuts, n]
+    return [sorted(perm[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _trial_deviations(rng: np.random.Generator, ids: list[int], x: np.ndarray,
+                      model: GaussianClassModel) -> tuple[list, np.ndarray]:
+    """The three identity deviations of each trial on the rows ids, and each trial's joint.
+
+    Draws each trial's split, partition and reordering in turn. The
+    distinct rows are the columns of one root: one density call reads
+    their full-order terms, another every trial's two chain orders. The
+    total woe of a trial is the one-step chain of its row's joint, scored
+    with its two chains by one _chain_scores call. Errors come as a loop
+    over the trials gives them: the joints' first, then each trial's.
+    Returns the deviations and the (len(ids), K) joints.
+    """
+    k, n = model.n_classes, model.n_features
+    column = {i: r for r, i in enumerate(dict.fromkeys(ids))}
+    xs = x[list(column)]
+    states = _prefix_states((), xs, model, {})
+    _, terms, _ = _densities([tuple(range(n))] * len(column), 0, xs, model, states,
+                             range(len(column)))
+    at = [column[i] for i in ids]
+    joints, bayes = terms.sum(axis=2).T[at], _bayes_joints(terms).T[at]
+
+    sides, priors, chains, failed = [], [], [], None
+    for _ in ids:
+        a, b = _random_split(rng, k)
+        try:
+            priors.append(_prior_log_odds(a, b, model.priors))
+        except DegeneratePriorError as exc:
+            # raised once the trials before it are read, as they would raise first
+            failed = exc
+            break
+        part = _random_partition(rng, n)
+        sides.append((a, b))
+        chains += [part, [part[int(j)] for j in rng.permutation(len(part))]]
+    t = len(sides)
+    orders = [tuple(f for g in chain for f in g) for chain in chains]
+    at = [r for r in at[:t] for _ in range(2)]
+    if t:
+        try:
+            _, terms, where = _densities(orders, 0, xs, model, states, at)
+        except NumericalConditioningError:
+            # name the class of the first trial that fails, as its own read does
+            for lo in range(0, len(orders), 2):
+                _densities(orders[lo:lo + 2], 0, xs, model, states, at[lo:lo + 2])
+            raise
+    if failed is not None:
+        raise failed
+
+    lengths = [list(map(len, chain)) for chain in chains]
+    deltas = _group_deltas(terms, where, lengths)
+    steps = np.zeros((3 * t, deltas.shape[1], k))
+    steps[:2 * t] = deltas
+    steps[2 * t:, 0] = joints
+    scores = _chain_scores([side for side in sides for _ in range(2)] + sides, steps,
+                           np.log(model.priors))
+    sums = [sum(row[:len(lens)].tolist()) for row, lens in zip(scores, lengths)]
+    totals = scores[2 * t:, 0].tolist()
+    post = _posterior_log_odds(sides, bayes, model.priors).tolist()
+    return [(abs(post[j] - priors[j] - totals[j]), abs(sums[2 * j] - totals[j]),
+             abs(sums[2 * j] - sums[2 * j + 1])) for j in range(t)], joints
+
+
+def _enumerated(c_stars: list[int], joints: np.ndarray, log_prior: np.ndarray,
+                alpha: float) -> list:
+    """The best entailed set of each row by brute force, independent of the search.
+
+    Every candidate holding a row's c* is scored with score_subset's
+    arithmetic; rows that share c* are scored together, each size's
+    candidates as the rows of one mixture_log_ratio pair. Each row keeps
+    the first best score in (size, lexicographic) order, never a NaN,
+    and None where no score is above -inf.
+    """
+    k = joints.shape[1]
+    best: list = [None] * len(c_stars)
+    sharing: dict[int, list[int]] = {}
+    for r, c in enumerate(c_stars):
+        sharing.setdefault(c, []).append(r)
+    for c_star, rs in sharing.items():
+        joint = joints[rs]
+        others = [c for c in range(k) if c != c_star]
+        candidates, scores = [], []
+        for size in range(1, k):
+            found = sorted(tuple(sorted((c_star, *combo)))
+                           for combo in combinations(others, size - 1))
+            u = np.array(found)
+            rest = np.array([[c for c in range(k) if c not in cand] for cand in found])
+            scores.append(mixture_log_ratio(log_prior[u], joint[:, u])
+                          - mixture_log_ratio(log_prior[rest], joint[:, rest])
+                          - _penalty(size, k, alpha))
+            candidates += found
+        keys = np.concatenate(scores, axis=1)
+        keys[np.isnan(keys)] = -np.inf
+        for r, row in zip(rs, keys):
+            top = int(row.argmax())
+            best[r] = candidates[top] if row[top] > -np.inf else None
+    return best
 
 
 def run_validation(
@@ -80,12 +198,17 @@ def run_validation(
 ) -> list[InvariantCheck]:
     """Run every invariant on `trials` rows sampled (with replacement).
 
-    Each distinct sampled row's full-order log_density_terms are computed
-    once; the Bayes check, the predicted class, the contrast search and
-    the brute-force enumeration all read J from them, with the arithmetic
-    of the public one-call routes. The two chain orderings of a trial
-    are factored together by one stacked call. An identity whose
-    deviation is NaN on some row fails, with that NaN as its worst.
+    The trials run in chunks of at most gaussian.BATCH_ELEMENTS root
+    entries, each chunk's rows stacked as the columns of one root state
+    (_trial_deviations), so no stacked block grows with `trials`. The
+    Bayes check, the predicted class, the contrast search and the
+    brute-force enumeration all read each row's joint J, with the
+    arithmetic of the public one-call routes, and the enumeration scores
+    the rows that share a predicted class together (_enumerated). An
+    identity whose deviation is NaN on some row fails, with that NaN as
+    its worst. Errors come as a loop over the trials gives them: a
+    non-finite sampled row first, then a model that cannot score J, then
+    each trial's in turn.
     """
     x = np.asarray(data, dtype=float)
     if x.ndim != 2 or x.shape[1] != model.n_features:
@@ -105,23 +228,19 @@ def run_validation(
     rng = np.random.default_rng(seed)
     n = model.n_features
     k = model.n_classes
-    priors = model.priors
-    log_prior = np.log(priors)
     row_ids = [int(i) for i in rng.integers(0, x.shape[0], size=trials)]
-    evidence = {i: _checked_evidence(x[i], model) for i in dict.fromkeys(row_ids)}
-    observed = {i: _observed_terms(e, model) for i, e in evidence.items()}
+    sampled = np.unique(row_ids)
+    unseen = set(sampled[~np.isfinite(x[sampled]).all(axis=1)].tolist())
+    if unseen:
+        # the first sampled row with a non-finite value raises Evidence's error for it
+        _checked_evidence(x[next(i for i in row_ids if i in unseen)], model)
 
-    deviations = []
-    for i in row_ids:
-        a, b = _random_split(rng, k)
-        prior = _prior_log_odds(a, b, priors)
-        e, terms = evidence[i], observed[i]
-        total = _chain_scores(a, b, [terms.shape[1]], terms, log_prior)[0]
-        part = _random_partition(rng, n)
-        reordered = [part[int(j)] for j in rng.permutation(len(part))]
-        first, second = map(sum, _chains([(a, b, part), (a, b, reordered)], e, model))
-        deviations.append((abs(_posterior_log_odds(a, b, terms, priors) - prior - total),
-                           abs(first - total), abs(first - second)))
+    step = max(1, gaussian.BATCH_ELEMENTS // (k * (n + 1) ** 2))
+    deviations, joints = [], []
+    for lo in range(0, trials, step):
+        found, joint = _trial_deviations(rng, row_ids[lo:lo + step], x, model)
+        deviations += found
+        joints.append(joint[:max(0, BRUTE_MAX_ROWS - lo)])
 
     checks = [_identity_check(name, devs, row_ids) for name, devs in
               zip(("bayes-identity", "additivity", "ordering-invariance"), zip(*deviations))]
@@ -140,43 +259,24 @@ def run_validation(
         return checks
 
     universe = HypothesisSet(tuple(range(k)))
-    mismatches = 0
-    first_bad = None
+    log_prior = np.log(model.priors)
     brute_rows = row_ids[:BRUTE_MAX_ROWS]
+    joints = np.concatenate(joints)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i in brute_rows:
-            terms = observed[i]
-            joint = terms.sum(axis=1)
-            c_star = int(np.argmax(_posterior(priors, terms)))
-            chosen = _best_contrast(universe, c_star, joint, log_prior, params)
-            # score_subset's arithmetic, each size's candidates as rows of one call pair,
-            # scanned for a strictly better score in the search's tie-break order
-            others = [c for c in range(k) if c != c_star]
-            brute_best, brute_score = None, -np.inf
-            for size in range(1, k):
-                candidates = sorted(
-                    tuple(sorted((c_star, *combo))) for combo in combinations(others, size - 1)
-                )
-                u = np.array(candidates)
-                rest = np.array([[c for c in range(k) if c not in cand] for cand in candidates])
-                scores = (mixture_log_ratio(log_prior[u], joint[u])
-                          - mixture_log_ratio(log_prior[rest], joint[rest])
-                          - _penalty(size, k, params.alpha_reg))
-                for cand, s in zip(candidates, scores.tolist()):
-                    if s > brute_score:
-                        brute_best, brute_score = cand, s
-            if chosen.classes != brute_best:
-                mismatches += 1
-                if first_bad is None:
-                    first_bad = i
+        c_stars, chosen = [], []
+        for joint in joints:
+            c_stars.append(int(np.argmax(_posterior(model.priors, joint))))
+            chosen.append(_best_contrast(universe, c_stars[-1], joint, log_prior, params).classes)
+        brute = _enumerated(c_stars, joints, log_prior, params.alpha_reg)
+    bad = [i for i, got, want in zip(brute_rows, chosen, brute) if got != want]
     checks.append(InvariantCheck(
         name="contrast-equivalence",
-        passed=mismatches == 0,
-        max_deviation=float(mismatches),
+        passed=not bad,
+        max_deviation=float(len(bad)),
         tolerance=0.0,
         detail=(
             f"{len(brute_rows)} rows enumerated"
-            + (f", first mismatch at row {first_bad}" if first_bad is not None else "")
+            + (f", first mismatch at row {bad[0]}" if bad else "")
         ),
     ))
     return checks

@@ -514,9 +514,9 @@ class TestStackedChains:
                             for _ in range(4)]
                 requests.append(requests[0])
                 calls.clear()
-                together = _chains(requests, e, model)
+                together = _chains(requests, e, model, {})
                 assert calls == [(n, 0)]
-                alone = [_chains([request], e, model)[0] for request in requests]
+                alone = [_chains([request], e, model, {})[0] for request in requests]
                 assert repr(together) == repr(alone)
                 assert all(type(s) is float for chain in together for s in chain)
 
@@ -568,7 +568,7 @@ class TestStackedChains:
             def scores():
                 return (woe_conditional_many(a, b, targets, prefix, x, model).tobytes(),
                         woe_conditional_many(a, b, targets, (), x, model).tobytes(),
-                        repr(_chains(requests, e, model)))
+                        repr(_chains(requests, e, model, {})))
 
             whole = scores()
             # one order per chunk, then three full-length orders (or more shorter ones)

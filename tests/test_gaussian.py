@@ -42,7 +42,7 @@ from woexplain.errors import (
     NumericalConditioningError,
     UnknownLabelError,
 )
-from woexplain.gaussian import mixture_log_ratio
+from woexplain.gaussian import _densities, _prefix_states, mixture_log_ratio
 
 from oracles import (
     conditional_logpdf as oracle_conditional_logpdf,
@@ -122,6 +122,49 @@ class TestLogDensityTerms:
                     score(0, (2,), [bad])
                 with pytest.raises(InvalidDataError, match=message):
                     score(0, (1,), [0.5], (3, 2), [0.1, bad])
+
+
+class TestRootColumns:
+    """One root state holds a column per input row, and every read from it is a lone read."""
+
+    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    def test_rows_read_together_equal_each_alone(self, mode):
+        rng = np.random.default_rng(69)
+        for k, n in ((2, 1), (6, 9), (13, 16)):
+            model = random_model(rng, k, n, mode=mode)
+            x = rng.normal(0.0, 2.5, size=(5, n))
+            x[3] *= 3e3 / 2.5
+            rows = [int(r) for r in rng.integers(0, 5, size=12)]
+            for m in sorted({1, n // 2 or 1, n}):
+                orders = [tuple(int(i) for i in rng.permutation(n)[:m]) for _ in rows]
+                orders[5] = orders[2]
+                states = _prefix_states((), x, model, {})
+                _, terms, where = _densities(orders, 0, x, model, states, rows)
+                assert len(set(where.tolist())) == len(set(zip(orders, rows)))
+                for order, r, col in zip(orders, rows, where):
+                    alone = model.log_density_terms(order, x[r, list(order)])
+                    assert terms[:, col].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    def test_prefixes_of_many_rows_equal_each_alone(self, mode):
+        """A prefix conditioned for every row at once gives each row's lone read."""
+        rng = np.random.default_rng(70)
+        k, n = 5, 8
+        model = random_model(rng, k, n, mode=mode)
+        x = rng.normal(0.0, 2.5, size=(4, n))
+        prefixes = [tuple(int(i) for i in rng.permutation(n)[:3]) for _ in range(3)]
+        orders = [prefix + tuple(i for i in range(n) if i not in prefix)[:2]
+                  for prefix in prefixes for _ in range(4)]
+        rows = [r for _ in prefixes for r in range(4)]
+        # the first prefix carried from a shorter state, the others from the root
+        memo = _prefix_states([prefixes[0][:1]], x, model, {})
+        states = _prefix_states(prefixes, x, model, memo)
+        base, terms, where = _densities(orders, 3, x, model, states, rows)
+        for order, r, col in zip(orders, rows, where):
+            one = x[r][None]
+            alone = _densities([order], 3, one, model, _prefix_states([order[:3]], one, model, {}))
+            assert base[:, col].tobytes() == alone[0][:, 0].tobytes()
+            assert terms[:, col].tobytes() == alone[1][:, 0].tobytes()
 
 
 class TestClassConditionalLogDensity:

@@ -15,12 +15,24 @@ from woexplain import (
     score_subset,
     woe_chain,
 )
-from woexplain import gaussian, validate as validate_module
+from woexplain import gaussian, prior_log_odds, validate as validate_module
 from woexplain.contrast import ContrastParams
-from woexplain.errors import InvalidDataError, InvalidParameterError, NothingToExplainError
+from woexplain.core import _chains
+from woexplain.errors import (
+    InvalidDataError,
+    InvalidParameterError,
+    NothingToExplainError,
+    WoeError,
+)
 from woexplain.gaussian import GaussianClassModel
-from woexplain.types import HypothesisSet
-from woexplain.validate import BRUTE_MAX_ROWS, _random_partition, _random_split
+from woexplain.types import Evidence, HypothesisSet
+from woexplain.validate import (
+    BRUTE_MAX_ROWS,
+    IDENTITY_TOL,
+    InvariantCheck,
+    _random_partition,
+    _random_split,
+)
 
 from oracles import random_model
 
@@ -100,6 +112,20 @@ class TestRunValidation:
             with pytest.raises(InvalidParameterError, match="seed"):
                 run_validation(model, data, trials=10, seed=seed)
 
+    def test_first_non_finite_sampled_row_raises(self):
+        """Evidence's error, for the first sampled row that has one; unsampled rows are not read."""
+        model, data = fitted_case()
+        data = data.copy()
+        data[::7, 2] = np.nan
+        data[::5, 1] = np.inf
+        for seed in range(6):
+            row_ids = np.random.default_rng(seed).integers(0, data.shape[0], size=30)
+            bad = [int(i) for i in row_ids if not np.isfinite(data[i]).all()]
+            feature = int(np.flatnonzero(~np.isfinite(data[bad[0]]))[0])
+            with pytest.raises(InvalidDataError,
+                               match=f"^non-finite value at observed feature {feature}$"):
+                run_validation(model, data, trials=30, seed=seed)
+
     def test_single_class_model_has_nothing_to_explain(self):
         lonely = GaussianClassModel(
             means=np.zeros((1, 2)),
@@ -117,7 +143,7 @@ class TestRunValidation:
 
 
 def replayed_checks(model, data, trials, seed):
-    """run_validation's numbers, rebuilt through the public one-call routes.
+    """run_validation's checks, rebuilt through the public one-call routes, a trial at a time.
 
     Replays the sampling draws in run_validation's order: the row ids,
     then per trial the split, the partition and the reordering.
@@ -141,8 +167,15 @@ def replayed_checks(model, data, trials, seed):
         second = sum(woe_chain(a, b, reordered, data[i], model))
         note("add", abs(first - total), i)
         note("ord", abs(first - second), i)
+    checks = [InvariantCheck(name, dev < IDENTITY_TOL, dev, IDENTITY_TOL, f"worst at row {row}")
+              for name, (dev, row) in zip(("bayes-identity", "additivity", "ordering-invariance"),
+                                          worst.values())]
 
     params = ContrastParams()
+    if k > params.max_exhaustive_classes:
+        return checks + [InvariantCheck(
+            "contrast-equivalence", True, 0.0, 0.0,
+            f"skipped: {k} classes exceed the exhaustive cap {params.max_exhaustive_classes}")]
     universe = HypothesisSet(tuple(range(k)))
     mismatches, first_bad = 0, None
     for i in row_ids[:BRUTE_MAX_ROWS]:
@@ -159,7 +192,34 @@ def replayed_checks(model, data, trials, seed):
         if chosen.classes != best:
             mismatches += 1
             first_bad = i if first_bad is None else first_bad
-    return worst, mismatches, first_bad
+    brute = min(trials, BRUTE_MAX_ROWS)
+    return checks + [InvariantCheck(
+        "contrast-equivalence", mismatches == 0, float(mismatches), 0.0,
+        f"{brute} rows enumerated"
+        + (f", first mismatch at row {first_bad}" if first_bad is not None else ""))]
+
+
+def replayed_error(model, data, trials, seed):
+    """The first error of run_validation's reads made one trial at a time, or None.
+
+    Every sampled row's joint first, then per trial its prior odds and
+    its two chains, read together, in run_validation's sampling order.
+    """
+    rng = np.random.default_rng(seed)
+    k, n = model.n_classes, model.n_features
+    row_ids = [int(i) for i in rng.integers(0, data.shape[0], size=trials)]
+    try:
+        for i in dict.fromkeys(row_ids):
+            model.log_density_terms(range(n), data[i])
+        for i in row_ids:
+            a, b = _random_split(rng, k)
+            prior_log_odds(a, b, model)
+            part = _random_partition(rng, n)
+            reordered = [part[int(j)] for j in rng.permutation(len(part))]
+            _chains([(a, b, part), (a, b, reordered)], Evidence(data[i]), model, {})
+    except WoeError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
 
 
 class CountingBackend:
@@ -191,22 +251,56 @@ class TestSharedFactorization:
         model = random_model(rng, 9, 16, mode)
         data = rng.normal(0.0, 2.5, size=(40, 16))
         trials, seed = 12, 7
-        checks = run_validation(model, data, trials=trials, seed=seed)
-        worst, mismatches, first_bad = replayed_checks(model, data, trials, seed)
-        for check, name in zip(checks, ("bayes", "add", "ord")):
-            dev, row = worst[name]
-            assert check.max_deviation == dev
-            assert check.detail == f"worst at row {row}"
-        assert checks[3].max_deviation == float(mismatches)
-        assert checks[3].detail == f"{trials} rows enumerated" + (
-            f", first mismatch at row {first_bad}" if first_bad is not None else "")
+        assert run_validation(model, data, trials=trials, seed=seed) == replayed_checks(
+            model, data, trials, seed)
 
-    def test_at_most_three_density_calls_per_trial(self, monkeypatch):
-        """One primitive call per distinct row and at most three factoring calls per trial."""
+    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    @pytest.mark.parametrize("k", [6, 13])
+    def test_chunked_trials_equal_the_one_call_routes(self, monkeypatch, mode, k):
+        """More trials than rows, one row at 3e3 scale, and chunks of three trials, bit for bit."""
+        rng = np.random.default_rng(24 + k + (mode == "full"))
+        n = 9
+        model = random_model(rng, k, n, mode)
+        data = rng.normal(0.0, 2.5, size=(6, n))
+        data[4] *= 3e3 / 2.5
+        trials, seed = 40, 8
+        whole = run_validation(model, data, trials=trials, seed=seed)
+        monkeypatch.setattr(gaussian, "BATCH_ELEMENTS", 3 * k * (n + 1) ** 2)
+        assert run_validation(model, data, trials=trials, seed=seed) == whole
+        assert whole == replayed_checks(model, data, trials, seed)
+
+    def test_stacked_blocks_stay_within_batch_elements(self, monkeypatch):
+        """Every root and every factored block of a run fits BATCH_ELEMENTS, whatever the trials."""
+        rng = np.random.default_rng(25)
+        k, n = 5, 6
+        model = random_model(rng, k, n)
+        data = rng.normal(size=(50, n))
+        batch = 4 * k * (n + 1) ** 2 + 7
+        whole = run_validation(model, data, trials=60, seed=2)
+        root, block_terms = gaussian._root, gaussian._block_terms
+        sizes = {"root": [], "block": []}
+
+        def roots(x, m):
+            stack = root(x, m)
+            sizes["root"].append(stack.aug.size)
+            return stack
+
+        def blocks(covs, dev):
+            sizes["block"].append(covs.size)
+            return block_terms(covs, dev)
+
+        monkeypatch.setattr(gaussian, "BATCH_ELEMENTS", batch)
+        monkeypatch.setattr(gaussian, "_root", roots)
+        monkeypatch.setattr(gaussian, "_block_terms", blocks)
+        assert run_validation(model, data, trials=60, seed=2) == whole
+        assert len(sizes["root"]) == 15
+        assert max(sizes["root"] + sizes["block"]) <= batch
+
+    def test_density_calls_do_not_grow_with_trials(self, monkeypatch):
+        """No primitive call, and as many factoring calls at 300 trials as at 30."""
         rng = np.random.default_rng(23)
         model = random_model(rng, 8, 5)
         data = rng.normal(size=(500, 5))
-        trials = 30
         counting = CountingBackend(model)
         block_terms = gaussian._block_terms
         factorings = []
@@ -216,10 +310,41 @@ class TestSharedFactorization:
             return block_terms(covs, dev)
 
         monkeypatch.setattr(gaussian, "_block_terms", counted)
-        checks = run_validation(counting, data, trials=trials, seed=4)
-        # each brute-force row scores 2^7 - 1 candidates, none by its own call
-        assert counting.calls <= trials and len(factorings) <= 3 * trials
-        assert checks == run_validation(model, data, trials=trials, seed=4)
+        calls = []
+        for trials in (30, 300):
+            factorings.clear()
+            checks = run_validation(counting, data, trials=trials, seed=4)
+            calls.append(len(factorings))
+            # each brute-force row scores 2^7 - 1 candidates, none by its own call
+            assert counting.calls == 0
+            assert checks == run_validation(model, data, trials=trials, seed=4)
+        assert calls[0] == calls[1]
+
+    @pytest.mark.parametrize("priors", [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.5, 0.0)])
+    def test_errors_come_in_trial_order(self, priors):
+        """A stacked chunk raises what the first failing trial raises, with its class.
+
+        Each of classes 0 and 1 has a covariance that factors in feature
+        order but not with one pair of features swapped, so a trial fails
+        only where its chain orders swap that pair; a zero prior makes
+        some splits raise DegeneratePriorError.
+        """
+        near = np.array([[1.0, 2.0], [2.0, 4.0 + 1e-15]])
+        covs = np.array([np.eye(3)] * 3)
+        covs[0][:2, :2] = near
+        covs[1][1:, 1:] = near
+        model = GaussianClassModel(means=np.zeros((3, 3)), covariances=covs,
+                                   priors=np.array(priors), mode="full", feature_names="abc")
+        data = np.random.default_rng(26).normal(size=(8, 3))
+        raised = set()
+        for seed in range(30):
+            with np.errstate(divide="ignore"):
+                expected = replayed_error(model, data, 12, seed)
+                with pytest.raises(WoeError) as got:
+                    run_validation(model, data, trials=12, seed=seed)
+            assert f"{type(got.value).__name__}: {got.value}" == expected
+            raised.add(expected)
+        assert len(raised) == (3 if priors[2] == 0.0 else 2)
 
     def test_enumeration_is_independent_of_the_search(self, monkeypatch):
         search = validate_module._best_contrast

@@ -17,7 +17,8 @@ mean, and runs:
 - woe_chain and set_conditional_log_likelihood;
 - explain over {partition, discovery} x {conditional_chain, marginal}
   x {greedy, fixed, random}, as report JSON;
-- run_validation.
+- run_validation: 4 trials over 6 rows, and 300 trials over 40 rows,
+  so that rows repeat.
 
 An outcome is the exact repr of what a call returns, or the type and
 message of what it raises, plus the warnings it emits. The sweep prints
@@ -133,6 +134,9 @@ def _cases(seed: int) -> list:
                            wx.report_to_dict(wx.explain(x, model, params))))
     data = np.array([row() for _ in range(6)])
     record("run_validation", lambda: repr(wx.run_validation(model, data, trials=4, seed=seed)))
+    rows = np.array([row() for _ in range(40)])
+    record("run_validation/repeated",
+           lambda: repr(wx.run_validation(model, rows, trials=300, seed=seed)))
     return out
 
 
