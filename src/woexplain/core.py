@@ -212,20 +212,24 @@ def _group_deltas(terms: np.ndarray, cols: np.ndarray, lengths: list) -> np.ndar
     return deltas
 
 
-def _chains(requests, e: Evidence, model: GaussianClassModel, memo: dict) -> list[list[float]]:
+def _chains(requests, x: np.ndarray, model: GaussianClassModel, memo: dict,
+            rows=None) -> list[list[float]]:
     """The chain scores of every (a, b, groups) request, groups already checked.
 
-    Every request's groups partition the observed coordinates, so the
-    concatenated orders share one length and are read together, as
-    empty-prefix orders of e's root (memo's, or a new one), by one
+    x is an (R, n) stack of inputs, and request i is read at row rows[i]
+    of it; rows None reads every request at row 0, the one-input case,
+    whose callers pass e.values[None]. The groups of every request
+    partition the features observed at its row, so the concatenated
+    orders share one length and are read together, as empty-prefix
+    orders of the root in memo (built and kept there if absent), by one
     density call (_densities); all chains are then scored together
-    (_chain_scores).
+    (_chain_scores). The kernel of woe_chain, explain's fixed and random
+    chains, and validate's trials.
     """
     if not requests:
         return []
-    x = e.values[None]
     orders = [tuple(i for g in groups for i in g) for _, _, groups in requests]
-    _, terms, where = _densities(orders, 0, x, model, _prefix_states((), x, model, memo))
+    _, terms, where = _densities(orders, 0, x, model, memo, rows)
     lengths = [list(map(len, groups)) for _, _, groups in requests]
     scores = _chain_scores([(a, b) for a, b, _ in requests], _group_deltas(terms, where, lengths),
                            np.log(model.priors))
@@ -386,7 +390,8 @@ def woe_chain(
     """
     a, b = _checked_pair(entailed, contrast, model)
     e = _checked_evidence(evidence, model)
-    return _defined(_chains([(list(a), list(b), _checked_ordering(ordering, e))], e, model, {})[0])
+    return _defined(_chains([(list(a), list(b), _checked_ordering(ordering, e))], e.values[None],
+                            model, {})[0])
 
 
 def _prior_log_odds(a: list[int], b: list[int], priors: np.ndarray) -> float:

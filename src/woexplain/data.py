@@ -306,12 +306,17 @@ def _format_value(v: float) -> str:
 
 
 def write_csv(dataset: Dataset, path: "str | Path") -> None:
-    """Write a Dataset back to CSV, restoring the label column position."""
+    """Write a Dataset back to CSV, restoring the label column position.
+
+    The labels get a column only where they have a name to head it: at
+    label_index, or last where that is None. Labels without a
+    label_name are not written, so every record has a cell per header
+    name and the file reads back.
+    """
     header = list(dataset.header)
-    label_idx = dataset.label_index
+    label_idx = None
     if dataset.labels is not None and dataset.label_name is not None:
-        if label_idx is None:
-            label_idx = len(header)
+        label_idx = len(header) if dataset.label_index is None else dataset.label_index
         header.insert(label_idx, dataset.label_name)
     # invert the mapping so categorical labels round-trip as text
     inverse = None
@@ -322,7 +327,7 @@ def write_csv(dataset: Dataset, path: "str | Path") -> None:
         writer.writerow(header)
         for i in range(dataset.n_rows):
             record = [_format_value(v) for v in dataset.rows[i]]
-            if dataset.labels is not None and label_idx is not None:
+            if label_idx is not None:
                 label = int(dataset.labels[i])
                 cell = inverse[label] if inverse is not None else str(label)
                 record.insert(label_idx, cell)

@@ -82,7 +82,6 @@ from .gaussian import (
     _defined,
     _densities,
     _posterior,
-    _prefix_states,
 )
 from .types import AttributePartition, Evidence, HypothesisSet
 
@@ -354,7 +353,7 @@ def _score_splits(splits: list, e: Evidence, model: GaussianClassModel,
                       memo)
     chained = [k for k, (_, _, scores) in enumerate(found) if scores is None]
     chains = _chains([(*splits[k], [found[k][0][g] for g in found[k][1]]) for k in chained],
-                     e, model, memo)
+                     e.values[None], model, memo)
     for k, scores in zip(chained, chains):
         found[k] = (*found[k][:2], _defined(scores))
     conditional = params.scoring_mode != MARGINAL
@@ -431,9 +430,8 @@ def explain(evidence, model: GaussianClassModel, params: ExplainerParams) -> Exp
     _check_attribute_source(params, e, model)
 
     # phase 1: one factorization of the full order, read from the root every later phase reads
-    x = e.values[None]
-    memo = _prefix_states((), x, model, {})
-    _, terms, _ = _densities([tuple(e.observed_indices)], 0, x, model, memo)
+    memo: dict = {}
+    _, terms, _ = _densities([tuple(e.observed_indices)], 0, e.values[None], model, memo)
     joint, log_prior = terms[:, 0].sum(axis=1), np.log(model.priors)
     c_star = int(np.argmax(_posterior(model.priors, joint)))
 

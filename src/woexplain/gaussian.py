@@ -89,18 +89,22 @@ def _index_rows(rows, n: int, what: str) -> np.ndarray:
 
 
 def _factor(covs: np.ndarray, error: type) -> np.ndarray:
-    """np.linalg.cholesky of a class-major stack of covariances.
+    """np.linalg.cholesky of a class-major stack of covariances, (K, n, n) or (K, D, m, m).
 
-    A failure raises error naming the first class whose own matrices do
-    not factor; a batch fails exactly where one of its matrices does, so
+    A failure raises error naming a class whose own matrix does not
+    factor: of D stacked orders, the first failing order's first failing
+    class (order axis outer, class axis inner), so what a read raises
+    does not depend on what is stacked beside it; a (K, n, n) stack is
+    one order. A batch fails exactly where one of its matrices does, so
     the search, which runs on this path only, always finds one.
     """
     try:
         return np.linalg.cholesky(covs)
     except np.linalg.LinAlgError as exc:
-        for c, cov in enumerate(covs):
+        stack = covs.reshape(len(covs), -1, *covs.shape[-2:])
+        for d, c in np.ndindex(stack.shape[1::-1]):
             try:
-                np.linalg.cholesky(cov)
+                np.linalg.cholesky(stack[c, d])
             except np.linalg.LinAlgError:
                 raise error(f"the covariance of class {c} is not positive definite") from exc
 
@@ -112,7 +116,8 @@ def _block_terms(covs: np.ndarray, dev: np.ndarray) -> np.ndarray:
     term is -(log 2 pi + 2 log L_ii + z_i^2)/2. Each matrix is factored
     and solved on its own, so a block's terms do not depend on what is
     stacked with it. A covariance that fails to factor raises
-    NumericalConditioningError naming the first such class.
+    NumericalConditioningError naming the first failing order's first
+    failing class (_factor).
     """
     chol = _factor(covs, NumericalConditioningError)
     # batched over classes; scipy's solve_triangular takes one matrix at scipy 1.10
@@ -205,9 +210,12 @@ def _prefix_states(prefixes, x: np.ndarray, model: GaussianClassModel,
                    memo: dict) -> dict:
     """The (stack, column) of the empty prefix and of every distinct prefix, in full mode.
 
-    None in diagonal mode. x is the (R, n) input stack, and a state holds
-    its prefix for each of the R rows (_Stack). memo maps prefixes to
-    their states; the empty prefix is memo's root, or a new one (_root).
+    Empty in diagonal mode. x is the (R, n) input stack, and a state
+    holds its prefix for each of the R rows (_Stack). memo maps prefixes
+    to their states; the empty prefix is memo's root, or a new one
+    (_root). Only reads with a nonempty prefix need this: explain's
+    rounds (core._stacked_woe) and set_conditional_log_likelihood. A read
+    of empty-prefix orders alone builds its root in _densities.
     A nonempty prefix extends the longest memo entry that begins it, or
     the root, by conditioning on its remaining coordinates in order
     (_condition); prefixes that add as many coordinates to one stack are
@@ -286,8 +294,9 @@ def _densities(orders: list, p: int, x: np.ndarray, model: GaussianClassModel,
     the (K, D, t) target terms, whose entry [c, d, i] is
     log P(x of target feature i | x_prefix and the target features
     before i, c), and each order's column. In full mode every read is
-    from its prefix's state in states, the empty prefix's root included
-    (_carried); in diagonal mode each term is
+    from its prefix's state in states (_carried); the empty prefix's
+    root is built where it is first read, from x (_root), and kept in
+    states for the reads after. In diagonal mode each term is
     -(log 2 pi + log var + dev^2 / var)/2 of its own feature.
     """
     slot: dict = {}
@@ -299,6 +308,8 @@ def _densities(orders: list, p: int, x: np.ndarray, model: GaussianClassModel,
         distinct = [order for order, _ in slot]
         at = np.array([row for _, row in slot], dtype=np.intp)
     if model.mode == FULL:
+        if () not in states:
+            states[()] = (_root(x, model), 0)
         return (*_carried(distinct, at, p, states, model), where)
     idx = np.array(distinct, dtype=np.intp)
     dev = x[at[:, None], idx] - model.means[:, idx]
@@ -447,8 +458,7 @@ class GaussianClassModel:
         if v.shape != idx.shape:
             raise InvalidDataError(f"{v.size} values for {idx.size} ordered indices")
         x = _scattered(idx, v, self.n_features)[None]
-        _, terms, _ = _densities([tuple(idx.tolist())], 0, x, self,
-                                 _prefix_states((), x, self, {}))
+        _, terms, _ = _densities([tuple(idx.tolist())], 0, x, self, {})
         return terms[:, 0]
 
     def class_conditional_log_density(

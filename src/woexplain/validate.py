@@ -8,10 +8,13 @@ row so a failure is actionable.
 
 Trials run stacked, in chunks: the sampled rows of a chunk are the
 columns of one root state (gaussian._root), so one density call reads
-every row's full-order terms and another every trial's two chain
-orders, and the Bayes, total and chain mixtures of all the chunk's
-trials are reduced together. Every number keeps the bits of the public
-one-call routes.
+every row's full-order terms, and the chain kernel behind woe_chain
+(core._chains) reads and scores every trial's two chains at their
+rows. The Bayes, total and chain mixtures of all the chunk's trials are
+reduced together. Every number keeps the bits of the public one-call
+routes, and every error is the one a trial-by-trial loop raises first:
+a failed factor names the first failing order's class, whatever is
+stacked beside it.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from .contrast import ContrastParams, _best_contrast, _penalty
 from .core import (
     _bayes_joints,
     _chain_scores,
+    _chains,
     _checked_count,
-    _group_deltas,
     _posterior_log_odds,
     _prior_log_odds,
 )
@@ -36,14 +39,12 @@ from .errors import (
     InvalidDataError,
     InvalidParameterError,
     NothingToExplainError,
-    NumericalConditioningError,
 )
 from .gaussian import (
     GaussianClassModel,
     _checked_evidence,
     _densities,
     _posterior,
-    _prefix_states,
     mixture_log_ratio,
 )
 from .types import HypothesisSet
@@ -99,22 +100,23 @@ def _trial_deviations(rng: np.random.Generator, ids: list[int], x: np.ndarray,
 
     Draws each trial's split, partition and reordering in turn. The
     distinct rows are the columns of one root: one density call reads
-    their full-order terms, another every trial's two chain orders. The
-    total woe of a trial is the one-step chain of its row's joint, scored
-    with its two chains by one _chain_scores call. Errors come as a loop
-    over the trials gives them: the joints' first, then each trial's.
-    Returns the deviations and the (len(ids), K) joints.
+    their full-order terms, and one _chains call every trial's two
+    chains, each at its row. The total woe of a trial is the one-step
+    chain of its row's joint, all trials' scored by one _chain_scores
+    call, as _total_woe scores one. Errors come as a loop over the
+    trials gives them: the joints' first, then each trial's. Returns the
+    deviations and the (len(ids), K) joints.
     """
     k, n = model.n_classes, model.n_features
     column = {i: r for r, i in enumerate(dict.fromkeys(ids))}
     xs = x[list(column)]
-    states = _prefix_states((), xs, model, {})
+    states: dict = {}
     _, terms, _ = _densities([tuple(range(n))] * len(column), 0, xs, model, states,
                              range(len(column)))
     at = [column[i] for i in ids]
     joints, bayes = terms.sum(axis=2).T[at], _bayes_joints(terms).T[at]
 
-    sides, priors, chains, failed = [], [], [], None
+    sides, priors, requests, failed = [], [], [], None
     for _ in ids:
         a, b = _random_split(rng, k)
         try:
@@ -125,33 +127,16 @@ def _trial_deviations(rng: np.random.Generator, ids: list[int], x: np.ndarray,
             break
         part = _random_partition(rng, n)
         sides.append((a, b))
-        chains += [part, [part[int(j)] for j in rng.permutation(len(part))]]
-    t = len(sides)
-    orders = [tuple(f for g in chain for f in g) for chain in chains]
-    at = [r for r in at[:t] for _ in range(2)]
-    if t:
-        try:
-            _, terms, where = _densities(orders, 0, xs, model, states, at)
-        except NumericalConditioningError:
-            # name the class of the first trial that fails, as its own read does
-            for lo in range(0, len(orders), 2):
-                _densities(orders[lo:lo + 2], 0, xs, model, states, at[lo:lo + 2])
-            raise
+        requests += [(a, b, part), (a, b, [part[int(j)] for j in rng.permutation(len(part))])]
+    sums = [sum(chain) for chain in _chains(requests, xs, model, states,
+                                              [r for r in at[:len(sides)] for _ in range(2)])]
     if failed is not None:
         raise failed
 
-    lengths = [list(map(len, chain)) for chain in chains]
-    deltas = _group_deltas(terms, where, lengths)
-    steps = np.zeros((3 * t, deltas.shape[1], k))
-    steps[:2 * t] = deltas
-    steps[2 * t:, 0] = joints
-    scores = _chain_scores([side for side in sides for _ in range(2)] + sides, steps,
-                           np.log(model.priors))
-    sums = [sum(row[:len(lens)].tolist()) for row, lens in zip(scores, lengths)]
-    totals = scores[2 * t:, 0].tolist()
+    totals = _chain_scores(sides, joints[:, None], np.log(model.priors))[:, 0].tolist()
     post = _posterior_log_odds(sides, bayes, model.priors).tolist()
     return [(abs(post[j] - priors[j] - totals[j]), abs(sums[2 * j] - totals[j]),
-             abs(sums[2 * j] - sums[2 * j + 1])) for j in range(t)], joints
+             abs(sums[2 * j] - sums[2 * j + 1])) for j in range(len(sides))], joints
 
 
 def _enumerated(c_stars: list[int], joints: np.ndarray, log_prior: np.ndarray,

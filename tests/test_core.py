@@ -497,7 +497,7 @@ class TestStackedChains:
     """Chains are factored together and scored group-parallel, bit for bit as one at a time."""
 
     def test_orders_in_one_call_equal_each_alone(self, monkeypatch):
-        rng = np.random.default_rng(70)
+        rng, stack_rng = np.random.default_rng(70), np.random.default_rng(73)
         density = core._densities
         calls = []
 
@@ -514,11 +514,21 @@ class TestStackedChains:
                             for _ in range(4)]
                 requests.append(requests[0])
                 calls.clear()
-                together = _chains(requests, e, model, {})
+                together = _chains(requests, e.values[None], model, {})
                 assert calls == [(n, 0)]
-                alone = [_chains([request], e, model, {})[0] for request in requests]
+                alone = [_chains([request], e.values[None], model, {})[0] for request in requests]
                 assert repr(together) == repr(alone)
                 assert all(type(s) is float for chain in together for s in chain)
+                # at rows of one stack, the repeated request at another row than its first
+                xs = stack_rng.normal(0.0, 3.0, size=(3, n))
+                rows = [0, 2, 1, 2, 1]
+                # hypotheses hold their classes sorted, and mixtures sum in that order
+                requests = [(sorted(a), sorted(b), groups) for a, b, groups in requests]
+                calls.clear()
+                stacked = _chains(requests, xs, model, {}, rows)
+                assert calls == [(n, 0)]
+                assert repr(stacked) == repr([woe_chain(a, b, groups, xs[r], model)
+                                              for (a, b, groups), r in zip(requests, rows)])
 
     def test_woe_chain_equals_a_running_base_loop(self):
         rng = np.random.default_rng(71)
@@ -557,7 +567,6 @@ class TestStackedChains:
         for k, n in ((3, 9), (5, 12), (12, 20)):
             model = random_model(rng, k, n, mode)
             x = rng.normal(0.0, 3.0, size=n)
-            e = Evidence(x)
             a, b = random_sets(rng, k)
             perm = [int(i) for i in rng.permutation(n)]
             prefix, free = tuple(perm[:n // 2]), perm[n // 2:]
@@ -568,7 +577,7 @@ class TestStackedChains:
             def scores():
                 return (woe_conditional_many(a, b, targets, prefix, x, model).tobytes(),
                         woe_conditional_many(a, b, targets, (), x, model).tobytes(),
-                        repr(_chains(requests, e, model, {})))
+                        repr(_chains(requests, x[None], model, {})))
 
             whole = scores()
             # one order per chunk, then three full-length orders (or more shorter ones)

@@ -505,6 +505,16 @@ class TestWriteCsv:
         write_csv(ds, out)
         assert out.read_text(encoding="utf-8").splitlines()[0] == "a,b,y"
 
+    def test_labels_without_a_name_are_not_written(self, tmp_path):
+        """A label column needs a name in the header, so nameless labels stay out of every record."""
+        ds = Dataset(header=("a", "b"), rows=[[1, 2], [3, 4]], labels=[0, 1], label_index=0)
+        out = tmp_path / "out.csv"
+        write_csv(ds, out)
+        again = load_csv(out)
+        assert again.header == ds.header
+        np.testing.assert_array_equal(again.rows, ds.rows)
+        assert out.read_text(encoding="utf-8").splitlines() == ["a,b", "1.0,2.0", "3.0,4.0"]
+
     def test_dataset_validation(self):
         with pytest.raises(InvalidDataError):
             Dataset(header=("a",), rows=np.zeros((2, 2)))

@@ -22,10 +22,11 @@ from woexplain.errors import (
     InvalidDataError,
     InvalidParameterError,
     NothingToExplainError,
+    NumericalConditioningError,
     WoeError,
 )
 from woexplain.gaussian import GaussianClassModel
-from woexplain.types import Evidence, HypothesisSet
+from woexplain.types import HypothesisSet
 from woexplain.validate import (
     BRUTE_MAX_ROWS,
     IDENTITY_TOL,
@@ -216,7 +217,7 @@ def replayed_error(model, data, trials, seed):
             prior_log_odds(a, b, model)
             part = _random_partition(rng, n)
             reordered = [part[int(j)] for j in rng.permutation(len(part))]
-            _chains([(a, b, part), (a, b, reordered)], Evidence(data[i]), model, {})
+            _chains([(a, b, part), (a, b, reordered)], data[i][None], model, {})
     except WoeError as exc:
         return f"{type(exc).__name__}: {exc}"
     return None
@@ -321,13 +322,15 @@ class TestSharedFactorization:
         assert calls[0] == calls[1]
 
     @pytest.mark.parametrize("priors", [(1 / 3, 1 / 3, 1 / 3), (0.5, 0.5, 0.0)])
-    def test_errors_come_in_trial_order(self, priors):
+    def test_errors_come_in_trial_order(self, monkeypatch, priors):
         """A stacked chunk raises what the first failing trial raises, with its class.
 
         Each of classes 0 and 1 has a covariance that factors in feature
         order but not with one pair of features swapped, so a trial fails
         only where its chain orders swap that pair; a zero prior makes
-        some splits raise DegeneratePriorError.
+        some splits raise DegeneratePriorError. A failed factor names the
+        first failing order's class, so one order per factoring call
+        names the same class as the default stacking.
         """
         near = np.array([[1.0, 2.0], [2.0, 4.0 + 1e-15]])
         covs = np.array([np.eye(3)] * 3)
@@ -337,14 +340,24 @@ class TestSharedFactorization:
                                    priors=np.array(priors), mode="full", feature_names="abc")
         data = np.random.default_rng(26).normal(size=(8, 3))
         raised = set()
-        for seed in range(30):
+        for seed in range(40):
             with np.errstate(divide="ignore"):
                 expected = replayed_error(model, data, 12, seed)
-                with pytest.raises(WoeError) as got:
-                    run_validation(model, data, trials=12, seed=seed)
-            assert f"{type(got.value).__name__}: {got.value}" == expected
+                for batch in (gaussian.BATCH_ELEMENTS, 1):
+                    with monkeypatch.context() as patched:
+                        patched.setattr(gaussian, "BATCH_ELEMENTS", batch)
+                        with pytest.raises(WoeError) as got:
+                            run_validation(model, data, trials=12, seed=seed)
+                    assert f"{type(got.value).__name__}: {got.value}" == expected
             raised.add(expected)
         assert len(raised) == (3 if priors[2] == 0.0 else 2)
+        # order (0, 2, 1) fails under class 1 only, and (1, 0, 2) under class 0 only
+        message = "^the covariance of class 1 is not positive definite$"
+        chains = [([0], [1], [(0,), (2,), (1,)]), ([0], [1], [(1,), (0,), (2,)])]
+        for requests in (chains, chains[:1]):
+            with np.errstate(divide="ignore"), pytest.raises(NumericalConditioningError,
+                                                             match=message):
+                _chains(requests, data[:1], model, {})
 
     def test_enumeration_is_independent_of_the_search(self, monkeypatch):
         search = validate_module._best_contrast
