@@ -25,7 +25,14 @@ import sys
 import numpy as np
 
 from .contrast import ContrastParams
-from .data import _parse_records, _read_records, load_csv, load_partition, query_oracle
+from .data import (
+    Dataset,
+    _parse_records,
+    _read_records,
+    load_csv,
+    load_partition,
+    query_oracle,
+)
 from .errors import (
     ConfigError,
     CsvParseError,
@@ -105,12 +112,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_rows(path: str, feature_names: tuple[str, ...],
+               label_column: str | None = None) -> Dataset:
+    """The rows of a CSV file as the model's features, for explain and validate alike.
+
+    Columns are matched to the features by header name when the header
+    holds every one of them (other columns, such as a label or an id, are
+    ignored); otherwise they are read by position, label_column
+    excluded. The file is read once: its header picks the columns its
+    body is parsed for.
+    """
+    header, body = _read_records(path)
+    by_name = tuple(header) != feature_names and set(feature_names) <= set(header)
+    return _parse_records(header, body, label_column, feature_names if by_name else None)
+
+
 def _parse_input_row(spec: str, feature_names: tuple[str, ...]) -> np.ndarray:
     """Resolve a row spec: @file.csv:ROWINDEX or an inline vector.
 
-    File rows are matched to the model by header name when the file
-    carries all of the model's features (extra columns, such as a label,
-    are ignored); otherwise the row is taken positionally.
+    A file row is read as validate reads its rows (_read_rows).
     """
     n_features = len(feature_names)
     if spec.startswith("@"):
@@ -121,10 +141,7 @@ def _parse_input_row(spec: str, feature_names: tuple[str, ...]) -> np.ndarray:
             row = int(index_text)
         except ValueError:
             raise ConfigError(f"row index {index_text!r} is not an integer") from None
-        # the file is read once: its header picks the columns its body is parsed for
-        header, body = _read_records(path)
-        by_name = tuple(header) != feature_names and set(feature_names) <= set(header)
-        dataset = _parse_records(header, body, columns=feature_names if by_name else None)
+        dataset = _read_rows(path, feature_names)
         if not 0 <= row < dataset.n_rows:
             raise ConfigError(f"row {row} outside 0..{dataset.n_rows - 1} in {path}")
         values = dataset.rows[row]
@@ -219,7 +236,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    dataset = load_csv(args.data, label_column=args.labels)
+    dataset = _read_rows(args.data, model.feature_names, args.labels)
     checks = run_validation(model, dataset.rows, trials=args.trials, seed=args.seed)
     failed = False
     for check in checks:

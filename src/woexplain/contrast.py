@@ -54,14 +54,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import _checked_count, _observed_terms, first_max, woe
+from .core import _checked_count, first_max, woe
 from .errors import (
     DegenerateDensityError,
     EmptyContrastError,
     InvalidHypothesisError,
     InvalidParameterError,
 )
-from .gaussian import GaussianClassModel, _checked_evidence, mixture_log_ratio
+from .gaussian import GaussianClassModel, _checked_evidence, _order_terms, mixture_log_ratio
 from .types import HypothesisSet, as_hypothesis
 
 
@@ -198,7 +198,7 @@ def best_contrast(full_set, c_star: int, evidence, model: GaussianClassModel,
     if len(v) < 2:
         raise EmptyContrastError("need at least two classes to form a contrast")
     e = _checked_evidence(evidence, model)
-    joint = _observed_terms(e, model).sum(axis=1)
+    joint = _order_terms(e.observed_indices, e.values[None], model, {})[:, 0].sum(axis=1)
     return _best_contrast(v, c, joint, np.log(model.priors), params)
 
 

@@ -21,7 +21,10 @@ densities read from gaussian's one route per covariance mode
 (_densities). Diagonal terms are computed directly. In full mode a
 scoring round's prefix-then-target orders are read from the stack
 states of their prefixes, and a chain's full order from the root
-state, the model itself. This module checks the inputs and reduces the
+state, the model itself. The joints J behind woe, posterior_log_odds
+and bayes_decomposition come from gaussian's one reader of J
+(_order_terms); this module has none of its own. It checks the inputs,
+an ordering's indices by the rule every route shares, and reduces the
 mixtures: the chains of a call, and the Bayes splits, are stacked and
 reduced by one mixture_log_ratio call per side size, each row with the
 bits of a lone one.
@@ -30,8 +33,7 @@ bits of a lone one.
 from __future__ import annotations
 
 import math
-import operator
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Sequence
 
 import numpy as np
@@ -50,6 +52,7 @@ from .gaussian import (
     _defined,
     _densities,
     _index_rows,
+    _order_terms,
     _prefix_states,
     mixture_log_ratio,
 )
@@ -236,22 +239,18 @@ def _chains(requests, x: np.ndarray, model: GaussianClassModel, memo: dict,
     return [row[:len(lens)].tolist() for row, lens in zip(scores, lengths)]
 
 
-def _observed_terms(e: Evidence, model: GaussianClassModel) -> np.ndarray:
-    """Every class's log_density_terms along the observed coordinates, in order.
-
-    Row c sums to J_c, the joint log density of the observed evidence
-    under class c, from which woe, posterior log-odds and the contrast
-    objective are all read.
-    """
-    idx = list(e.observed_indices)
-    return model.log_density_terms(idx, e.values[idx])
-
-
 def _pair_terms(entailed, contrast, evidence,
                 model: GaussianClassModel) -> tuple[list[int], list[int], np.ndarray]:
-    """The checked labels of A and B and _observed_terms of the checked evidence."""
+    """The checked labels of A and B, and every class's terms of the checked evidence.
+
+    The (K, m) terms run along the observed coordinates, in order, read
+    by gaussian's one reader of J (_order_terms): row c sums to J_c, the
+    joint log density of the observed evidence under class c, from which
+    woe and posterior log-odds are read.
+    """
     a, b = map(list, _checked_pair(entailed, contrast, model))
-    return a, b, _observed_terms(_checked_evidence(evidence, model), model)
+    e = _checked_evidence(evidence, model)
+    return a, b, _order_terms(e.observed_indices, e.values[None], model, {})[:, 0]
 
 
 def woe(entailed, contrast, evidence, model: GaussianClassModel) -> float:
@@ -352,25 +351,31 @@ def _stacked_woe(requests, e: Evidence, model: GaussianClassModel,
 
 
 def _checked_ordering(ordering: Sequence[Sequence[int]], e: Evidence) -> list[tuple[int, ...]]:
-    """The groups of an ordering that partitions the observed coordinates of e."""
+    """The groups of an ordering that partitions the observed coordinates of e.
+
+    The concatenated groups are one order, checked by the rule every
+    route shares: one _index_rows row (integers, in range, no index
+    twice) whose features are all observed (_checked_observed). Only an
+    empty group and an order that leaves an observed coordinate out are
+    this function's own errors. The groups returned are rebuilt from the
+    checked order.
+    """
     try:
-        groups = [tuple(operator.index(i) for i in g) for g in ordering]
+        groups = [tuple(g) for g in ordering]
     except TypeError as exc:
         raise InvalidPartitionError("ordering indices must be integers") from exc
-    flat: list[int] = []
     for k, g in enumerate(groups):
         if not g:
             raise InvalidPartitionError(f"ordering group {k} is empty")
-        flat.extend(g)
-    if len(set(flat)) != len(flat):
-        dup = next(i for i in flat if flat.count(i) > 1)
-        raise InvalidPartitionError(f"feature {dup} appears twice in the ordering")
-    if set(flat) != set(e.observed_indices):
+    (flat,) = _index_rows([[i for g in groups for i in g]], e.n_features, "ordering")
+    _checked_observed(flat, e, "ordering")
+    if len(flat) != len(e.observed_indices):
         raise InvalidPartitionError(
             "ordering must partition the observed coordinates "
-            f"{list(e.observed_indices)}, got {sorted(flat)}"
+            f"{list(e.observed_indices)}, got {sorted(flat.tolist())}"
         )
-    return groups
+    features = iter(flat.tolist())
+    return [tuple(islice(features, len(g))) for g in groups]
 
 
 def woe_chain(

@@ -418,7 +418,7 @@ def load_partition(
         if not isinstance(entry, dict):
             raise ConfigError(f"group {k} must be an object with a features list")
         gname = entry.get("name")
-        label = repr(gname) if gname is not None else f"group {k}"
+        label = repr(gname) if gname is not None else str(k)
         feats = entry.get("features")
         if not isinstance(feats, list) or not feats:
             raise ConfigError(f"group {label} is empty or missing its features list")

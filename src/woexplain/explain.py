@@ -10,11 +10,12 @@ step's contrast set, so the steps read as a nested sequence of
 It runs in three phases that share one per-input state:
 
 1. The input's per-class log density terms along the full order are
-   computed once, through the density route with no public re-check
-   (in full mode they are read from the input's root state, the model
-   itself, which phase 3 then carries on from). Their row sums are the
-   per-class joints J from which the predicted class, every step's
-   contrast search and every step's Bayes decomposition are read.
+   computed once, by gaussian's one reader of J (_order_terms), with no
+   public re-check (in full mode they are read from the input's root
+   state, the model itself, which phase 3 then carries on from). Their
+   row sums are the per-class joints J from which the predicted class,
+   every step's contrast search and every step's Bayes decomposition
+   are read.
 2. The contrast chain runs to the end: each step's split needs only J.
 3. Attributes are scored for all splits at once. Each step's attribute
    search (greedy group discovery, then greedy max-|woe| ordering or
@@ -80,7 +81,7 @@ from .gaussian import (
     GaussianClassModel,
     _checked_evidence,
     _defined,
-    _densities,
+    _order_terms,
     _posterior,
 )
 from .types import AttributePartition, Evidence, HypothesisSet
@@ -431,8 +432,8 @@ def explain(evidence, model: GaussianClassModel, params: ExplainerParams) -> Exp
 
     # phase 1: one factorization of the full order, read from the root every later phase reads
     memo: dict = {}
-    _, terms, _ = _densities([tuple(e.observed_indices)], 0, e.values[None], model, memo)
-    joint, log_prior = terms[:, 0].sum(axis=1), np.log(model.priors)
+    terms = _order_terms(e.observed_indices, e.values[None], model, memo)[:, 0]
+    joint, log_prior = terms.sum(axis=1), np.log(model.priors)
     c_star = int(np.argmax(_posterior(model.priors, joint)))
 
     # phase 2: the contrast chain and each split's Bayes decomposition
@@ -445,7 +446,7 @@ def explain(evidence, model: GaussianClassModel, params: ExplainerParams) -> Exp
                        _prior_log_odds(list(entailed), list(contrast), model.priors)))
         remaining = entailed
     sides = [(list(u), list(c)) for u, c, _ in splits]
-    posterior_lo = _posterior_log_odds(sides, np.tile(_bayes_joints(terms[:, 0]), (len(sides), 1)),
+    posterior_lo = _posterior_log_odds(sides, np.tile(_bayes_joints(terms), (len(sides), 1)),
                                        model.priors).tolist()
 
     # phase 3: every split's attributes at once

@@ -16,9 +16,12 @@ that is the covariance permuted into the order. Conditioning a state
 further extends it, so a prefix that grows group by group is never
 refactored. The route takes a stack of input rows, and a state holds
 one column per row: any order is read at any row in one call, and a
-single input is the one-row case. The public primitive
-log_density_terms is the one-order, one-row case of the same route.
-Composite hypotheses Y in C are prior-weighted
+single input is the one-row case. An input's terms along a full order,
+whose sums are the per-class joints J, have one reader (_order_terms):
+the order at each row of a stack, from the root, with no public
+re-check. explain, validate, the one-call routes of core, best_contrast,
+posterior and the public primitive log_density_terms, after its own
+checks, all read J there. Composite hypotheses Y in C are prior-weighted
 mixtures combined by mixture_log_ratio, which makes chained conditional
 scores telescope exactly.
 
@@ -319,6 +322,21 @@ def _densities(orders: list, p: int, x: np.ndarray, model: GaussianClassModel,
     return np.log(model.priors)[:, None] + terms[:, :, :p].sum(axis=2), terms[:, :, p:], where
 
 
+def _order_terms(order: tuple, x: np.ndarray, model: GaussianClassModel,
+                 states: dict) -> np.ndarray:
+    """Every class's log density terms along one checked order at each row of x: J's one reader.
+
+    x is an (R, n) stack of inputs. Entry [c, r, i] of the (K, R, m)
+    result is log P(x_r of feature order[i] | x_r of the features before
+    it, c), so row [c, r] sums to J_c of input r over the order's
+    features. The order is read at every row from the root in states
+    (_densities), with no check: the caller has checked the order and
+    the values it reads, and a feature outside the order is never read,
+    whatever its value.
+    """
+    return _densities([order] * len(x), 0, x, model, states, range(len(x)))[1]
+
+
 def _scattered(order: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
     """The values of a checked order at their features of an n-vector, checked as Evidence.
 
@@ -437,9 +455,9 @@ class GaussianClassModel:
         Returns a (K, m) array whose entry [c, i] is log P(X_{o_i} = v_i
         | X_{o_1..o_{i-1}} = v_1..v_{i-1}, Y = c), so the prefix sums of
         row c are the joint log densities of every prefix of the order.
-        It is the one-order, empty-prefix case of the route every score
-        reads (_densities): the values are placed at their features of
-        an n-vector, and a full covariance is read from that vector's
+        Once checked, the values are placed at their features of an
+        n-vector, which is read through the one reader of J every route
+        uses (_order_terms); a full covariance is read from that vector's
         root state. There the covariance permuted into the order is
         factored as S = L L^T; with z = L^-1 (v - mu) the i-th term is
         -(log 2 pi + 2 log L_ii + z_i^2)/2 (Rasmussen & Williams, GPML,
@@ -458,8 +476,7 @@ class GaussianClassModel:
         if v.shape != idx.shape:
             raise InvalidDataError(f"{v.size} values for {idx.size} ordered indices")
         x = _scattered(idx, v, self.n_features)[None]
-        _, terms, _ = _densities([tuple(idx.tolist())], 0, x, self, {})
-        return terms[:, 0]
+        return _order_terms(tuple(idx.tolist()), x, self, {})[:, 0]
 
     def class_conditional_log_density(
         self,
@@ -600,7 +617,7 @@ def posterior(model: GaussianClassModel, evidence: "Evidence | Sequence[float]")
     if not e.fully_observed:
         missing = int(np.flatnonzero(~e.observed_mask)[0])
         raise MissingEvidenceError(f"posterior needs all features, feature {missing} unobserved")
-    terms = model.log_density_terms(range(model.n_features), e.values)
+    terms = _order_terms(e.observed_indices, e.values[None], model, {})[:, 0]
     return _posterior(model.priors, terms.sum(axis=1))
 
 

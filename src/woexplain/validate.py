@@ -43,7 +43,7 @@ from .errors import (
 from .gaussian import (
     GaussianClassModel,
     _checked_evidence,
-    _densities,
+    _order_terms,
     _posterior,
     mixture_log_ratio,
 )
@@ -111,8 +111,7 @@ def _trial_deviations(rng: np.random.Generator, ids: list[int], x: np.ndarray,
     column = {i: r for r, i in enumerate(dict.fromkeys(ids))}
     xs = x[list(column)]
     states: dict = {}
-    _, terms, _ = _densities([tuple(range(n))] * len(column), 0, xs, model, states,
-                             range(len(column)))
+    terms = _order_terms(tuple(range(n)), xs, model, states)
     at = [column[i] for i in ids]
     joints, bayes = terms.sum(axis=2).T[at], _bayes_joints(terms).T[at]
 

@@ -224,17 +224,17 @@ class TestExplainCommand:
 
     def test_row_spec_errors(self, tmp_path, capsys):
         data, model_path = fit_model(tmp_path)
-        bad_spec = main(["explain", "--model", str(model_path), "--input", "@nocolon",
+        for spec, message in [
+            ("@nocolon", "row spec must look like @file.csv:ROWINDEX"),
+            (f"@{data}:first", "row index 'first' is not an integer"),
+            (f"@{data}:9999", f"row 9999 outside 0..119 in {data}"),
+            ("1.5,abc,2", "could not parse inline vector '1.5,abc,2'"),
+        ]:
+            capsys.readouterr()
+            code = main(["explain", "--model", str(model_path), "--input", spec,
                          "--attr-size", "1", "--out", str(tmp_path / "r.json")])
-        assert bad_spec == 2
-        out_of_range = main(["explain", "--model", str(model_path),
-                             "--input", f"@{data}:9999", "--attr-size", "1",
-                             "--out", str(tmp_path / "r.json")])
-        assert out_of_range == 2
-        not_a_number = main(["explain", "--model", str(model_path), "--input", "1.5,abc,2",
-                             "--attr-size", "1", "--out", str(tmp_path / "r.json")])
-        assert not_a_number == 2
-        capsys.readouterr()
+            assert code == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestValidateCommand:
@@ -270,6 +270,28 @@ class TestValidateCommand:
                      "--labels", "target", "--trials", "5"])
         assert code == 2
         assert "single class" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("columns", [["id", "f0", "f1", "f2", "target"],
+                                         ["f2", "f0", "target", "f1"]])
+    def test_columns_are_matched_by_name(self, tmp_path, capsys, columns):
+        """validate and explain read a file with an extra or reordered column as the canonical one."""
+        data, model_path = fit_model(tmp_path, n_classes=3)
+        header, *records = [line.split(",") for line in data.read_text().splitlines()]
+        cells = [dict(zip(header, record), id=str(r)) for r, record in enumerate(records)]
+        other = tmp_path / "other.csv"
+        other.write_text("\n".join([",".join(columns)] + [
+            ",".join(row[name] for name in columns) for row in cells]) + "\n")
+
+        def printed(path):
+            capsys.readouterr()
+            assert main(["validate", "--model", str(model_path), "--data", str(path),
+                         "--labels", "target", "--trials", "40", "--seed", "3"]) == 0
+            assert main(["explain", "--model", str(model_path), "--input", f"@{path}:17",
+                         "--attr-size", "1", "--out", str(tmp_path / "r.json")]) == 0
+            return capsys.readouterr().out
+
+        assert printed(other) == printed(data)
 
 
 def test_main_leaves_logging_alone(tmp_path, monkeypatch):

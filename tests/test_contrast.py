@@ -25,6 +25,7 @@ from woexplain import (
 )
 from woexplain import contrast
 from woexplain.core import first_max
+from woexplain.gaussian import LOG_2PI
 from woexplain.errors import (
     DegenerateDensityError,
     EmptyContrastError,
@@ -66,24 +67,21 @@ def brute_force_best(model, v, c_star, params, x):
     return min(winners, key=lambda u: (len(u), u))
 
 
-class FlatBackend:
-    """Every class has the same density everywhere, so every split ties.
+def flat_model(n_classes, n_features=2):
+    """A diagonal model whose every class has the same density at x = 0, so every split ties.
 
-    Every log density term is exactly 0.0, which makes all mixture sides
-    equal bit for bit and leaves only the regularizer and the tie-break
-    to decide the winner.
+    Zero means and variances exp(-log 2 pi): since np.log(np.exp(-LOG_2PI))
+    == -LOG_2PI, every log density term at x = 0 is exactly -0.0, which
+    makes all mixture sides equal bit for bit and leaves only the
+    regularizer and the tie-break to decide the winner.
     """
-
-    def __init__(self, n_classes, n_features=2):
-        self.n_classes = n_classes
-        self.n_features = n_features
-        self.priors = np.full(n_classes, 1.0 / n_classes)
-
-    def log_density_terms(self, order, values):
-        return np.zeros((self.n_classes, len(order)))
-
-    def marginal_moments(self, c, feature):
-        return 0.0, 1.0
+    return GaussianClassModel(
+        means=np.zeros((n_classes, n_features)),
+        covariances=np.full((n_classes, n_features), np.exp(-LOG_2PI)),
+        priors=np.full(n_classes, 1.0 / n_classes),
+        mode="diagonal",
+        feature_names=[f"x{i}" for i in range(n_features)],
+    )
 
 
 class TestContrastParams:
@@ -306,7 +304,7 @@ class TestBestContrast:
 
     def test_exact_ties_prefer_small_then_lexicographic(self):
         """On a flat landscape only the tie-break decides."""
-        flat = FlatBackend(4)
+        flat = flat_model(4)
         x = [0.0, 0.0]
         no_penalty = best_contrast(range(4), 2, x, flat, ContrastParams(alpha_reg=0.0))
         assert tuple(no_penalty) == (2,)
@@ -316,7 +314,7 @@ class TestBestContrast:
     def test_exact_ties_at_twelve_classes_in_both_regimes(self):
         """A flat landscape at K = 12: the exhaustive argmax and greedy growth
         both settle ties on the smaller, then lexicographically first, set."""
-        flat = FlatBackend(12)
+        flat = flat_model(12)
         x = [0.0, 0.0]
         for cap in (12, 4):
             def search(alpha, c_star):

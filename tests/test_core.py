@@ -17,11 +17,13 @@ from scipy.integrate import trapezoid
 
 from woexplain import (
     AttributePartition,
+    ContrastParams,
     Evidence,
     GaussianClassModel,
     HypothesisSet,
     as_hypothesis,
     bayes_decomposition,
+    best_contrast,
     information_value,
     posterior_log_odds,
     prior_log_odds,
@@ -485,12 +487,28 @@ class TestWoeChain:
         x = rng.normal(size=3)
         with pytest.raises(InvalidPartitionError, match="empty"):
             woe_chain([0], [1], [(0, 1, 2), ()], x, model)
-        with pytest.raises(InvalidPartitionError, match="twice"):
+        with pytest.raises(InvalidPartitionError,
+                           match=r"^duplicate index in ordering: \[0, 1, 1, 2\]$"):
             woe_chain([0], [1], [(0, 1), (1, 2)], x, model)
-        with pytest.raises(InvalidPartitionError, match="partition"):
+        with pytest.raises(InvalidPartitionError,
+                           match=r"^ordering must partition the observed coordinates "
+                                 r"\[0, 1, 2\], got \[0, 1\]$"):
             woe_chain([0], [1], [(0, 1)], x, model)
-        with pytest.raises(InvalidPartitionError, match="partition"):
+        with pytest.raises(InvalidPartitionError, match=r"^ordering index 3 outside 0\.\.2$"):
             woe_chain([0], [1], [(0, 1, 2), (3,)], x, model)
+        with pytest.raises(InvalidPartitionError, match=r"^ordering index -1 outside 0\.\.2$"):
+            woe_chain([0], [1], [(0, 1, 2), (-1,)], x, model)
+        for ordering in ([(0, 1), (2.0,)], [0, 1, 2], [(0, 1), ((2,),)]):
+            with pytest.raises(InvalidPartitionError,
+                               match=r"^ordering indices must be integers$"):
+                woe_chain([0], [1], ordering, x, model)
+        # an unobserved ordering feature is missing evidence, as on every other route
+        partial = Evidence(x, [True, False, True])
+        with pytest.raises(MissingEvidenceError, match=r"^ordering feature 1 is not observed$"):
+            woe_chain([0], [1], [(0, 1), (2,)], partial, model)
+        assert woe_chain([0], [1], [(2,), (0,)], partial, model) == woe_chain(
+            [0], [1], [(2,), (0,)], Evidence(np.where([True, False, True], x, np.nan),
+                                              [True, False, True]), model)
 
 
 class TestStackedChains:
@@ -663,6 +681,33 @@ class TestBayesDecomposition:
         probs = posterior(model, x)
         ours = posterior_log_odds([0, 3], [1], x, model)
         assert_allclose(ours, np.log(probs[0] + probs[3]) - np.log(probs[1]), rtol=1e-9)
+
+
+class TestPartialEvidence:
+    """The one-call routes read J along the observed coordinates only."""
+
+    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    @pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf])
+    def test_unobserved_slots_never_move_a_bit(self, mode, fill):
+        rng = np.random.default_rng(93)
+        model = random_model(rng, 6, 7, mode)
+        x = rng.normal(0.0, 2.0, size=7)
+        mask = np.array([True, False, True, True, False, True, False])
+        zeros = Evidence(np.where(mask, x, 0.0), mask)
+        filled = Evidence(np.where(mask, x, fill), mask)
+        a, b = [0, 3], [1, 4, 5]
+        routes = {
+            "woe": lambda e: woe(a, b, e, model),
+            "posterior_log_odds": lambda e: posterior_log_odds(a, b, e, model),
+            "bayes_decomposition": lambda e: bayes_decomposition(a, b, e, model),
+            "best_contrast": lambda e: best_contrast(range(6), 2, e, model, ContrastParams()),
+        }
+        for name, route in routes.items():
+            assert repr(route(filled)) == repr(route(zeros)), name
+        # and the zeros read what the observed coordinates alone give
+        observed = list(zeros.observed_indices)
+        assert woe(a, b, zeros, model) == pytest.approx(
+            woe_between(model, a, b, observed, x[observed]), rel=1e-9, abs=1e-9)
 
 
 class TestInputBeyondEveryDensity:

@@ -516,11 +516,14 @@ class TestWriteCsv:
         assert out.read_text(encoding="utf-8").splitlines() == ["a,b", "1.0,2.0", "3.0,4.0"]
 
     def test_dataset_validation(self):
-        with pytest.raises(InvalidDataError):
+        with pytest.raises(InvalidDataError, match=r"^rows must be 2-D, got shape \(2,\)$"):
+            Dataset(header=("a", "b"), rows=np.zeros(2))
+        with pytest.raises(InvalidDataError, match="^1 header names for 2 feature columns$"):
             Dataset(header=("a",), rows=np.zeros((2, 2)))
-        with pytest.raises(InvalidDataError):
+        with pytest.raises(InvalidDataError,
+                           match=r"^labels shape \(1,\) does not match 2 rows$"):
             Dataset(header=("a", "b"), rows=np.zeros((2, 2)), labels=np.array([0]))
-        with pytest.raises(InvalidDataError):
+        with pytest.raises(InvalidDataError, match="^negative label -1$"):
             Dataset(header=("a", "b"), rows=np.zeros((2, 2)), labels=np.array([0, -1]))
 
 
@@ -677,6 +680,24 @@ class TestLoadPartition:
         ]})
         with pytest.raises(ConfigError, match="non-feature"):
             load_partition(boolean, n_features=2)
+        # an unnamed group is named by its position in the file
+        for groups, message in [
+            (["ab"], "group 0 must be an object with a features list"),
+            ([{"features": [0]}, {}], "group 1 is empty or missing its features list"),
+            ([{"features": [True]}], "group 0 has a non-feature entry True"),
+            ([{"features": [0]}, {"features": [1.5]}], "group 1 has a non-feature entry 1.5"),
+            ([{"features": ["c"]}], "group 0 names unknown feature 'c'"),
+            ([{"features": [0, 2]}], "group 0 index 2 outside 0..1"),
+            ([{"features": [0, 1]}, {"features": [1]}],
+             "feature 1 appears in both group 0 and group 1"),
+            ([{"name": "x", "features": [0]}, {"features": [0]}],
+             "feature 0 appears in both group 'x' and group 1"),
+            ([{"features": [1, 1]}], "group 0 lists feature 1 twice"),
+        ]:
+            path = self.write_partition(tmp_path, {"groups": groups})
+            with pytest.raises(ConfigError) as caught:
+                load_partition(path, feature_names=["a", "b"])
+            assert str(caught.value) == message
 
     def test_file_level_errors(self, tmp_path):
         not_json = write_text(tmp_path / "p.json", "{broken")

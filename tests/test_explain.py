@@ -40,6 +40,7 @@ from woexplain import (
     woe_conditional,
     write_report,
 )
+from woexplain import gaussian
 from woexplain.errors import (
     DegenerateDensityError,
     InvalidHypothesisError,
@@ -669,13 +670,14 @@ class TestStepsMatchOneSplit:
         rng = np.random.default_rng(72)
         model = random_model(rng, 3, 4)
         calls = []
-        density = GaussianClassModel.log_density_terms
+        # every full-mode density read factors its blocks here, phase 1's included
+        density = gaussian._block_terms
 
-        def counted(self, order, values):
-            calls.append(order)
-            return density(self, order, values)
+        def counted(covs, dev):
+            calls.append(dev.shape)
+            return density(covs, dev)
 
-        monkeypatch.setattr(GaussianClassModel, "log_density_terms", counted)
+        monkeypatch.setattr(gaussian, "_block_terms", counted)
         x = rng.normal(size=4)
         with pytest.raises(InvalidParameterError,
                            match=r"^attribute_size 5 exceeds the 4 observed features$"):
@@ -684,6 +686,9 @@ class TestStepsMatchOneSplit:
                            match=r"^partition covers 3 features, model has 4$"):
             explain(x, model, ExplainerParams(partition=AttributePartition(((0, 1), (2,)))))
         assert calls == []
+        # the spy sees a run that gets past the checks
+        explain(x, model, ExplainerParams(attribute_size=2))
+        assert calls
 
 
 class TestFilterDisplay:

@@ -607,6 +607,74 @@ class TestModelValidation:
             )
 
 
+
+def _model(mode="diagonal", means=((0.0, 0.0), (1.0, 1.0)), covariances=((1.0, 1.0), (1.0, 1.0)),
+           priors=(0.5, 0.5), names=("a", "b")):
+    return GaussianClassModel(means=np.array(means), covariances=np.array(covariances),
+                              priors=np.array(priors), mode=mode, feature_names=names)
+
+
+def _doc(**changes):
+    doc = model_to_dict(_model())
+    doc.update(changes)
+    return doc
+
+
+def _entry(**fields):
+    return _doc(classes=[fields])
+
+
+# (call, error type, message) of a raise at the public edge of gaussian.py
+EDGE_ERRORS = {
+    "model/mode": (lambda: _model(mode="spherical"),
+                   InvalidModelError, "unknown covariance mode 'spherical'"),
+    "model/means-1d": (lambda: _model(means=(0.0, 0.0)),
+                       InvalidModelError, "means must be (K, n), got shape (2,)"),
+    "model/no-features": (lambda: _model(means=np.zeros((2, 0)), covariances=np.zeros((2, 0)),
+                                         names=()),
+                          InvalidModelError, "need at least 1 class and 1 feature, got 2x0"),
+    "model/priors-shape": (lambda: _model(priors=(1.0,)),
+                           InvalidModelError, "priors shape (1,) does not match (2,)"),
+    "model/names": (lambda: _model(names=("a",)),
+                    InvalidModelError, "1 feature names for 2 features"),
+    "validate/non-finite": (lambda: _model(means=((0.0, np.nan), (1.0, 1.0))).validate(),
+                            InvalidModelError, "non-finite entries in means"),
+    "validate/variance": (lambda: _model(covariances=((1.0, 0.0), (1.0, 1.0))).validate(),
+                          InvalidModelError, "variance of feature 1 in class 0 is not positive"),
+    "set_likelihood/prefix-values": (
+        lambda: set_conditional_log_likelihood(_model(), 0, [0], [0.0], [1], [0.0, 1.0]),
+        InvalidDataError, "2 prefix values for 1 prefix indices"),
+    "fit/1d": (lambda: fit(np.zeros(4), [0, 0, 1, 1]),
+               InvalidDataError, "data must be a 2-D array, got shape (4,)"),
+    "fit/no-columns": (lambda: fit(np.zeros((4, 0)), [0, 0, 1, 1]),
+                       InvalidDataError, "data must have at least one feature column"),
+    "from_dict/not-object": (lambda: model_from_dict([]),
+                             InvalidModelError, "model document must be a JSON object"),
+    "from_dict/mode": (lambda: model_from_dict(_doc(mode="spherical")),
+                       InvalidModelError, "unknown covariance mode 'spherical'"),
+    "from_dict/no-names": (lambda: model_from_dict(_doc(feature_names=[])),
+                           InvalidModelError, "feature_names must be a nonempty list"),
+    "from_dict/no-classes": (lambda: model_from_dict(_doc(classes=[])),
+                             InvalidModelError, "classes must be a nonempty list"),
+    "from_dict/no-label": (lambda: model_from_dict(_entry(prior=1.0, mean=[0.0, 0.0])),
+                           InvalidModelError, "every class entry needs an integer label"),
+    "from_dict/malformed": (lambda: model_from_dict(_entry(label=0, prior=1.0, mean=[0.0, 0.0])),
+                            InvalidModelError, "malformed class entry: 'var'"),
+    "from_dict/means-length": (
+        lambda: model_from_dict(_entry(label=0, prior=1.0, mean=[0.0], var=[1.0])),
+        InvalidModelError, "class means do not match feature_names in length"),
+}
+
+
+@pytest.mark.parametrize("case", list(EDGE_ERRORS))
+def test_edge_errors_name_their_cause(case):
+    call, error, message = EDGE_ERRORS[case]
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
 class TestPersistence:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(60)

@@ -18,7 +18,10 @@ mean, and runs:
 - explain over {partition, discovery} x {conditional_chain, marginal}
   x {greedy, fixed, random}, as report JSON;
 - run_validation: 4 trials over 6 rows, and 300 trials over 40 rows,
-  so that rows repeat.
+  so that rows repeat;
+- on partial evidence, NaN in every unobserved slot: woe,
+  posterior_log_odds, bayes_decomposition, best_contrast, woe_chain and
+  woe_conditional_many.
 
 An outcome is the exact repr of what a call returns, or the type and
 message of what it raises, plus the warnings it emits. The sweep prints
@@ -137,6 +140,27 @@ def _cases(seed: int) -> list:
     rows = np.array([row() for _ in range(40)])
     record("run_validation/repeated",
            lambda: repr(wx.run_validation(model, rows, trials=300, seed=seed)))
+
+    # partial evidence, NaN in every unobserved slot; drawn last, so the cases above keep theirs
+    seen = [int(i) for i in rng.permutation(n)[:int(rng.integers(1, n + 1))]]
+    mask = np.zeros(n, dtype=bool)
+    mask[seen] = True
+    partial = wx.Evidence(np.where(mask, x, np.nan), mask)
+    record("partial/woe", lambda: repr(wx.woe(a, b, partial, model)))
+    record("partial/posterior_log_odds", lambda: repr(wx.posterior_log_odds(a, b, partial, model)))
+    record("partial/bayes_decomposition",
+           lambda: repr(wx.bayes_decomposition(a, b, partial, model)))
+    record("partial/best_contrast",
+           lambda: repr(wx.best_contrast(range(k), a[0], partial, model, wx.ContrastParams())))
+    cuts = sorted(int(c) for c in rng.choice(np.arange(1, len(seen)),
+                                             size=int(rng.integers(0, len(seen))), replace=False))
+    groups = [tuple(int(i) for i in g) for g in np.split(np.array(seen), cuts)]
+    record("partial/woe_chain", lambda: repr(wx.woe_chain(a, b, groups, partial, model)))
+    prefix = tuple(seen[:int(rng.integers(0, len(seen)))])
+    free = seen[len(prefix):]
+    targets = [subset(free, int(rng.integers(1, len(free) + 1))) for _ in range(4)]
+    record("partial/woe_conditional_many",
+           lambda: repr(wx.woe_conditional_many(a, b, targets, prefix, partial, model).tolist()))
     return out
 
 
