@@ -27,6 +27,7 @@ import numpy as np
 from .contrast import ContrastParams
 from .data import (
     Dataset,
+    _columns,
     _parse_records,
     _read_records,
     load_csv,
@@ -106,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--model", required=True, help="model JSON from fit")
     p_val.add_argument("--data", required=True, help="CSV of rows to sample")
     p_val.add_argument("--labels", default=None,
-                       help="label column to exclude from the data, if present")
+                       help="label column to leave unread, if the data has it")
     p_val.add_argument("--trials", type=int, default=100, help="rows to sample (default: 100)")
     p_val.add_argument("--seed", type=int, default=0, help="sampling seed (default: 0)")
     return parser
@@ -118,13 +119,16 @@ def _read_rows(path: str, feature_names: tuple[str, ...],
 
     Columns are matched to the features by header name when the header
     holds every one of them (other columns, such as a label or an id, are
-    ignored); otherwise they are read by position, label_column
-    excluded. The file is read once: its header picks the columns its
-    body is parsed for.
+    ignored); otherwise they are read by position, label_column excluded
+    if the header has it. The label column is never converted, so any
+    text there reads. The file is read once: its header picks the
+    columns its body is parsed for.
     """
     header, body = _read_records(path)
     by_name = tuple(header) != feature_names and set(feature_names) <= set(header)
-    return _parse_records(header, body, label_column, feature_names if by_name else None)
+    label = label_column if label_column in header else None
+    feature_cols, _ = _columns(header, label, feature_names if by_name else None)
+    return _parse_records(header, body, feature_cols)
 
 
 def _parse_input_row(spec: str, feature_names: tuple[str, ...]) -> np.ndarray:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -116,14 +116,30 @@ def _parse_labels(cells: list[str], column: str) -> tuple[np.ndarray, dict[str, 
     return np.array([mapping[c] for c in cells], dtype=int), mapping
 
 
-def _read_records(path: "str | Path") -> tuple[list[str], Iterator[list[str]]]:
-    """The checked header and an iterator over the body records.
+class _PlainBody:
+    """The body lines of plain text; iterated, each line split at every comma.
 
-    The file is read and split into lines at once; each record is split
-    from its line as the iterator is consumed. Text with no quote, no NUL,
-    no empty line and no line longer than csv.field_size_limit() is split
-    at every comma by str.split, which is what the csv module's excel
-    dialect does with it; any other text goes through csv.reader.
+    _parse_records converts the lines in one pass when it can, and takes
+    the split records block by block when it cannot.
+    """
+
+    def __init__(self, lines: list[str]):
+        self.lines = lines
+        self._records = map(str.split, lines, repeat(","))
+
+    def __iter__(self) -> Iterator[list[str]]:
+        return self._records
+
+
+def _read_records(path: "str | Path") -> tuple[list[str], Iterable[list[str]]]:
+    """The checked header and the body records.
+
+    The file is read and split into lines at once. Plain text, with no
+    quote, no NUL, no empty line and no line longer than
+    csv.field_size_limit(), keeps its body lines (a _PlainBody); each
+    record is split from its line at every comma by str.split, which is
+    what the csv module's excel dialect does with it. Any other text goes
+    through csv.reader.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
@@ -132,14 +148,18 @@ def _read_records(path: "str | Path") -> tuple[list[str], Iterator[list[str]]]:
     lines = text.splitlines()
     plain = ('"' not in text and "\0" not in text and "" not in lines
              and max(map(len, lines), default=0) <= csv.field_size_limit())
-    records = map(str.split, lines, repeat(",")) if plain else csv.reader(lines)
-    header = next(records, None)
+    if plain:
+        header = lines.pop(0).split(",") if lines else None
+        body: Iterable[list[str]] = _PlainBody(lines)
+    else:
+        body = csv.reader(lines)
+        header = next(body, None)
     if header is None:
         raise CsvParseError(f"file {path} is empty, expected a header row")
     header = [h.strip() for h in header]
     if any(not h for h in header):
         raise CsvParseError("header contains an empty column name")
-    return header, records
+    return header, body
 
 
 def _parse_cells(
@@ -188,23 +208,25 @@ def load_csv(
     labels and excluded from the features. When columns is given, only
     those named columns are parsed as features (in the given order) and
     everything else is ignored. Parse failures report the 1-based data
-    row and the column name.
+    row and the column name. Plain text is converted in one C-level pass
+    where it can be, and block by block otherwise (_parse_records); both
+    give the same values and errors.
     """
-    return _parse_records(*_read_records(path), label_column, columns)
+    header, body = _read_records(path)
+    return _parse_records(header, body, *_columns(header, label_column, columns))
 
 
-def _parse_records(
-    header: list[str],
-    body: Iterator[list[str]],
+def _columns(
+    header: Sequence[str],
     label_column: str | None = None,
     columns: Sequence[str] | None = None,
-) -> Dataset:
-    """load_csv on the checked header and body records of a file already read.
+) -> tuple[list[int], int | None]:
+    """The feature column indices and the label column index of load_csv, checked.
 
-    The body is taken BLOCK_CELLS cells at a time, and each block goes
-    through _block_rows; a csv.Error is raised once the records read
-    before it have been checked, so every error names the first faulty
-    record, as a record-by-record parse would.
+    The label column must be in the header. The features are the named
+    columns, in their order, when columns is given, and every other
+    column otherwise; there must be at least one, and none may be the
+    label column.
     """
     label_idx: int | None = None
     if label_column is not None:
@@ -230,7 +252,88 @@ def _parse_records(
         feature_cols = [j for j in range(len(header)) if j != label_idx]
     if not feature_cols:
         raise CsvParseError("no feature columns besides the label column")
+    return feature_cols, label_idx
 
+
+def _parse_records(
+    header: list[str],
+    body: Iterable[list[str]],
+    feature_cols: Sequence[int],
+    label_idx: int | None = None,
+) -> Dataset:
+    """The Dataset of feature_cols and label_idx of a file already read (_read_records).
+
+    A plain body is converted in one np.loadtxt pass (_one_pass); any
+    other body, and a plain one that pass refuses, goes through the
+    block route (_block_route), which raises the first faulty record's
+    error or parses what only it accepts. Columns outside feature_cols
+    and label_idx are never converted.
+    """
+    parsed = None
+    if isinstance(body, _PlainBody):
+        parsed = _one_pass(body.lines, feature_cols, label_idx, len(header))
+    if parsed is None:
+        parsed = _block_route(iter(body), feature_cols, label_idx, header)
+    data, labels, mapping = parsed
+    return Dataset(
+        header=tuple(header[j] for j in feature_cols),
+        rows=data,
+        labels=labels,
+        label_name=header[label_idx] if label_idx is not None else None,
+        label_index=label_idx,
+        label_mapping=mapping,
+    )
+
+
+def _one_pass(
+    lines: list[str], feature_cols: Sequence[int], label_idx: int | None, width: int
+) -> tuple[np.ndarray, np.ndarray | None, None] | None:
+    """The rows and integer labels of plain body lines, or None for the block route.
+
+    One np.loadtxt call converts the feature and label columns of every
+    line. It strips the whitespace str.strip() strips and converts the
+    rest with PyOS_string_to_double, as float() does, so the values it
+    gives are bitwise those of the block route; it refuses underscores
+    and non-ASCII digits, which float() reads. None is returned, and the
+    block route runs on the same records, when there are no lines (on
+    which loadtxt warns), when loadtxt raises, when a line's width or the result's shape differs
+    from the header's, when a feature is not finite, or when a label is
+    not a nonnegative integral value below numpy's integer maximum (text
+    labels get their mapping there).
+    """
+    if not lines:
+        return None
+    cols = [*feature_cols] if label_idx is None else [*feature_cols, label_idx]
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, usecols=cols, ndmin=2)
+    except ValueError:
+        return None
+    if (values.shape != (len(lines), len(cols))
+            or not all(map((width - 1).__eq__, map(str.count, lines, repeat(","))))):
+        return None
+    rows = values[:, :len(feature_cols)]
+    if not np.isfinite(rows).all():
+        return None
+    if label_idx is None:
+        return rows, None, None
+    labels = values[:, -1]
+    if not ((labels >= 0) & (labels < np.iinfo(int).max) & (np.floor(labels) == labels)).all():
+        return None
+    return rows, labels.astype(int), None
+
+
+def _block_route(
+    body: Iterator[list[str]],
+    feature_cols: Sequence[int],
+    label_idx: int | None,
+    header: Sequence[str],
+) -> tuple[np.ndarray, np.ndarray | None, dict[str, int] | None]:
+    """The rows, labels and label mapping of body records, BLOCK_CELLS cells at a time.
+
+    Each block goes through _block_rows; a csv.Error is raised once the
+    records read before it have been checked, so every error names the
+    first faulty record, as a record-by-record parse would.
+    """
     width = len(header)
     per_block = max(1, BLOCK_CELLS // width)
     blocks: list[np.ndarray] = []
@@ -257,16 +360,8 @@ def _parse_records(
     labels = mapping = None
     if label_idx is not None:
         labels, mapping = _parse_labels(label_cells, header[label_idx])
-
     data = np.concatenate(blocks) if blocks else np.empty((0, len(feature_cols)))
-    return Dataset(
-        header=tuple(header[j] for j in feature_cols),
-        rows=data,
-        labels=labels,
-        label_name=header[label_idx] if label_idx is not None else None,
-        label_index=label_idx,
-        label_mapping=mapping,
-    )
+    return data, labels, mapping
 
 
 def _block_rows(

@@ -293,6 +293,29 @@ class TestValidateCommand:
 
         assert printed(other) == printed(data)
 
+    @pytest.mark.parametrize("names", [["f0", "f1", "f2"], ["x0", "x1", "x2"]],
+                             ids=["by name", "by position"])
+    def test_label_column_is_left_unread(self, tmp_path, capsys, names):
+        """--labels names a column validate skips: absent, -1, 1e300 or text, the rows print alike."""
+        data, model_path = fit_model(tmp_path, n_classes=3)
+        records = [line.split(",") for line in data.read_text().splitlines()]
+        bare = tmp_path / "bare.csv"
+        bare.write_text("".join(",".join(r[:3]) + "\n" for r in [names] + records[1:]))
+
+        def printed(path):
+            capsys.readouterr()
+            assert main(["validate", "--model", str(model_path), "--data", str(path),
+                         "--labels", "target", "--trials", "30", "--seed", "5"]) == 0
+            return capsys.readouterr().out
+
+        expected = printed(bare)
+        assert "PASS  bayes-identity" in expected
+        for cell in ("-1", "1e300", "benign"):
+            labelled = tmp_path / "labelled.csv"
+            labelled.write_text(",".join(names) + ",target\n" + "".join(
+                ",".join(r[:3] + [cell]) + "\n" for r in records[1:]))
+            assert printed(labelled) == expected, cell
+
 
 def test_main_leaves_logging_alone(tmp_path, monkeypatch):
     """A program that calls main() in-process keeps its own logging setup."""

@@ -18,6 +18,7 @@ from woexplain import (
     write_csv,
 )
 from woexplain import data
+from woexplain.cli import _read_rows
 from woexplain.errors import ConfigError, CsvParseError, InvalidDataError, OracleProtocolError
 
 
@@ -159,6 +160,35 @@ def per_cell_rows(text, columns):
     return np.array(rows, dtype=float).reshape(len(rows), len(cols))
 
 
+def per_cell_labels(text, name):
+    """Column name's labels and text mapping, or its error as (message, row, column).
+
+    Every stripped cell parsed by float(): when all are integral they are
+    the labels, which must be nonnegative and then fit numpy's integer,
+    each rule naming its first failing row; otherwise the sorted distinct
+    texts are numbered.
+    """
+    records = list(csv.reader(text.splitlines()))
+    j = [h.strip() for h in records[0]].index(name)
+    cells = [record[j].strip() for record in records[1:]]
+    try:
+        values = [float(cell) for cell in cells]
+    except ValueError:
+        values = [math.nan]
+    if all(v.is_integer() for v in values):
+        for r, v in enumerate(values, start=1):
+            if v < 0:
+                return (f"label {int(v)} is negative; integer labels must be 0..K-1 (use text "
+                        f"labels to get an automatic mapping) (row {r}, column {name!r})", r, name)
+        for r, v in enumerate(values, start=1):
+            if v > np.iinfo(int).max:
+                return (f"label {cells[r - 1]!r} is too large for an integer label "
+                        f"(row {r}, column {name!r})", r, name)
+        return [int(v) for v in values], None
+    texts = sorted(set(cells))
+    return [texts.index(cell) for cell in cells], {text: k for k, text in enumerate(texts)}
+
+
 def csv_error(path, **kwargs):
     """The CsvParseError load_csv raises for path, as (message, row, column)."""
     with pytest.raises(CsvParseError) as info:
@@ -262,21 +292,23 @@ class TestLoadCsvMatchesPerCellParsing:
             assert ds.label_mapping == mapping
 
 
-def per_record_error(text):
+def per_record_error(text, columns=None):
     """The error of a record-by-record parse read by csv.reader, as (message, row, column).
 
-    Each record's width, then each cell in header order; a csv.Error
-    names the record after the last one read. None when the file parses.
+    Each record's width, then each cell of columns (by default every
+    column, in header order); a csv.Error names the record after the last
+    one read. None when the file parses.
     """
     records = csv.reader(text.splitlines())
     header = [h.strip() for h in next(records)]
+    cols = range(len(header)) if columns is None else [header.index(name) for name in columns]
     r = 0
     try:
         for r, record in enumerate(records, start=1):
             if len(record) != len(header):
                 return f"expected {len(header)} cells, got {len(record)} (row {r})", r, None
-            for name, cell in zip(header, record):
-                cell = cell.strip()
+            for j in cols:
+                name, cell = header[j], record[j].strip()
                 try:
                     value = float(cell)
                 except ValueError:
@@ -446,11 +478,140 @@ class TestBlocksMatchRecordByRecord:
         assert without_empty_lines > 150
 
 
+def quoted_twin(path, text):
+    """A csv.QUOTE_ALL copy of text at path: the same records, read by csv.reader."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(csv.reader(text.splitlines()))
+    return path
+
+
+def outcome(path, **kwargs):
+    """load_csv's Dataset as comparable parts, or its error as (message, row, column)."""
+    try:
+        ds = load_csv(path, **kwargs)
+    except CsvParseError as exc:
+        return str(exc), exc.row, exc.column
+    labels = None if ds.labels is None else ds.labels.tolist()
+    return (ds.header, ds.rows.shape, ds.rows.tobytes(), labels, ds.label_mapping,
+            ds.label_name, ds.label_index)
+
+
+class TestOnePassMatchesTheReferences:
+    """Plain text converted in one np.loadtxt pass gives what the per-cell references give."""
+
+    CELLS = ("-0.0", " 7 ", "\t-4\t", "\u00a03\u00a0", "\x1f4\x1f", "1_0", "\u0661\u0662",
+             "1e999", "nan", "", " ", "oops", "0x1p3", "1e0", "+.5")
+    LABELS = ("2", " 0 ", "1.0", "1e0", "0.5", "-1", "1e300", "nan", "cat")
+
+    def plain_file(self, rng):
+        """Header names, label column or None, read columns or None, and the text of one case."""
+        features = [f"f{j}" for j in range(int(rng.integers(1, 4)))]
+        names = list(features)
+        label = "y" if rng.random() < 0.7 else None
+        for extra in ([label] if label else []) + (["id"] if rng.random() < 0.3 else []):
+            names.insert(int(rng.integers(0, len(names) + 1)), extra)
+        columns = None
+        if "id" in names or rng.random() < 0.3:
+            columns = [str(name) for name in rng.permutation(features)]
+        integral = rng.random() < 0.5
+        lines = [",".join(names)]
+        for r in range(int(rng.integers(0, 8))):
+            cells = []
+            for name in names:
+                if name == "y":
+                    cells.append(str(rng.integers(0, 4)) if integral else
+                                 str(rng.choice(self.LABELS)))
+                elif name == "id":
+                    cells.append(f"r{r}")
+                elif rng.random() < 0.9:
+                    cells.append(repr(float(rng.normal(0.0, 10.0 ** rng.integers(-3, 4)))))
+                else:
+                    cells.append(str(rng.choice(self.CELLS)))
+            line = ",".join(cells) + ("," if rng.random() < 0.04 else "")
+            lines.append(" " if rng.random() < 0.04 else line)
+        return label, columns, "\n".join(lines) + "\n"
+
+    def reference(self, text, label, columns):
+        header = [h.strip() for h in next(csv.reader(text.splitlines()))]
+        features = columns or [name for name in header if name != label]
+        error = per_record_error(text, features)
+        if error is not None:
+            return error
+        labels = mapping = None
+        if label is not None:
+            parsed = per_cell_labels(text, label)
+            if isinstance(parsed[1], int):
+                return parsed
+            labels, mapping = parsed
+        rows = per_cell_rows(text, features)
+        return (tuple(features), rows.shape, rows.tobytes(), labels, mapping, label,
+                None if label is None else header.index(label))
+
+    def test_seeded_files_match_the_references_and_the_block_route(self, tmp_path, monkeypatch):
+        """Whitespace-only lines, trailing commas, width 1, header-only files, an unread
+        text id column and every label kind, read as the references and the quoted twin read them."""
+        one_pass, accepted, refused = data._one_pass, [], []
+
+        def spy(*args):
+            result = one_pass(*args)
+            (refused if result is None else accepted).append(args)
+            return result
+
+        monkeypatch.setattr(data, "_one_pass", spy)
+        rng = np.random.default_rng(17)
+        for case in range(400):
+            label, columns, text = self.plain_file(rng)
+            path = write_text(tmp_path / "t.csv", text)
+            got = outcome(path, label_column=label, columns=columns)
+            assert got == self.reference(text, label, columns), (case, text)
+            calls = len(accepted) + len(refused)
+            assert outcome(quoted_twin(tmp_path / "q.csv", text),
+                           label_column=label, columns=columns) == got, (case, text)
+            assert len(accepted) + len(refused) == calls
+        assert len(accepted) > 100 and len(refused) > 100
+
+    def test_each_file_takes_its_route(self, tmp_path, monkeypatch):
+        """Plain text with integer labels: one pass; quoted text: blocks; 1_0: refused, then blocks."""
+        one_pass, block_rows, routes = data._one_pass, data._block_rows, []
+
+        def spy_one_pass(*args):
+            result = one_pass(*args)
+            routes.append("one pass" if result is not None else "refused")
+            return result
+
+        def spy_block_rows(*args):
+            routes.append("blocks")
+            return block_rows(*args)
+
+        monkeypatch.setattr(data, "_one_pass", spy_one_pass)
+        monkeypatch.setattr(data, "_block_rows", spy_block_rows)
+        cases = [
+            ("x,y,label\n1.5,2,0\n3,4,1\n", "label", ["one pass"], [[1.5, 2.0], [3.0, 4.0]]),
+            ('"x","y","label"\n"1.5","2","0"\n"3","4","1"\n', "label", ["blocks"],
+             [[1.5, 2.0], [3.0, 4.0]]),
+            ("x,y,label\n1_0,2,0\n3,4,1\n", "label", ["refused", "blocks"],
+             [[10.0, 2.0], [3.0, 4.0]]),
+            ("x,y,label\n1.5,2,cat\n3,4,dog\n", "label", ["refused", "blocks"],
+             [[1.5, 2.0], [3.0, 4.0]]),
+        ]
+        for text, label, route, rows in cases:
+            routes.clear()
+            path = write_text(tmp_path / "t.csv", text)
+            assert load_csv(path, label_column=label).rows.tolist() == rows
+            assert routes == route, text
+        # validate's reader leaves the label column unread: the text-label file takes one pass
+        routes.clear()
+        assert _read_rows(str(path), ("x", "y"), "label").rows.tolist() == rows
+        assert routes == ["one pass"]
+
+
 class TestLoadCsvMemory:
     def test_peak_stays_below_a_list_of_float_lists(self, tmp_path):
         """A 20,000 x 10 file (3.9 MB) peaked at 13.7 MB when every row was a list of
-        floats before becoming an array, and at 9.0 MB converted in blocks, most of it
-        the file text and its lines (Python 3.11, numpy 2.4)."""
+        floats before becoming an array, and at 9.0 MB converted in blocks or in one
+        np.loadtxt pass: the peak is the file text beside its lines, while reading.
+        Converting the lines then adds 5.1 MB in blocks and 3.2 MB in one pass
+        (Python 3.11, numpy 2.4)."""
         rng = np.random.default_rng(3)
         rows = rng.normal(size=(20_000, 10))
         text = "".join(",".join(map(repr, map(float, row))) + "\n" for row in rows)

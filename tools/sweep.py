@@ -21,7 +21,15 @@ mean, and runs:
   so that rows repeat;
 - on partial evidence, NaN in every unobserved slot: woe,
   posterior_log_odds, bayes_decomposition, best_contrast, woe_chain and
-  woe_conditional_many.
+  woe_conditional_many;
+- on a CSV file of the model's features, a label column y and, for some
+  seeds, a text id column, in a random column order, with hostile cells
+  (padding, underscores, non-ASCII digits, non-finite and empty cells,
+  whitespace-only lines, trailing commas) and a label column of integers
+  or of a mix of 2, " 0 ", 1.0, 1e0, 0.5, -1, 1e300, nan and text cells:
+  load_csv with the label, with the label and the features named, and
+  with every column as a feature, and the CLI's @file.csv:ROW, each on
+  the file and on its csv.QUOTE_ALL copy.
 
 An outcome is the exact repr of what a call returns, or the type and
 message of what it raises, plus the warnings it emits. The sweep prints
@@ -32,14 +40,19 @@ ten differences, and exits 1 on any difference.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 SCALES = (1.0, 50.0, 3e3, 1e160)
+HOSTILE_CELLS = ("\x1f4\x1f", " 7 ", "\u00a03\u00a0", "1_0", "\u0661\u0662", "1e999", "nan",
+                 "-inf", "", " ", "oops")
+LABEL_CELLS = ("2", " 0 ", "1.0", "1e0", "0.5", "-1", "1e300", "nan", "cat")
 SHOWN = 10  # differences listed
 
 
@@ -161,6 +174,40 @@ def _cases(seed: int) -> list:
     targets = [subset(free, int(rng.integers(1, len(free) + 1))) for _ in range(4)]
     record("partial/woe_conditional_many",
            lambda: repr(wx.woe_conditional_many(a, b, targets, prefix, partial, model).tolist()))
+
+    # CSV reading, drawn after every case above so those keep their inputs
+    from woexplain import cli
+
+    names = list(model.feature_names)
+    header = [str(h) for h in rng.permutation(names + ["y"] + (["id"] if seed % 3 == 0 else []))]
+    label_kinds = rng.choice(LABEL_CELLS, size=int(rng.integers(1, 4)))
+    integral = rng.random() < 0.5
+    lines = [",".join(header)]
+    for r in range(int(rng.integers(0, 12))):
+        cells = dict(zip(names, map(repr, row().tolist())), id=f"r{r}")
+        cells["y"] = str(rng.integers(0, k)) if integral else str(rng.choice(label_kinds))
+        for name in names:
+            if rng.random() < 0.02:
+                cells[name] = str(rng.choice(HOSTILE_CELLS))
+        line = ",".join(cells[h] for h in header)
+        lines.append(" " if rng.random() < 0.02 else line + ("," if rng.random() < 0.02 else ""))
+    plain, quoted = Path(f"sweep-{seed}.csv"), Path(f"sweep-{seed}-quoted.csv")
+    plain.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(quoted, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(csv.reader(lines))
+    spec = f":{int(rng.integers(0, len(lines)))}"
+
+    def dataset(ds):
+        labels = None if ds.labels is None else ds.labels.tolist()
+        return repr((ds.header, ds.rows.shape, ds.rows.tolist(), labels, ds.label_mapping,
+                     ds.label_name, ds.label_index))
+
+    for key, path in (("plain", plain), ("quoted", quoted)):
+        record(f"csv/{key}/label", lambda path=path: dataset(wx.load_csv(path, "y")))
+        record(f"csv/{key}/columns", lambda path=path: dataset(wx.load_csv(path, "y", names)))
+        record(f"csv/{key}/all", lambda path=path: dataset(wx.load_csv(path)))
+        record(f"csv/{key}/row", lambda path=path: repr(
+            cli._parse_input_row(f"@{path}{spec}", model.feature_names).tolist()))
     return out
 
 
@@ -173,9 +220,13 @@ def _worker(tree: Path, seeds: int) -> None:
 
 
 def _run(tree: Path, seeds: int, hash_seed: str) -> list:
+    """The cases of one tree, run in a fresh directory that holds the CSV files it writes."""
+    tree = tree.resolve()
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED=hash_seed)
-    done = subprocess.run([sys.executable, __file__, "--worker", str(tree), "--seeds", str(seeds)],
-                          env=env, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory() as work:
+        done = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--worker",
+                               str(tree), "--seeds", str(seeds)],
+                              env=env, capture_output=True, text=True, cwd=work)
     if done.returncode:
         sys.exit(f"sweep of {tree} failed:\n{done.stderr}")
     return json.loads(done.stdout)
