@@ -27,7 +27,9 @@ import numpy as np
 from .contrast import ContrastParams
 from .data import (
     Dataset,
+    _body_record,
     _columns,
+    _parse_cells,
     _parse_records,
     _read_records,
     load_csv,
@@ -113,28 +115,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_rows(path: str, feature_names: tuple[str, ...],
-               label_column: str | None = None) -> Dataset:
-    """The rows of a CSV file as the model's features, for explain and validate alike.
+def _feature_columns(header: list[str], feature_names: tuple[str, ...],
+                     label_column: str | None = None) -> list[int]:
+    """The columns of a CSV file read as the model's features, by explain and validate alike.
 
     Columns are matched to the features by header name when the header
     holds every one of them (other columns, such as a label or an id, are
     ignored); otherwise they are read by position, label_column excluded
-    if the header has it. The label column is never converted, so any
-    text there reads. The file is read once: its header picks the
-    columns its body is parsed for.
+    if the header has it.
     """
-    header, body = _read_records(path)
     by_name = tuple(header) != feature_names and set(feature_names) <= set(header)
     label = label_column if label_column in header else None
-    feature_cols, _ = _columns(header, label, feature_names if by_name else None)
-    return _parse_records(header, body, feature_cols)
+    return _columns(header, label, feature_names if by_name else None)[0]
+
+
+def _read_rows(path: str, feature_names: tuple[str, ...],
+               label_column: str | None = None) -> Dataset:
+    """Every row of a CSV file as the model's features (_feature_columns), for validate.
+
+    The label column is never converted, so any text there reads. The
+    file is read once: its header picks the columns its body is parsed
+    for, and every record is converted.
+    """
+    header, body = _read_records(path)
+    return _parse_records(header, body, _feature_columns(header, feature_names, label_column))
 
 
 def _parse_input_row(spec: str, feature_names: tuple[str, ...]) -> np.ndarray:
     """Resolve a row spec: @file.csv:ROWINDEX or an inline vector.
 
-    A file row is read as validate reads its rows (_read_rows).
+    A file is read with validate's header check and columns
+    (_feature_columns), but only record ROWINDEX is converted, by the
+    per-cell parse whose values and errors every whole-file route
+    matches. The other records are counted for the range check and
+    never converted, so a faulty cell or width elsewhere does not stop
+    it; a malformed quoted record anywhere does (_body_record).
     """
     n_features = len(feature_names)
     if spec.startswith("@"):
@@ -145,10 +160,12 @@ def _parse_input_row(spec: str, feature_names: tuple[str, ...]) -> np.ndarray:
             row = int(index_text)
         except ValueError:
             raise ConfigError(f"row index {index_text!r} is not an integer") from None
-        dataset = _read_rows(path, feature_names)
-        if not 0 <= row < dataset.n_rows:
-            raise ConfigError(f"row {row} outside 0..{dataset.n_rows - 1} in {path}")
-        values = dataset.rows[row]
+        header, body = _read_records(path)
+        feature_cols = _feature_columns(header, feature_names)
+        record, n_rows = _body_record(body, row)
+        if record is None:
+            raise ConfigError(f"row {row} outside 0..{n_rows - 1} in {path}")
+        values = np.array(_parse_cells(record, feature_cols, header, row + 1))
     else:
         try:
             values = np.array([float(tok) for tok in spec.split(",")])

@@ -120,7 +120,8 @@ class _PlainBody:
     """The body lines of plain text; iterated, each line split at every comma.
 
     _parse_records converts the lines in one pass when it can, and takes
-    the split records block by block when it cannot.
+    the split records block by block when it cannot; _body_record counts
+    the lines and splits only the one it returns.
     """
 
     def __init__(self, lines: list[str]):
@@ -362,6 +363,28 @@ def _block_route(
         labels, mapping = _parse_labels(label_cells, header[label_idx])
     data = np.concatenate(blocks) if blocks else np.empty((0, len(feature_cols)))
     return data, labels, mapping
+
+
+def _body_record(body: Iterable[list[str]], index: int) -> tuple[list[str] | None, int]:
+    """Body record index (None outside the body) and the number of body records.
+
+    No cell is converted. A plain body (_PlainBody) is counted by its
+    lines, and only line index is split. Any other body is read by
+    csv.reader to its end, so a malformed record anywhere raises
+    _block_route's error, naming the record after the last one read.
+    """
+    if isinstance(body, _PlainBody):
+        lines = body.lines
+        return (lines[index].split(",") if 0 <= index < len(lines) else None), len(lines)
+    record, count = None, 0
+    try:
+        for cells in body:
+            if count == index:
+                record = cells
+            count += 1
+    except csv.Error as exc:
+        raise CsvParseError(f"malformed CSV record: {exc}", row=count + 1) from exc
+    return record, count
 
 
 def _block_rows(

@@ -237,6 +237,86 @@ class TestExplainCommand:
             assert capsys.readouterr().err == f"error: {message}\n"
 
 
+class TestExplainReadsOneRow:
+    """explain --input @file.csv:ROW converts record ROW alone; the others are only counted."""
+
+    FAULTS = {
+        "bad cell": lambda cells: cells[:1] + ["oops"] + cells[2:],
+        "short record": lambda cells: cells[:2],
+        "non-finite": lambda cells: cells[:2] + ["-inf"] + cells[3:],
+    }
+
+    def explained(self, capsys, model_path, path, row, out):
+        """Exit code, stdout (the report path masked) and stderr of one explanation."""
+        capsys.readouterr()
+        code = main(["explain", "--model", str(model_path), "--input", f"@{path}:{row}",
+                     "--attr-size", "2", "--out", str(out)])
+        printed = capsys.readouterr()
+        return code, printed.out.replace(str(out), "REPORT"), printed.err
+
+    def faulty_copy(self, data_path, tmp_path, kind, record):
+        header, *records = data_path.read_text(encoding="utf-8").splitlines()
+        records[record] = ",".join(self.FAULTS[kind](records[record].split(",")))
+        path = tmp_path / "faulty.csv"
+        path.write_text("\n".join([header] + records) + "\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("kind", sorted(FAULTS))
+    def test_a_faulty_other_record_is_not_read(self, tmp_path, capsys, kind):
+        data_path, model_path = fit_model(tmp_path, n_classes=3)
+        clean = tmp_path / "clean.json"
+        expected = self.explained(capsys, model_path, data_path, 5, clean)
+        assert expected[0] == 0 and expected[2] == ""
+        for record in (0, 4, 6, 179):
+            path = self.faulty_copy(data_path, tmp_path, kind, record)
+            report = tmp_path / "report.json"
+            assert self.explained(capsys, model_path, path, 5, report) == expected, record
+            assert report.read_bytes() == clean.read_bytes()
+
+    @pytest.mark.parametrize("kind, message", [
+        ("bad cell", "cell 'oops' does not parse as a number (row 6, column 'f1')"),
+        ("short record", "expected 4 cells, got 2 (row 6)"),
+        ("non-finite", "cell '-inf' is not finite (row 6, column 'f2')"),
+    ])
+    def test_a_faulty_row_is_named(self, tmp_path, capsys, kind, message):
+        data_path, model_path = fit_model(tmp_path, n_classes=3)
+        path = self.faulty_copy(data_path, tmp_path, kind, 5)
+        report = tmp_path / "report.json"
+        assert self.explained(capsys, model_path, path, 5, report) == (3, "", f"error: {message}\n")
+        assert not report.exists()
+
+    def test_a_row_out_of_range_is_named_before_any_fault(self, tmp_path, capsys):
+        data_path, model_path = fit_model(tmp_path, n_classes=3)
+        for kind in self.FAULTS:
+            path = self.faulty_copy(data_path, tmp_path, kind, 0)
+            for row in (180, -1):
+                assert self.explained(capsys, model_path, path, row, tmp_path / "r.json") == (
+                    2, "", f"error: row {row} outside 0..179 in {path}\n")
+
+    def test_quoted_and_reordered_copies_give_the_same_report(self, tmp_path, capsys):
+        """A csv.QUOTE_ALL copy, and an id-led copy in another column order, matched by name."""
+        import csv
+
+        data_path, model_path = fit_model(tmp_path, n_classes=3)
+        header, *records = list(csv.reader(data_path.read_text(encoding="utf-8").splitlines()))
+        quoted, reordered = tmp_path / "quoted.csv", tmp_path / "reordered.csv"
+        with open(quoted, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL).writerows([header] + records)
+        order = [2, 3, 0, 1]
+        reordered.write_text("\n".join(
+            [",".join(["id"] + [header[j] for j in order])]
+            + [",".join([f"r{i}"] + [record[j] for j in order]) for i, record in enumerate(records)]
+        ) + "\n", encoding="utf-8")
+        for row in (0, 5, 179):
+            clean = tmp_path / "clean.json"
+            expected = self.explained(capsys, model_path, data_path, row, clean)
+            assert expected[0] == 0
+            for path in (quoted, reordered):
+                report = tmp_path / "report.json"
+                assert self.explained(capsys, model_path, path, row, report) == expected
+                assert report.read_bytes() == clean.read_bytes()
+
+
 class TestValidateCommand:
     def test_fresh_model_passes_every_invariant(self, tmp_path, capsys):
         data, model_path = fit_model(tmp_path, n_classes=3)

@@ -18,7 +18,7 @@ from woexplain import (
     write_csv,
 )
 from woexplain import data
-from woexplain.cli import _read_rows
+from woexplain.cli import _parse_input_row, _read_rows
 from woexplain.errors import ConfigError, CsvParseError, InvalidDataError, OracleProtocolError
 
 
@@ -603,6 +603,118 @@ class TestOnePassMatchesTheReferences:
         routes.clear()
         assert _read_rows(str(path), ("x", "y"), "label").rows.tolist() == rows
         assert routes == ["one pass"]
+
+
+def one_record_reference(text, path, row, columns):
+    """Body record row of text, read by csv.reader, as float(cell.strip()) per cell.
+
+    The values' bytes, or the error as (type name, message, row, column):
+    a csv.Error anywhere names the record after the last one read; a row
+    outside the body is a ConfigError naming path; then record row's
+    width, then each cell of columns (header indices) in order. No other
+    record is checked.
+    """
+    reader = csv.reader(text.splitlines())
+    header = [h.strip() for h in next(reader)]
+    records = []
+    try:
+        records.extend(reader)
+    except csv.Error as exc:
+        r = len(records) + 1
+        return "CsvParseError", f"malformed CSV record: {exc} (row {r})", r, None
+    if not 0 <= row < len(records):
+        return "ConfigError", f"row {row} outside 0..{len(records) - 1} in {path}", None, None
+    record, r = records[row], row + 1
+    if len(record) != len(header):
+        return "CsvParseError", f"expected {len(header)} cells, got {len(record)} (row {r})", r, None
+    values = []
+    for j in columns:
+        name, cell = header[j], record[j].strip()
+        try:
+            value = float(cell)
+        except ValueError:
+            return ("CsvParseError", f"cell {cell!r} does not parse as a number "
+                    f"(row {r}, column {name!r})", r, name)
+        if not math.isfinite(value):
+            return "CsvParseError", f"cell {cell!r} is not finite (row {r}, column {name!r})", r, name
+        values.append(value)
+    return np.array(values, dtype=float).tobytes()
+
+
+def input_row_outcome(path, feature_names, row):
+    """explain's @path:row as the values' bytes, or its error as (type name, message, row, column)."""
+    try:
+        values = _parse_input_row(f"@{path}:{row}", feature_names)
+    except (CsvParseError, ConfigError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+    return values.tobytes()
+
+
+class TestInputRowMatchesAOneRecordReference:
+    """explain's @file.csv:ROW converts record ROW alone, as a per-cell parse of it gives."""
+
+    def test_seeded_files_row_by_row(self, tmp_path):
+        """Every ROW from -1 to one past the end of the seeded files and their quoted twins,
+        features matched by name and by position; where the whole file reads, its row ROW."""
+        plain_file = TestOnePassMatchesTheReferences().plain_file
+        rng = np.random.default_rng(29)
+        whole_file, only_the_row = 0, 0
+        for case in range(200):
+            label, columns, text = plain_file(rng)
+            header = text.splitlines()[0].split(",")
+            features = columns or [name for name in header if name != label]
+            n_body = len(text.splitlines()) - 1
+            plain = write_text(tmp_path / "t.csv", text)
+            quoted = quoted_twin(tmp_path / "q.csv", text)
+            for names, cols in ((tuple(features), [header.index(name) for name in features]),
+                                (tuple(f"x{j}" for j in range(len(header))), range(len(header)))):
+                for path in (plain, quoted):
+                    try:
+                        rows = _read_rows(str(path), names).rows
+                    except CsvParseError:
+                        rows = None
+                    for row in range(-1, n_body + 1):
+                        got = input_row_outcome(path, names, row)
+                        assert got == one_record_reference(text, path, row, cols), (case, row, text)
+                        if rows is not None and 0 <= row < n_body:
+                            assert got == rows[row].tobytes(), (case, row, text)
+                            whole_file += 1
+                        elif rows is None and isinstance(got, bytes):
+                            only_the_row += 1
+        assert whole_file > 500 and only_the_row > 100
+
+    def test_only_the_explained_record_is_converted(self, tmp_path, monkeypatch):
+        """No whole-file converter runs, and the per-cell parse sees record ROW alone."""
+        from woexplain import cli
+
+        parse_cells, parsed = cli._parse_cells, []
+
+        def spy(record, feature_cols, header, r):
+            parsed.append(r)
+            return parse_cells(record, feature_cols, header, r)
+
+        def refuse(*args):
+            raise AssertionError("a whole-file converter ran")
+
+        monkeypatch.setattr(cli, "_parse_cells", spy)
+        monkeypatch.setattr(data, "_one_pass", refuse)
+        monkeypatch.setattr(data, "_block_route", refuse)
+        text = "id,b,a\nr0,1,oops\nr1,2.5,-3\nr2,\nr3,4,inf\n"
+        for path in (write_text(tmp_path / "t.csv", text), quoted_twin(tmp_path / "q.csv", text)):
+            parsed.clear()
+            assert _parse_input_row(f"@{path}:1", ("a", "b")).tolist() == [-3.0, 2.5]
+            assert parsed == [2]
+
+    def test_a_malformed_record_anywhere_stops_it(self, tmp_path, lowered_field_limit):
+        """csv.reader reads the whole body, so a csv.Error after ROW or past the range still raises."""
+        text = '"a","b"\n"1","2"\n"3","4"\n"5","' + "6" * (lowered_field_limit + 1) + '"\n'
+        path = write_text(tmp_path / "q.csv", text)
+        for row in (0, 1, 2, 3):
+            assert input_row_outcome(path, ("a", "b"), row) == one_record_reference(
+                text, path, row, [0, 1])
+            with pytest.raises(CsvParseError, match=r"^malformed CSV record: field larger "
+                                                    r"than field limit \(40\) \(row 3\)$"):
+                _parse_input_row(f"@{path}:{row}", ("a", "b"))
 
 
 class TestLoadCsvMemory:

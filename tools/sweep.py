@@ -28,8 +28,10 @@ mean, and runs:
   whitespace-only lines, trailing commas) and a label column of integers
   or of a mix of 2, " 0 ", 1.0, 1e0, 0.5, -1, 1e300, nan and text cells:
   load_csv with the label, with the label and the features named, and
-  with every column as a feature, and the CLI's @file.csv:ROW, each on
-  the file and on its csv.QUOTE_ALL copy.
+  with every column as a feature, and the CLI's @file.csv:ROW for one
+  random ROW, each on the file and on its csv.QUOTE_ALL copy; then the
+  CLI's @file.csv:ROW for every ROW from 0 to one past the last record,
+  on both files.
 
 An outcome is the exact repr of what a call returns, or the type and
 message of what it raises, plus the warnings it emits. The sweep prints
@@ -208,6 +210,11 @@ def _cases(seed: int) -> list:
         record(f"csv/{key}/all", lambda path=path: dataset(wx.load_csv(path)))
         record(f"csv/{key}/row", lambda path=path: repr(
             cli._parse_input_row(f"@{path}{spec}", model.feature_names).tolist()))
+    # every row of both files, one past the end included, recorded after every case above
+    for key, path in (("plain", plain), ("quoted", quoted)):
+        for r in range(len(lines)):
+            record(f"csv/{key}/rows/{r}", lambda path=path, r=r: repr(
+                cli._parse_input_row(f"@{path}:{r}", model.feature_names).tolist()))
     return out
 
 
