@@ -38,8 +38,6 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-# unused here; perfbench/tracing.py counts factorizations through gaussian.cho_factor
-from scipy.linalg import cho_factor  # noqa: F401
 
 from .errors import (
     DegenerateDensityError,
@@ -65,6 +63,20 @@ FULL = "full"
 DEFAULT_FLOOR_SCALE = 1e-6
 # absolute fallback when the data has zero variance everywhere
 DEGENERATE_FLOOR = 1e-12
+
+
+def __getattr__(name: str):
+    # The package never calls cho_factor; perfbench/tracing.py counts
+    # factorizations through gaussian.cho_factor. scipy is imported when the
+    # name is first read, and the name is then bound in the module dict,
+    # where the tracer's rebinding looks for it. The name goes when that
+    # tracer reads counters kept by the library instead of rebinding names.
+    if name == "cho_factor":
+        from scipy.linalg import cho_factor
+
+        globals()[name] = cho_factor
+        return cho_factor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _index_rows(rows, n: int, what: str) -> np.ndarray:

@@ -5,7 +5,10 @@ in BOUNDARIES, counts factorizations through gaussian.cho_factor and
 reads ContrastParams().max_exhaustive_classes to count contrast
 candidates. A rename or removal of any of them breaks the traced
 benchmark run, so it is caught here, in the test suite, as well as by
-`run.py --self-check`.
+`run.py --self-check`. The package never calls cho_factor: gaussian
+resolves it lazily, importing scipy, only for this tracer, and the name
+goes once the tracer reads counters kept by the library instead of
+rebinding names.
 """
 
 import importlib
