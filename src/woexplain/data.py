@@ -14,19 +14,13 @@ import json
 import math
 import subprocess
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
-from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, CsvParseError, InvalidDataError, OracleProtocolError
 from .types import AttributePartition
-
-# body cells (records x header width) converted together in one block; a
-# block's split cells live at once, so larger blocks only raise the peak
-BLOCK_CELLS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -79,88 +73,66 @@ class Dataset:
         return int(self.rows.shape[1])
 
 
-def _parse_labels(cells: list[str], column: str) -> tuple[np.ndarray, dict[str, int] | None]:
-    """Densify a label column.
+def _parse_labels(cells: Iterable[str], column: str) -> tuple[np.ndarray, dict[str, int] | None]:
+    """Densify a label column; every cell is stripped first.
 
     Integer-valued cells pass through unchanged and must be nonnegative
-    and fit numpy's default integer. Anything else is treated as
-    categorical: distinct cell texts are sorted and mapped to 0..K-1, and
-    the mapping is returned.
+    and fit numpy's default integer; each rule names the first row that
+    breaks it. Anything else is treated as categorical: distinct cell
+    texts are sorted and mapped to 0..K-1, and the mapping is returned.
     """
+    cells = list(map(str.strip, cells))
     try:
-        parsed = list(map(float, cells))
+        values = np.fromiter(map(float, cells), float, len(cells))
     except ValueError:
         integral = False
     else:
-        # is_integer is False for inf and nan too, so this also checks finiteness
-        integral = all(map(float.is_integer, parsed))
+        integral = (np.isfinite(values) & (np.floor(values) == values)).all()
     if integral:
-        values = list(map(int, parsed))
-        for r, v in enumerate(values, start=1):
-            if v < 0:
-                raise CsvParseError(
-                    f"label {v} is negative; integer labels must be 0..K-1 "
-                    "(use text labels to get an automatic mapping)",
-                    row=r, column=column,
-                )
-        try:
-            return np.asarray(values, dtype=int), None
-        except OverflowError:
-            # only a label past numpy's integer range overflows; the first is named
-            r = next(r for r, v in enumerate(values, start=1) if v > np.iinfo(int).max)
+        negative = np.flatnonzero(values < 0)
+        if negative.size:
+            r = int(negative[0]) + 1
+            raise CsvParseError(
+                f"label {int(values[r - 1])} is negative; integer labels must be 0..K-1 "
+                "(use text labels to get an automatic mapping)",
+                row=r, column=column,
+            )
+        # -min is the first integral float past the maximum: 2**63 for int64
+        large = np.flatnonzero(values >= -float(np.iinfo(int).min))
+        if large.size:
+            r = int(large[0]) + 1
             raise CsvParseError(
                 f"label {cells[r - 1]!r} is too large for an integer label",
                 row=r, column=column,
-            ) from None
+            )
+        return values.astype(int), None
     mapping = {text: k for k, text in enumerate(sorted(set(cells)))}
     return np.array([mapping[c] for c in cells], dtype=int), mapping
 
 
-class _PlainBody:
-    """The body lines of plain text; iterated, each line split at every comma.
+def _read_records(path: "str | Path") -> tuple[list[str], list[str]]:
+    """The checked header and the body lines.
 
-    _parse_records converts the lines in one pass when it can, and takes
-    the split records block by block when it cannot; _body_record counts
-    the lines and splits only the one it returns.
-    """
-
-    def __init__(self, lines: list[str]):
-        self.lines = lines
-        self._records = map(str.split, lines, repeat(","))
-
-    def __iter__(self) -> Iterator[list[str]]:
-        return self._records
-
-
-def _read_records(path: "str | Path") -> tuple[list[str], Iterable[list[str]]]:
-    """The checked header and the body records.
-
-    The file is read and split into lines at once. Plain text, with no
-    quote, no NUL, no empty line and no line longer than
-    csv.field_size_limit(), keeps its body lines (a _PlainBody); each
-    record is split from its line at every comma by str.split, which is
-    what the csv module's excel dialect does with it. Any other text goes
-    through csv.reader.
+    The file is read and split into lines at once. The header is
+    csv.reader's first record, and the body is every line after the
+    lines that record took; no body line is split or converted here.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise CsvParseError(f"file {path} is not valid UTF-8: {exc}") from exc
     lines = text.splitlines()
-    plain = ('"' not in text and "\0" not in text and "" not in lines
-             and max(map(len, lines), default=0) <= csv.field_size_limit())
-    if plain:
-        header = lines.pop(0).split(",") if lines else None
-        body: Iterable[list[str]] = _PlainBody(lines)
-    else:
-        body = csv.reader(lines)
-        header = next(body, None)
+    reader = csv.reader(lines)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise CsvParseError(f"malformed CSV header: {exc}") from exc
     if header is None:
         raise CsvParseError(f"file {path} is empty, expected a header row")
     header = [h.strip() for h in header]
     if any(not h for h in header):
         raise CsvParseError("header contains an empty column name")
-    return header, body
+    return header, lines[reader.line_num:]
 
 
 def _parse_cells(
@@ -209,9 +181,9 @@ def load_csv(
     labels and excluded from the features. When columns is given, only
     those named columns are parsed as features (in the given order) and
     everything else is ignored. Parse failures report the 1-based data
-    row and the column name. Plain text is converted in one C-level pass
-    where it can be, and block by block otherwise (_parse_records); both
-    give the same values and errors.
+    row and the column name. The body is converted in one C-level pass
+    where it can be, and record by record otherwise (_parse_records);
+    both give the same values and errors.
     """
     header, body = _read_records(path)
     return _parse_records(header, body, *_columns(header, label_column, columns))
@@ -258,27 +230,28 @@ def _columns(
 
 def _parse_records(
     header: list[str],
-    body: Iterable[list[str]],
+    body: list[str],
     feature_cols: Sequence[int],
     label_idx: int | None = None,
 ) -> Dataset:
     """The Dataset of feature_cols and label_idx of a file already read (_read_records).
 
-    A plain body is converted in one np.loadtxt pass (_one_pass); any
-    other body, and a plain one that pass refuses, goes through the
-    block route (_block_route), which raises the first faulty record's
-    error or parses what only it accepts. Columns outside feature_cols
-    and label_idx are never converted.
+    The body lines are converted in one np.loadtxt pass (_one_pass); a
+    body that pass refuses is read record by record (_per_record), which
+    raises the first faulty record's error or parses what only it
+    accepts. Either way the label cells go to _parse_labels. Columns
+    outside feature_cols and label_idx are never converted.
     """
-    parsed = None
-    if isinstance(body, _PlainBody):
-        parsed = _one_pass(body.lines, feature_cols, label_idx, len(header))
+    parsed = _one_pass(body, feature_cols, label_idx, len(header))
     if parsed is None:
-        parsed = _block_route(iter(body), feature_cols, label_idx, header)
-    data, labels, mapping = parsed
+        parsed = _per_record(body, feature_cols, label_idx, header)
+    rows, label_cells = parsed
+    labels = mapping = None
+    if label_idx is not None:
+        labels, mapping = _parse_labels(label_cells, header[label_idx])
     return Dataset(
         header=tuple(header[j] for j in feature_cols),
-        rows=data,
+        rows=rows,
         labels=labels,
         label_name=header[label_idx] if label_idx is not None else None,
         label_index=label_idx,
@@ -288,134 +261,86 @@ def _parse_records(
 
 def _one_pass(
     lines: list[str], feature_cols: Sequence[int], label_idx: int | None, width: int
-) -> tuple[np.ndarray, np.ndarray | None, None] | None:
-    """The rows and integer labels of plain body lines, or None for the block route.
+) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """The rows and raw label cells of body lines, or None for the per-record route.
 
-    One np.loadtxt call converts the feature and label columns of every
-    line. It strips the whitespace str.strip() strips and converts the
-    rest with PyOS_string_to_double, as float() does, so the values it
-    gives are bitwise those of the block route; it refuses underscores
-    and non-ASCII digits, which float() reads. None is returned, and the
-    block route runs on the same records, when there are no lines (on
-    which loadtxt warns), when loadtxt raises, when a line's width or the result's shape differs
-    from the header's, when a feature is not finite, or when a label is
-    not a nonnegative integral value below numpy's integer maximum (text
-    labels get their mapping there).
+    One np.loadtxt call reads every line, quoted or not, as csv.reader's
+    excel dialect reads it, with one dtype field per column: floats for
+    the features, text cells for the label and empty text for the rest,
+    so a line of any other width raises. It strips the whitespace
+    str.strip() strips and converts the rest with PyOS_string_to_double,
+    as float() does, so the values it gives are bitwise those of
+    _parse_cells; it refuses underscores and non-ASCII digits, which
+    float() reads. None is returned, and the per-record route runs on the
+    same lines, when there are no lines, a NUL (which csv.reader refuses
+    before Python 3.11) or a line longer than csv.field_size_limit(); when
+    loadtxt raises; when it gives fewer rows than there are lines, as an
+    empty line (which it skips) or a quoted line break does; or when a
+    feature is not finite.
     """
-    if not lines:
+    if not lines or "\0" in "".join(lines) or max(map(len, lines)) > csv.field_size_limit():
         return None
-    cols = [*feature_cols] if label_idx is None else [*feature_cols, label_idx]
+    # a column read as empty text ("U0") counts towards the width but is never kept
+    kinds = dict.fromkeys(range(width), "U0") | dict.fromkeys(feature_cols, float)
+    if label_idx is not None:
+        kinds[label_idx] = object
+    dtype = np.dtype([(f"c{j}", kind) for j, kind in kinds.items()])
     try:
-        values = np.loadtxt(lines, delimiter=",", comments=None, usecols=cols, ndmin=2)
+        values = np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                            ndmin=1)
     except ValueError:
         return None
-    if (values.shape != (len(lines), len(cols))
-            or not all(map((width - 1).__eq__, map(str.count, lines, repeat(","))))):
+    rows = np.stack([values[f"c{j}"] for j in feature_cols], axis=1)
+    if len(values) != len(lines) or not np.isfinite(rows).all():
         return None
-    rows = values[:, :len(feature_cols)]
-    if not np.isfinite(rows).all():
-        return None
-    if label_idx is None:
-        return rows, None, None
-    labels = values[:, -1]
-    if not ((labels >= 0) & (labels < np.iinfo(int).max) & (np.floor(labels) == labels)).all():
-        return None
-    return rows, labels.astype(int), None
+    return rows, (None if label_idx is None else values[f"c{label_idx}"])
 
 
-def _block_route(
-    body: Iterator[list[str]],
+def _per_record(
+    lines: list[str],
     feature_cols: Sequence[int],
     label_idx: int | None,
     header: Sequence[str],
-) -> tuple[np.ndarray, np.ndarray | None, dict[str, int] | None]:
-    """The rows, labels and label mapping of body records, BLOCK_CELLS cells at a time.
+) -> tuple[np.ndarray, list[str]]:
+    """The rows and raw label cells of body lines read by csv.reader, record by record.
 
-    Each block goes through _block_rows; a csv.Error is raised once the
-    records read before it have been checked, so every error names the
-    first faulty record, as a record-by-record parse would.
+    Each record goes through _parse_cells, so the first faulty record
+    raises its error; a csv.Error names the record after the last one
+    read.
     """
-    width = len(header)
-    per_block = max(1, BLOCK_CELLS // width)
-    blocks: list[np.ndarray] = []
-    label_cells: list[str] = []
-    r = 0  # body records checked so far
-    while True:
-        block: list[list[str]] = []
-        error = None
-        try:
-            # extend keeps the records read before a csv.Error
-            block.extend(islice(body, per_block))
-        except csv.Error as exc:
-            error = exc
-        if block:
-            blocks.append(_block_rows(block, feature_cols, header, r))
+    rows, label_cells, r = [], [], 0
+    try:
+        for r, record in enumerate(csv.reader(lines), start=1):
+            rows.append(_parse_cells(record, feature_cols, header, r))
             if label_idx is not None:
-                label_cells.extend(map(str.strip, map(itemgetter(label_idx), block)))
-            r += len(block)
-        if error is not None:
-            raise CsvParseError(f"malformed CSV record: {error}", row=r + 1) from error
-        if len(block) < per_block:
-            break
-
-    labels = mapping = None
-    if label_idx is not None:
-        labels, mapping = _parse_labels(label_cells, header[label_idx])
-    data = np.concatenate(blocks) if blocks else np.empty((0, len(feature_cols)))
-    return data, labels, mapping
+                label_cells.append(record[label_idx])
+    except csv.Error as exc:
+        raise CsvParseError(f"malformed CSV record: {exc}", row=r + 1) from exc
+    return np.array(rows, dtype=float).reshape(len(rows), len(feature_cols)), label_cells
 
 
-def _body_record(body: Iterable[list[str]], index: int) -> tuple[list[str] | None, int]:
+def _body_record(lines: list[str], index: int) -> tuple[list[str] | None, int]:
     """Body record index (None outside the body) and the number of body records.
 
-    No cell is converted. A plain body (_PlainBody) is counted by its
-    lines, and only line index is split. Any other body is read by
-    csv.reader to its end, so a malformed record anywhere raises
-    _block_route's error, naming the record after the last one read.
+    No cell is converted. Where each line is one record, as csv.reader
+    reads it (no quote, no NUL, no empty line and no line longer than
+    csv.field_size_limit()), the lines are counted and only line index is
+    split at its commas. Otherwise csv.reader reads the body to its end,
+    so a malformed record anywhere raises _per_record's error.
     """
-    if isinstance(body, _PlainBody):
-        lines = body.lines
+    text = "".join(lines)
+    if ('"' not in text and "\0" not in text and "" not in lines
+            and max(map(len, lines), default=0) <= csv.field_size_limit()):
         return (lines[index].split(",") if 0 <= index < len(lines) else None), len(lines)
     record, count = None, 0
     try:
-        for cells in body:
+        for cells in csv.reader(lines):
             if count == index:
                 record = cells
             count += 1
     except csv.Error as exc:
         raise CsvParseError(f"malformed CSV record: {exc}", row=count + 1) from exc
     return record, count
-
-
-def _block_rows(
-    block: list[list[str]], feature_cols: Sequence[int], header: Sequence[str], r: int
-) -> np.ndarray:
-    """The feature rows of body records r+1.. in block.
-
-    When every record has the header's width, each feature column is
-    converted by one C-level float() pass and the block is checked for
-    finiteness at once. float() skips only whitespace that str.strip()
-    also removes, so a block that passes holds the values _parse_cells
-    gives. A block that fails any check goes through _parse_cells
-    record by record, which raises for its first faulty record or parses
-    cells that only str.strip() can clean.
-    """
-    width = len(header)
-    if all(map(width.__eq__, map(len, block))):
-        cells = list(chain.from_iterable(block))
-        values = np.empty((len(feature_cols), len(block)))
-        try:
-            for k, j in enumerate(feature_cols):
-                values[k] = list(map(float, cells[j::width]))
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(values).all():
-                return values.T
-    return np.array([
-        _parse_cells(record, feature_cols, header, i)
-        for i, record in enumerate(block, start=r + 1)
-    ])
 
 
 def _format_value(v: float) -> str:

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from woexplain import data, load_model
+from woexplain import load_model
 from woexplain.cli import main
 
 
@@ -144,11 +144,10 @@ class TestExplainCommand:
                      "--attr-size", "3", "--out", str(by_inline)]) == 0
         assert by_file.read_bytes() == by_inline.read_bytes()
 
-    def test_file_rows_across_blocks_match_inline_vectors(self, tmp_path, monkeypatch, capsys):
-        """Blocks of 5 records: rows of the first, a middle and the last block."""
+    def test_file_rows_match_inline_vectors(self, tmp_path, capsys):
+        """Rows near the start, in the middle and at the end of a 17-record file."""
         _, model_path = fit_model(tmp_path)
         capsys.readouterr()
-        monkeypatch.setattr(data, "BLOCK_CELLS", 5 * 3, raising=False)
         rng = np.random.default_rng(12)
         rows = rng.normal(0.75, 1.2, size=(17, 3))
         rows_csv = tmp_path / "rows.csv"
@@ -440,10 +439,9 @@ class TestExitCodes:
         assert "comparable score" not in err
         assert not (tmp_path / "r.json").exists()
 
-    def test_bad_cell_in_the_last_block_is_io_error(self, tmp_path, monkeypatch, capsys):
+    def test_bad_cell_in_a_late_record_is_io_error(self, tmp_path, capsys):
         data_path, model_path = fit_model(tmp_path)
         capsys.readouterr()
-        monkeypatch.setattr(data, "BLOCK_CELLS", 16 * 4, raising=False)
         lines = data_path.read_text(encoding="utf-8").splitlines()
         assert len(lines) == 121
         lines[118] = "0.5,oops," + lines[118].split(",", 2)[2]

@@ -140,6 +140,14 @@ class TestLoadCsv:
         with pytest.raises(CsvParseError, match="row 2"):
             load_csv(path)
 
+    def test_malformed_header_record_is_a_parse_error(self, tmp_path, lowered_field_limit):
+        """A csv.Error in the header record is a CsvParseError, not a bare csv.Error."""
+        path = write_text(tmp_path / "t.csv", '"' + "a" * (lowered_field_limit + 1) + '",b\n1,2\n')
+        for read in (load_csv, csv_header):
+            with pytest.raises(CsvParseError, match=r"^malformed CSV header: field larger "
+                                                    r"than field limit \(40\)$"):
+                read(path)
+
     def test_csv_header_errors(self, tmp_path):
         with pytest.raises(CsvParseError, match="empty"):
             csv_header(write_text(tmp_path / "empty.csv", ""))
@@ -283,6 +291,7 @@ class TestLoadCsvMatchesPerCellParsing:
              {"ant": 0, "cat": 1, "dog": 2}),
             (["0", "nan", "1", "nan"], [0, 2, 1, 2], {"0": 0, "1": 1, "nan": 2}),
             (["0", "inf", "1.5"], [0, 2, 1], {"0": 0, "1.5": 1, "inf": 2}),
+            (["1", "inf", "0", "-inf"], [2, 3, 1, 0], {"-inf": 0, "0": 1, "1": 2, "inf": 3}),
             (["1", "0.5", "2"], [1, 0, 2], {"0.5": 0, "1": 1, "2": 2}),
         ]
         for cells, labels, mapping in cases:
@@ -330,9 +339,11 @@ def lowered_field_limit():
 
 
 class TestBlocksMatchRecordByRecord:
-    """Bodies converted a block at a time give the values and errors of a per-record parse.
+    """Whole bodies give the values and errors of a per-record parse: the first faulty
+    record is the one named.
 
-    Blocks are shrunk to B = 3 records, so small files cross several.
+    The faults are placed by blocks of B = 3 records: at each record of
+    the second block, and two to a file.
     """
 
     B = 3
@@ -345,10 +356,6 @@ class TestBlocksMatchRecordByRecord:
         "empty line": lambda cells: [],
         "padded": lambda cells: ["\x1f" + cells[0]] + cells[1:],
     }
-
-    @pytest.fixture(autouse=True)
-    def small_blocks(self, monkeypatch):
-        monkeypatch.setattr(data, "BLOCK_CELLS", self.B * len(self.NAMES), raising=False)
 
     def body(self, n, seed=0):
         rng = np.random.default_rng(seed)
@@ -431,7 +438,6 @@ class TestBlocksMatchRecordByRecord:
 
     def assert_read_by_the_csv_module(self, path, text):
         """The csv module's own reading, its NUL handling and field limit included."""
-        assert isinstance(data._read_records(path)[1], type(csv.reader([])))
         expected = per_record_error(text)
         if expected is None:
             assert load_csv(path).rows.tobytes() == per_cell_rows(text, self.NAMES).tobytes()
@@ -452,7 +458,8 @@ class TestBlocksMatchRecordByRecord:
             self.assert_read_by_the_csv_module(write_text(tmp_path / "t.csv", text), text)
 
     def test_split_lines_read_as_the_csv_module_reads_them(self, tmp_path):
-        """Seeded fuzz of quote-free text: the records of _read_records are csv.reader's."""
+        """Seeded fuzz of quote-free text: csv.reader reads the body lines of _read_records
+        as the body records of the whole text."""
         rng = np.random.default_rng(11)
         atoms = ["", "0", "1", "-2.5", "x", " ", "\t", "\x1f", "\u00a0", "a b", "'", "\\"]
         breaks = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
@@ -473,7 +480,7 @@ class TestBlocksMatchRecordByRecord:
             header, body = data._read_records(path)
             records = list(csv.reader(text.splitlines()))
             assert header == [h.strip() for h in records[0]], case
-            assert list(body) == records[1:], case
+            assert list(csv.reader(body)) == records[1:], case
             without_empty_lines += "" not in text.splitlines()
         assert without_empty_lines > 150
 
@@ -497,11 +504,16 @@ def outcome(path, **kwargs):
 
 
 class TestOnePassMatchesTheReferences:
-    """Plain text converted in one np.loadtxt pass gives what the per-cell references give."""
+    """Bodies converted in one np.loadtxt pass give what the per-cell references give."""
 
     CELLS = ("-0.0", " 7 ", "\t-4\t", "\u00a03\u00a0", "\x1f4\x1f", "1_0", "\u0661\u0662",
              "1e999", "nan", "", " ", "oops", "0x1p3", "1e0", "+.5")
     LABELS = ("2", " 0 ", "1.0", "1e0", "0.5", "-1", "1e300", "nan", "cat")
+    # quoting hazards: a quoted line break or comma, a space before the opening
+    # quote, text after the closing quote, a doubled quote and quoted text
+    QUOTED_CELLS = ('"3\n4"', '"1,5"', ' "2"', '"2"x', '"2"""', '"7"')
+    QUOTED_LABELS = ('"a\nb"', '"1,0"', ' "2"', '"2"x', '"2"""', '"cat"', '"1"')
+    QUOTED_IDS = ('"r\n{}"', '"r,{}"', ' "r{}"')
 
     def plain_file(self, rng):
         """Header names, label column or None, read columns or None, and the text of one case."""
@@ -514,21 +526,27 @@ class TestOnePassMatchesTheReferences:
         if "id" in names or rng.random() < 0.3:
             columns = [str(name) for name in rng.permutation(features)]
         integral = rng.random() < 0.5
+        quoted = rng.random() < 0.3
         lines = [",".join(names)]
         for r in range(int(rng.integers(0, 8))):
             cells = []
             for name in names:
                 if name == "y":
                     cells.append(str(rng.integers(0, 4)) if integral else
-                                 str(rng.choice(self.LABELS)))
+                                 str(rng.choice(self.LABELS + self.QUOTED_LABELS * quoted)))
                 elif name == "id":
-                    cells.append(f"r{r}")
+                    cells.append(str(rng.choice(self.QUOTED_IDS)).format(r)
+                                 if quoted and rng.random() < 0.3 else f"r{r}")
                 elif rng.random() < 0.9:
                     cells.append(repr(float(rng.normal(0.0, 10.0 ** rng.integers(-3, 4)))))
                 else:
-                    cells.append(str(rng.choice(self.CELLS)))
+                    cells.append(str(rng.choice(self.CELLS + self.QUOTED_CELLS * quoted)))
             line = ",".join(cells) + ("," if rng.random() < 0.04 else "")
             lines.append(" " if rng.random() < 0.04 else line)
+        if quoted and len(lines) > 1 and rng.random() < 0.2:
+            # a quote left open at the end of the file
+            head, comma, tail = lines[-1].rpartition(",")
+            lines[-1] = head + comma + '"' + tail
         return label, columns, "\n".join(lines) + "\n"
 
     def reference(self, text, label, columns):
@@ -547,9 +565,10 @@ class TestOnePassMatchesTheReferences:
         return (tuple(features), rows.shape, rows.tobytes(), labels, mapping, label,
                 None if label is None else header.index(label))
 
-    def test_seeded_files_match_the_references_and_the_block_route(self, tmp_path, monkeypatch):
+    def test_seeded_files_match_the_references_and_the_quoted_twin(self, tmp_path, monkeypatch):
         """Whitespace-only lines, trailing commas, width 1, header-only files, an unread
-        text id column and every label kind, read as the references and the quoted twin read them."""
+        text id column, every label kind and the quoting hazards, read as the references and
+        the quoted twin read them; every file, the twin too, is offered to the one pass."""
         one_pass, accepted, refused = data._one_pass, [], []
 
         def spy(*args):
@@ -559,39 +578,44 @@ class TestOnePassMatchesTheReferences:
 
         monkeypatch.setattr(data, "_one_pass", spy)
         rng = np.random.default_rng(17)
+        hazards, hazards_passed = 0, 0
         for case in range(400):
             label, columns, text = self.plain_file(rng)
             path = write_text(tmp_path / "t.csv", text)
+            calls, passed = len(accepted) + len(refused), len(accepted)
             got = outcome(path, label_column=label, columns=columns)
             assert got == self.reference(text, label, columns), (case, text)
-            calls = len(accepted) + len(refused)
+            if '"' in text:
+                hazards += 1
+                hazards_passed += len(accepted) > passed
             assert outcome(quoted_twin(tmp_path / "q.csv", text),
                            label_column=label, columns=columns) == got, (case, text)
-            assert len(accepted) + len(refused) == calls
+            assert len(accepted) + len(refused) == calls + 2
         assert len(accepted) > 100 and len(refused) > 100
+        assert hazards > 50 and hazards_passed > 5
 
     def test_each_file_takes_its_route(self, tmp_path, monkeypatch):
-        """Plain text with integer labels: one pass; quoted text: blocks; 1_0: refused, then blocks."""
-        one_pass, block_rows, routes = data._one_pass, data._block_rows, []
+        """Plain text, quoted text and text labels: one pass; 1_0: refused, then per record."""
+        one_pass, per_record, routes = data._one_pass, data._per_record, []
 
         def spy_one_pass(*args):
             result = one_pass(*args)
             routes.append("one pass" if result is not None else "refused")
             return result
 
-        def spy_block_rows(*args):
-            routes.append("blocks")
-            return block_rows(*args)
+        def spy_per_record(*args):
+            routes.append("per record")
+            return per_record(*args)
 
         monkeypatch.setattr(data, "_one_pass", spy_one_pass)
-        monkeypatch.setattr(data, "_block_rows", spy_block_rows)
+        monkeypatch.setattr(data, "_per_record", spy_per_record)
         cases = [
             ("x,y,label\n1.5,2,0\n3,4,1\n", "label", ["one pass"], [[1.5, 2.0], [3.0, 4.0]]),
-            ('"x","y","label"\n"1.5","2","0"\n"3","4","1"\n', "label", ["blocks"],
+            ('"x","y","label"\n"1.5","2","0"\n"3","4","1"\n', "label", ["one pass"],
              [[1.5, 2.0], [3.0, 4.0]]),
-            ("x,y,label\n1_0,2,0\n3,4,1\n", "label", ["refused", "blocks"],
+            ("x,y,label\n1_0,2,0\n3,4,1\n", "label", ["refused", "per record"],
              [[10.0, 2.0], [3.0, 4.0]]),
-            ("x,y,label\n1.5,2,cat\n3,4,dog\n", "label", ["refused", "blocks"],
+            ("x,y,label\n1.5,2,cat\n3,4,dog\n", "label", ["one pass"],
              [[1.5, 2.0], [3.0, 4.0]]),
         ]
         for text, label, route, rows in cases:
@@ -603,6 +627,33 @@ class TestOnePassMatchesTheReferences:
         routes.clear()
         assert _read_rows(str(path), ("x", "y"), "label").rows.tolist() == rows
         assert routes == ["one pass"]
+
+    def test_a_late_text_label_costs_one_pass(self, tmp_path, monkeypatch):
+        """Integer labels ending in one text cell are read by a single np.loadtxt call, whose
+        result is kept, and mapped as text, as the references read them."""
+        rng = np.random.default_rng(23)
+        lines = ["a,b,y"] + [f"{float(u)!r},{float(v)!r},{int(k)}" for u, v, k in zip(
+            rng.normal(size=200), rng.normal(size=200), rng.integers(0, 3, size=200))]
+        lines[-1] = lines[-1].rpartition(",")[0] + ",cat"
+        text = "\n".join(lines) + "\n"
+        path = write_text(tmp_path / "t.csv", text)
+        loadtxt, one_pass, calls, kept = np.loadtxt, data._one_pass, [], []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return loadtxt(*args, **kwargs)
+
+        def spy_one_pass(*args):
+            result = one_pass(*args)
+            kept.append(result is not None)
+            return result
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        monkeypatch.setattr(data, "_one_pass", spy_one_pass)
+        got = outcome(path, label_column="y")
+        assert len(calls) == 1 and kept == [True]
+        assert got == self.reference(text, "y", None)
+        assert got[4] == {"0": 0, "1": 1, "2": 2, "cat": 3}
 
 
 def one_record_reference(text, path, row, columns):
@@ -663,7 +714,7 @@ class TestInputRowMatchesAOneRecordReference:
             label, columns, text = plain_file(rng)
             header = text.splitlines()[0].split(",")
             features = columns or [name for name in header if name != label]
-            n_body = len(text.splitlines()) - 1
+            n_body = len(list(csv.reader(text.splitlines()))) - 1
             plain = write_text(tmp_path / "t.csv", text)
             quoted = quoted_twin(tmp_path / "q.csv", text)
             for names, cols in ((tuple(features), [header.index(name) for name in features]),
@@ -697,13 +748,23 @@ class TestInputRowMatchesAOneRecordReference:
             raise AssertionError("a whole-file converter ran")
 
         monkeypatch.setattr(cli, "_parse_cells", spy)
+        monkeypatch.setattr(cli, "_parse_records", refuse)
         monkeypatch.setattr(data, "_one_pass", refuse)
-        monkeypatch.setattr(data, "_block_route", refuse)
+        monkeypatch.setattr(data, "_per_record", refuse)
         text = "id,b,a\nr0,1,oops\nr1,2.5,-3\nr2,\nr3,4,inf\n"
         for path in (write_text(tmp_path / "t.csv", text), quoted_twin(tmp_path / "q.csv", text)):
             parsed.clear()
             assert _parse_input_row(f"@{path}:1", ("a", "b")).tolist() == [-3.0, 2.5]
             assert parsed == [2]
+
+    def test_an_empty_line_is_an_empty_record(self, tmp_path):
+        """csv.reader reads an empty line as a record of no cells, and so does explain."""
+        text = "a,b\n1,2\n\n3,4\n"
+        path = write_text(tmp_path / "t.csv", text)
+        for row in range(-1, 4):
+            assert input_row_outcome(path, ("a", "b"), row) == one_record_reference(
+                text, path, row, [0, 1])
+        assert input_row_outcome(path, ("a", "b"), 1)[1] == "expected 2 cells, got 0 (row 2)"
 
     def test_a_malformed_record_anywhere_stops_it(self, tmp_path, lowered_field_limit):
         """csv.reader reads the whole body, so a csv.Error after ROW or past the range still raises."""
@@ -720,10 +781,9 @@ class TestInputRowMatchesAOneRecordReference:
 class TestLoadCsvMemory:
     def test_peak_stays_below_a_list_of_float_lists(self, tmp_path):
         """A 20,000 x 10 file (3.9 MB) peaked at 13.7 MB when every row was a list of
-        floats before becoming an array, and at 9.0 MB converted in blocks or in one
-        np.loadtxt pass: the peak is the file text beside its lines, while reading.
-        Converting the lines then adds 5.1 MB in blocks and 3.2 MB in one pass
-        (Python 3.11, numpy 2.4)."""
+        floats before becoming an array, and peaks at 9.2 MB converted in one np.loadtxt
+        pass: the file text beside its lines, while reading, and the lines beside their
+        join for the NUL check, while converting (Python 3.11, numpy 2.4)."""
         rng = np.random.default_rng(3)
         rows = rng.normal(size=(20_000, 10))
         text = "".join(",".join(map(repr, map(float, row))) + "\n" for row in rows)

@@ -26,7 +26,8 @@ mean, and runs:
   seeds, a text id column, in a random column order, with hostile cells
   (padding, underscores, non-ASCII digits, non-finite and empty cells,
   whitespace-only lines, trailing commas) and a label column of integers
-  or of a mix of 2, " 0 ", 1.0, 1e0, 0.5, -1, 1e300, nan and text cells:
+  or of a mix of 2, " 0 ", 1.0, 1e0, 0.5, -1, 1e300, nan and text cells,
+  quoted cells holding a comma or a line break, and a space before a quote:
   load_csv with the label, with the label and the features named, and
   with every column as a feature, and the CLI's @file.csv:ROW for one
   random ROW, each on the file and on its csv.QUOTE_ALL copy; then the
@@ -54,7 +55,8 @@ from pathlib import Path
 SCALES = (1.0, 50.0, 3e3, 1e160)
 HOSTILE_CELLS = ("\x1f4\x1f", " 7 ", "\u00a03\u00a0", "1_0", "\u0661\u0662", "1e999", "nan",
                  "-inf", "", " ", "oops")
-LABEL_CELLS = ("2", " 0 ", "1.0", "1e0", "0.5", "-1", "1e300", "nan", "cat")
+LABEL_CELLS = ("2", " 0 ", "1.0", "1e0", "0.5", "-1", "1e300", "nan", "cat", '"1,0"', '"a\nb"',
+               ' "2"')
 SHOWN = 10  # differences listed
 
 
