@@ -75,7 +75,7 @@ class ContrastParams:
     def __post_init__(self):
         try:
             alpha = float(self.alpha_reg)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             alpha = math.nan
         if not (math.isfinite(alpha) and alpha >= 0.0):
             raise InvalidParameterError(f"alpha_reg must be >= 0, got {self.alpha_reg!r}")
@@ -94,12 +94,15 @@ def _penalty(size_u: int, size_v: int, alpha: float) -> float:
 
 
 def regularizer(entailed, full_set, alpha_reg: float) -> float:
-    """R(U) = alpha_reg * (|U| - |V|/2)^2, zero at an even split."""
+    """R(U) = alpha_reg * (|U| - |V|/2)^2, zero at an even split.
+
+    alpha_reg is checked as ContrastParams checks it.
+    """
     u = as_hypothesis(entailed)
     v = as_hypothesis(full_set)
     if not u.issubset(v):
         raise InvalidHypothesisError("entailed set must be a subset of the class universe")
-    return _penalty(len(u), len(v), float(alpha_reg))
+    return _penalty(len(u), len(v), ContrastParams(alpha_reg=alpha_reg).alpha_reg)
 
 
 def score_subset(entailed, full_set, evidence, model: GaussianClassModel,

@@ -51,6 +51,7 @@ from .gaussian import (
     _checked_evidence,
     _defined,
     _densities,
+    _grouped,
     _index_rows,
     _order_terms,
     _prefix_states,
@@ -113,8 +114,7 @@ def _checked_targets(targets, prefix: tuple[int, ...], e: Evidence) -> list[tupl
     stacks = []
     try:
         targets = [tuple(t) for t in targets]
-        for n in sorted(set(map(len, targets))):
-            rows = [k for k, t in enumerate(targets) if len(t) == n]
+        for _, rows in sorted(_grouped(map(len, targets)).items()):
             stacks.append((rows, np.array([prefix + targets[k] for k in rows])))
     except (TypeError, ValueError) as exc:
         raise InvalidPartitionError("each target must be a sequence of integer indices") from exc
@@ -145,14 +145,6 @@ def first_max(keys: np.ndarray, floor: float = -math.inf) -> "int | None":
     return i if keys[i] > floor else None
 
 
-def _sized(items) -> dict[int, list[int]]:
-    """The positions of items grouped by their lengths, in order within a group."""
-    groups: dict[int, list[int]] = {}
-    for j, item in enumerate(items):
-        groups.setdefault(len(item), []).append(j)
-    return groups
-
-
 def _chain_scores(sides: list, deltas: np.ndarray, log_prior: np.ndarray) -> np.ndarray:
     """woe(A/B : e_g | e of the steps before g) for every step g of every chain.
 
@@ -174,7 +166,7 @@ def _chain_scores(sides: list, deltas: np.ndarray, log_prior: np.ndarray) -> np.
         # every chain's A, then every chain's B
         for side in zip(*sides):
             out = np.empty((c, g))
-            for js in _sized(side).values():
+            for js in _grouped(map(len, side)).values():
                 labels = np.array([side[j] for j in js])[:, None, :]
                 out[js] = mixture_log_ratio(np.take_along_axis(base[js], labels, axis=2),
                                             np.take_along_axis(deltas[js], labels, axis=2))
@@ -197,15 +189,13 @@ def _group_deltas(terms: np.ndarray, cols: np.ndarray, lengths: list) -> np.ndar
     lone slice: pairwise where the features are the fast axis of terms
     in memory, else in order (numpy.sum's notes).
     """
-    cuts: dict = {}
-    for j, lens in enumerate(lengths):
-        for g, (start, stop) in enumerate(zip([0, *accumulate(lens)], accumulate(lens))):
-            cuts.setdefault(stop - start, []).append((j, g, start))
+    cuts = [(j, g, start, stop - start) for j, lens in enumerate(lengths)
+            for g, (start, stop) in enumerate(zip([0, *accumulate(lens)], accumulate(lens)))]
     k = terms.shape[0]
     deltas = np.zeros((len(lengths), max(map(len, lengths)), k))
     pairwise = terms.strides[2] == terms.itemsize
-    for size, entries in cuts.items():
-        j, g, start = np.array(entries).T
+    for size, picks in _grouped(cut[3] for cut in cuts).items():
+        j, g, start = np.array([cuts[i][:3] for i in picks]).T
         at = start[:, None] + np.arange(size)
         # every index advanced, so each gather is C-ordered: features last, or classes last
         if pairwise:
@@ -325,18 +315,16 @@ def _stacked_woe(requests, e: Evidence, model: GaussianClassModel,
     states = _prefix_states([prefix for _, _, prefix, _ in requests], x, model, memo)
     memo.clear()
     memo.update(states)
-    buckets: dict[tuple[int, int], list] = {}
-    for j, (_, _, prefix, targets) in enumerate(requests):
-        lengths = list(map(len, targets))
-        for length in set(lengths):
-            rows = [k for k, n in enumerate(lengths) if n == length]
-            buckets.setdefault((len(prefix), length), []).append(
-                (j, rows, [prefix + targets[k] for k in rows]))
+    # each request's targets of one length, shortest first
+    parts = [((len(prefix), length), j, rows, [prefix + targets[k] for k in rows])
+             for j, (_, _, prefix, targets) in enumerate(requests)
+             for length, rows in sorted(_grouped(map(len, targets)).items())]
     scores = [np.empty(len(targets)) for _, _, _, targets in requests]
     # index arrays, not lists: numpy converts a list on every gather
     sides = [(np.array(a), np.array(b)) for a, b, _, _ in requests]
     with np.errstate(divide="ignore", invalid="ignore"):
-        for (p, _), entries in buckets.items():
+        for (p, _), bucket in _grouped(key for key, *_ in parts).items():
+            entries = [parts[i][1:] for i in bucket]
             base, terms, where = _densities([order for *_, orders in entries for order in orders],
                                             p, x, model, states)
             delta = terms.sum(axis=2)
@@ -431,7 +419,7 @@ def _posterior_log_odds(sides: list, joints: np.ndarray, priors: np.ndarray) -> 
     its own.
     """
     out = np.empty(len(sides))
-    for size, js in _sized([a + b for a, b in sides]).items():
+    for size, js in _grouped(len(a) + len(b) for a, b in sides).items():
         both = np.array([sides[j][0] + sides[j][1] for j in js])
         joint = np.log(priors[both]) + joints[np.array(js)[:, None], both]
         # A's and B's log shares of the mass of A u B, one row each: -inf for a side without mass

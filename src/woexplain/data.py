@@ -19,7 +19,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, CsvParseError, InvalidDataError, OracleProtocolError
+from .core import _checked_count
+from .errors import (
+    ConfigError,
+    CsvParseError,
+    InvalidDataError,
+    InvalidParameterError,
+    OracleProtocolError,
+)
 from .types import AttributePartition
 
 
@@ -113,15 +120,21 @@ def _parse_labels(cells: Iterable[str], column: str) -> tuple[np.ndarray, dict[s
 def _read_records(path: "str | Path") -> tuple[list[str], list[str]]:
     """The checked header and the body lines.
 
-    The file is read and split into lines at once. The header is
-    csv.reader's first record, and the body is every line after the
-    lines that record took; no body line is split or converted here.
+    The file is read and split into lines at once, at line feeds alone:
+    reading it as text has made every line break one, and the csv
+    module ends a record nowhere else. (str.splitlines() would also
+    break at form feeds, the file, group and record separators and
+    Unicode's line and paragraph separators.) The header is csv.reader's
+    first record, and the body is every line after the lines that
+    record took; no body line is split or converted here.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise CsvParseError(f"file {path} is not valid UTF-8: {exc}") from exc
-    lines = text.splitlines()
+    lines = text.split("\n")
+    if not lines[-1]:
+        del lines[-1]
     reader = csv.reader(lines)
     try:
         header = next(reader, None)
@@ -449,7 +462,10 @@ def load_partition(
         n = len(feature_names)
         name_to_index = {str(name): i for i, name in enumerate(feature_names)}
     elif n_features is not None:
-        n = int(n_features)
+        try:
+            n = _checked_count(n_features, "n_features", 1)
+        except InvalidParameterError as exc:
+            raise ConfigError(str(exc)) from None
         name_to_index = {}
     else:
         raise ConfigError("resolving a partition needs feature_names or n_features")

@@ -103,6 +103,21 @@ def _index_rows(rows, n: int, what: str) -> np.ndarray:
     return rows.astype(np.intp, copy=False)
 
 
+def _grouped(keys) -> dict:
+    """The positions of keys grouped by key: groups first seen first, positions in order."""
+    groups: dict = {}
+    for j, key in enumerate(keys):
+        groups.setdefault(key, []).append(j)
+    return groups
+
+
+def _distinct(keys) -> tuple[list, np.ndarray]:
+    """The distinct keys, first seen first, and each key's position among them (intp)."""
+    slot: dict = {}
+    where = np.array([slot.setdefault(key, len(slot)) for key in keys], dtype=np.intp)
+    return list(slot), where
+
+
 def _factor(covs: np.ndarray, error: type) -> np.ndarray:
     """np.linalg.cholesky of a class-major stack of covariances, (K, n, n) or (K, D, m, m).
 
@@ -314,14 +329,13 @@ def _densities(orders: list, p: int, x: np.ndarray, model: GaussianClassModel,
     states for the reads after. In diagonal mode each term is
     -(log 2 pi + log var + dev^2 / var)/2 of its own feature.
     """
-    slot: dict = {}
-    keys = orders if rows is None else zip(orders, rows)
-    where = np.array([slot.setdefault(key, len(slot)) for key in keys], dtype=np.intp)
     if rows is None:
-        distinct, at = list(slot), np.zeros(len(slot), dtype=np.intp)
+        distinct, where = _distinct(orders)
+        at = np.zeros(len(distinct), dtype=np.intp)
     else:
-        distinct = [order for order, _ in slot]
-        at = np.array([row for _, row in slot], dtype=np.intp)
+        reads, where = _distinct(zip(orders, rows))
+        distinct = [order for order, _ in reads]
+        at = np.array([row for _, row in reads], dtype=np.intp)
     if model.mode == FULL:
         if () not in states:
             states[()] = (_root(x, model), 0)
@@ -708,9 +722,13 @@ def fit(
         scale = float(np.var(x, axis=0).mean())
         floor = DEFAULT_FLOOR_SCALE * scale if scale > 0.0 else DEGENERATE_FLOOR
     else:
-        floor = float(variance_floor)
+        try:
+            floor = float(variance_floor)
+        except (TypeError, ValueError, OverflowError):
+            floor = np.nan
         if not np.isfinite(floor) or floor <= 0.0:
-            raise InvalidParameterError(f"variance floor must be positive, got {floor!r}")
+            raise InvalidParameterError(
+                f"variance floor must be positive, got {variance_floor!r}")
 
     if mode not in (DIAGONAL, FULL):
         raise InvalidParameterError(f"mode must be {DIAGONAL!r} or {FULL!r}, got {mode!r}")
@@ -745,12 +763,9 @@ def model_to_dict(model: GaussianClassModel) -> dict:
         entry = {
             "label": c,
             "prior": float(model.priors[c]),
-            "mean": [float(v) for v in model.means[c]],
+            "mean": model.means[c].tolist(),
         }
-        if model.mode == FULL:
-            entry["cov"] = [[float(v) for v in row] for row in model.covariances[c]]
-        else:
-            entry["var"] = [float(v) for v in model.covariances[c]]
+        entry["cov" if model.mode == FULL else "var"] = model.covariances[c].tolist()
         classes.append(entry)
     return {
         "version": MODEL_FORMAT_VERSION,

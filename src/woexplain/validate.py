@@ -43,6 +43,8 @@ from .errors import (
 from .gaussian import (
     GaussianClassModel,
     _checked_evidence,
+    _distinct,
+    _grouped,
     _order_terms,
     _posterior,
     mixture_log_ratio,
@@ -108,11 +110,10 @@ def _trial_deviations(rng: np.random.Generator, ids: list[int], x: np.ndarray,
     deviations and the (len(ids), K) joints.
     """
     k, n = model.n_classes, model.n_features
-    column = {i: r for r, i in enumerate(dict.fromkeys(ids))}
-    xs = x[list(column)]
+    distinct, at = _distinct(ids)
+    xs = x[distinct]
     states: dict = {}
     terms = _order_terms(tuple(range(n)), xs, model, states)
-    at = [column[i] for i in ids]
     joints, bayes = terms.sum(axis=2).T[at], _bayes_joints(terms).T[at]
 
     sides, priors, requests, failed = [], [], [], None
@@ -128,7 +129,7 @@ def _trial_deviations(rng: np.random.Generator, ids: list[int], x: np.ndarray,
         sides.append((a, b))
         requests += [(a, b, part), (a, b, [part[int(j)] for j in rng.permutation(len(part))])]
     sums = [sum(chain) for chain in _chains(requests, xs, model, states,
-                                              [r for r in at[:len(sides)] for _ in range(2)])]
+                                              at[:len(sides)].repeat(2).tolist())]
     if failed is not None:
         raise failed
 
@@ -150,10 +151,7 @@ def _enumerated(c_stars: list[int], joints: np.ndarray, log_prior: np.ndarray,
     """
     k = joints.shape[1]
     best: list = [None] * len(c_stars)
-    sharing: dict[int, list[int]] = {}
-    for r, c in enumerate(c_stars):
-        sharing.setdefault(c, []).append(r)
-    for c_star, rs in sharing.items():
+    for c_star, rs in _grouped(c_stars).items():
         joint = joints[rs]
         others = [c for c in range(k) if c != c_star]
         candidates, scores = [], []

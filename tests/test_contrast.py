@@ -129,6 +129,15 @@ class TestRegularizer:
         with pytest.raises(InvalidHypothesisError):
             regularizer([0, 4], [0, 1, 2], 1.0)
 
+    def test_refuses_what_contrast_params_refuse(self):
+        """alpha_reg is checked by ContrastParams' own rule, with its error."""
+        for alpha in ("x", None, -1.0, math.inf, math.nan, 10**400):
+            with pytest.raises(InvalidParameterError, match=r"^alpha_reg must be >= 0"):
+                ContrastParams(alpha_reg=alpha)
+            with pytest.raises(InvalidParameterError, match=r"^alpha_reg must be >= 0"):
+                regularizer([0], [0, 1, 2, 3], alpha)
+        assert regularizer([0], [0, 1, 2, 3], "0.5") == 0.5
+
 
 class TestScoreSubset:
     def test_symmetric_densities_score_zero(self):

@@ -1,6 +1,7 @@
 """CSV ingestion, label handling, oracle subprocess protocol, partitions."""
 
 import csv
+import io
 import json
 import math
 import sys
@@ -20,6 +21,13 @@ from woexplain import (
 from woexplain import data
 from woexplain.cli import _parse_input_row, _read_rows
 from woexplain.errors import ConfigError, CsvParseError, InvalidDataError, OracleProtocolError
+
+
+def csv_lines(text):
+    """The lines of text, without their breaks, where the csv module reading a file of text
+    ends them: at \\r, \\n and \\r\\n alone. csv.reader reads a quoted line break of these
+    lines as nothing, as load_csv does."""
+    return [line.rstrip("\r\n") for line in io.StringIO(text, newline="")]
 
 
 def write_text(path, text):
@@ -161,7 +169,7 @@ class TestLoadCsv:
 
 def per_cell_rows(text, columns):
     """The feature rows as float(cell.strip()) per cell, read by the csv module alone."""
-    records = list(csv.reader(text.splitlines()))
+    records = list(csv.reader(csv_lines(text)))
     header = [h.strip() for h in records[0]]
     cols = [header.index(name) for name in columns]
     rows = [[float(record[j].strip()) for j in cols] for record in records[1:]]
@@ -176,7 +184,7 @@ def per_cell_labels(text, name):
     each rule naming its first failing row; otherwise the sorted distinct
     texts are numbered.
     """
-    records = list(csv.reader(text.splitlines()))
+    records = list(csv.reader(csv_lines(text)))
     j = [h.strip() for h in records[0]].index(name)
     cells = [record[j].strip() for record in records[1:]]
     try:
@@ -308,7 +316,7 @@ def per_record_error(text, columns=None):
     column, in header order); a csv.Error names the record after the last
     one read. None when the file parses.
     """
-    records = csv.reader(text.splitlines())
+    records = csv.reader(csv_lines(text))
     header = [h.strip() for h in next(records)]
     cols = range(len(header)) if columns is None else [header.index(name) for name in columns]
     r = 0
@@ -459,7 +467,7 @@ class TestBlocksMatchRecordByRecord:
 
     def test_split_lines_read_as_the_csv_module_reads_them(self, tmp_path):
         """Seeded fuzz of quote-free text: csv.reader reads the body lines of _read_records
-        as the body records of the whole text."""
+        as the body records the csv module reads from the file."""
         rng = np.random.default_rng(11)
         atoms = ["", "0", "1", "-2.5", "x", " ", "\t", "\x1f", "\u00a0", "a b", "'", "\\"]
         breaks = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
@@ -477,18 +485,24 @@ class TestBlocksMatchRecordByRecord:
             text = brk.join(lines) + (brk if rng.random() < 0.7 else "")
             path = tmp_path / "t.csv"
             path.write_text(text, encoding="utf-8", newline="")
+            records = list(csv.reader(io.StringIO(text, newline="")))
+            without_empty_lines += [] not in records
+            want = [h.strip() for h in records[0]]
+            if not all(want):
+                # a break the csv module reads through joins lines into the header
+                with pytest.raises(CsvParseError, match="header contains an empty column name"):
+                    data._read_records(path)
+                continue
             header, body = data._read_records(path)
-            records = list(csv.reader(text.splitlines()))
-            assert header == [h.strip() for h in records[0]], case
+            assert header == want, case
             assert list(csv.reader(body)) == records[1:], case
-            without_empty_lines += "" not in text.splitlines()
         assert without_empty_lines > 150
 
 
 def quoted_twin(path, text):
     """A csv.QUOTE_ALL copy of text at path: the same records, read by csv.reader."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(csv.reader(text.splitlines()))
+        csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(csv.reader(csv_lines(text)))
     return path
 
 
@@ -550,7 +564,7 @@ class TestOnePassMatchesTheReferences:
         return label, columns, "\n".join(lines) + "\n"
 
     def reference(self, text, label, columns):
-        header = [h.strip() for h in next(csv.reader(text.splitlines()))]
+        header = [h.strip() for h in next(csv.reader(csv_lines(text)))]
         features = columns or [name for name in header if name != label]
         error = per_record_error(text, features)
         if error is not None:
@@ -665,7 +679,7 @@ def one_record_reference(text, path, row, columns):
     width, then each cell of columns (header indices) in order. No other
     record is checked.
     """
-    reader = csv.reader(text.splitlines())
+    reader = csv.reader(csv_lines(text))
     header = [h.strip() for h in next(reader)]
     records = []
     try:
@@ -714,7 +728,7 @@ class TestInputRowMatchesAOneRecordReference:
             label, columns, text = plain_file(rng)
             header = text.splitlines()[0].split(",")
             features = columns or [name for name in header if name != label]
-            n_body = len(list(csv.reader(text.splitlines()))) - 1
+            n_body = len(list(csv.reader(csv_lines(text)))) - 1
             plain = write_text(tmp_path / "t.csv", text)
             quoted = quoted_twin(tmp_path / "q.csv", text)
             for names, cols in ((tuple(features), [header.index(name) for name in features]),
@@ -776,6 +790,44 @@ class TestInputRowMatchesAOneRecordReference:
             with pytest.raises(CsvParseError, match=r"^malformed CSV record: field larger "
                                                     r"than field limit \(40\) \(row 3\)$"):
                 _parse_input_row(f"@{path}:{row}", ("a", "b"))
+
+
+def read_rows_outcome(path, names):
+    """validate's _read_rows as load_csv's outcome parts, or its error as (message, row, column)."""
+    try:
+        ds = _read_rows(str(path), names)
+    except CsvParseError as exc:
+        return str(exc), exc.row, exc.column
+    return ds.header, ds.rows.shape, ds.rows.tobytes(), None, None, None, None
+
+
+class TestRecordsEndWhereTheCsvModuleEndsThem:
+    """A record ends only where the csv module reading the file ends one: the other
+    characters str.splitlines() breaks at are cell text."""
+
+    # vertical tab, form feed, file, group and record separators, next line, line and
+    # paragraph separators
+    BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+    def test_in_feature_label_and_ignored_cells(self, tmp_path):
+        """Each character padding or inside a feature cell, a label cell and an unread id
+        cell: load_csv, validate's _read_rows and explain's @file.csv:ROW give what the
+        references give from the csv module's records, on the file and its quoted twin."""
+        reference = TestOnePassMatchesTheReferences().reference
+        for ch in self.BREAKS:
+            for feature, label in ((f"{ch}1{ch}", f"{ch}2"), (f"1{ch}5", f"c{ch}t")):
+                text = f"id,a,y,b\nr{ch}0,{feature},{label},3\nr{ch}1,4,1{ch},{ch}5{ch}\n"
+                assert len(list(csv.reader(io.StringIO(text, newline="")))) == 3
+                for path in (write_text(tmp_path / "t.csv", text),
+                             quoted_twin(tmp_path / "q.csv", text)):
+                    for label_column, columns in (("y", ["b", "a"]), ("y", None), (None, ["a"])):
+                        assert outcome(path, label_column=label_column, columns=columns) == \
+                            reference(text, label_column, columns), (ch, text, path)
+                    assert read_rows_outcome(path, ("a", "b")) == reference(
+                        text, None, ["a", "b"]), (ch, text, path)
+                    for row in range(-1, 3):
+                        assert input_row_outcome(path, ("a", "b"), row) == one_record_reference(
+                            text, path, row, [1, 3]), (ch, text, path, row)
 
 
 class TestLoadCsvMemory:
@@ -952,6 +1004,15 @@ class TestLoadPartition:
         p = load_partition(path, n_features=4)
         assert p.groups == ((3,), (0, 1), (2,))
         assert p.names is None
+
+    def test_n_features_must_be_a_positive_integer(self, tmp_path):
+        """n_features follows the integer rule of every count parameter: an integral float
+        passes, anything else is a ConfigError rather than a bare error or a truncation."""
+        path = self.write_partition(tmp_path, {"groups": [{"features": [0, 1]}]})
+        assert load_partition(path, n_features=2.0).groups == ((0, 1),)
+        for n in ("x", 2.5, 0, -1, math.nan, math.inf, [2]):
+            with pytest.raises(ConfigError, match=r"^n_features must be an integer >= 1, got "):
+                load_partition(path, n_features=n)
 
     def test_thirty_features_in_ten_triples(self, tmp_path):
         names = [f"f{i}" for i in range(30)]

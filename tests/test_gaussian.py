@@ -556,8 +556,9 @@ class TestFit:
             fit(good, [-1, -1, 1, 1])
         with pytest.raises(InvalidDataError):
             fit(good, [0, 0, 1])
-        with pytest.raises(InvalidParameterError):
-            fit(good, labels, variance_floor=0.0)
+        for floor in (0.0, "abc", [1], -1.0, np.inf, np.nan, 10**400):
+            with pytest.raises(InvalidParameterError, match="variance floor must be positive"):
+                fit(good, labels, variance_floor=floor)
         with pytest.raises(InvalidParameterError):
             fit(good, labels, mode="sparse")
 

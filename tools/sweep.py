@@ -32,7 +32,12 @@ mean, and runs:
   with every column as a feature, and the CLI's @file.csv:ROW for one
   random ROW, each on the file and on its csv.QUOTE_ALL copy; then the
   CLI's @file.csv:ROW for every ROW from 0 to one past the last record,
-  on both files.
+  on both files;
+- the same on a second file, always with an id column, whose id cells
+  and some feature cells hold the characters str.splitlines() breaks a
+  line at and the csv module does not (vertical tab, form feed, the
+  file, group and record separators, next line, and Unicode's line and
+  paragraph separators).
 
 An outcome is the exact repr of what a call returns, or the type and
 message of what it raises, plus the warnings it emits. The sweep prints
@@ -57,6 +62,10 @@ HOSTILE_CELLS = ("\x1f4\x1f", " 7 ", "\u00a03\u00a0", "1_0", "\u0661\u0662", "1e
                  "-inf", "", " ", "oops")
 LABEL_CELLS = ("2", " 0 ", "1.0", "1e0", "0.5", "-1", "1e300", "nan", "cat", '"1,0"', '"a\nb"',
                ' "2"')
+# every character str.splitlines() ends a line at but the csv module reading a file does not
+BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+# each as padding, inside a number and alone
+BREAK_CELLS = tuple(cell for c in BREAKS for cell in (f"{c}7{c}", f"1{c}5", c))
 SHOWN = 10  # differences listed
 
 
@@ -183,40 +192,51 @@ def _cases(seed: int) -> list:
     from woexplain import cli
 
     names = list(model.feature_names)
-    header = [str(h) for h in rng.permutation(names + ["y"] + (["id"] if seed % 3 == 0 else []))]
-    label_kinds = rng.choice(LABEL_CELLS, size=int(rng.integers(1, 4)))
-    integral = rng.random() < 0.5
-    lines = [",".join(header)]
-    for r in range(int(rng.integers(0, 12))):
-        cells = dict(zip(names, map(repr, row().tolist())), id=f"r{r}")
-        cells["y"] = str(rng.integers(0, k)) if integral else str(rng.choice(label_kinds))
-        for name in names:
-            if rng.random() < 0.02:
-                cells[name] = str(rng.choice(HOSTILE_CELLS))
-        line = ",".join(cells[h] for h in header)
-        lines.append(" " if rng.random() < 0.02 else line + ("," if rng.random() < 0.02 else ""))
-    plain, quoted = Path(f"sweep-{seed}.csv"), Path(f"sweep-{seed}-quoted.csv")
-    plain.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with open(quoted, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(csv.reader(lines))
-    spec = f":{int(rng.integers(0, len(lines)))}"
 
     def dataset(ds):
         labels = None if ds.labels is None else ds.labels.tolist()
         return repr((ds.header, ds.rows.shape, ds.rows.tolist(), labels, ds.label_mapping,
                      ds.label_name, ds.label_index))
 
-    for key, path in (("plain", plain), ("quoted", quoted)):
-        record(f"csv/{key}/label", lambda path=path: dataset(wx.load_csv(path, "y")))
-        record(f"csv/{key}/columns", lambda path=path: dataset(wx.load_csv(path, "y", names)))
-        record(f"csv/{key}/all", lambda path=path: dataset(wx.load_csv(path)))
-        record(f"csv/{key}/row", lambda path=path: repr(
-            cli._parse_input_row(f"@{path}{spec}", model.feature_names).tolist()))
-    # every row of both files, one past the end included, recorded after every case above
-    for key, path in (("plain", plain), ("quoted", quoted)):
-        for r in range(len(lines)):
-            record(f"csv/{key}/rows/{r}", lambda path=path, r=r: repr(
-                cli._parse_input_row(f"@{path}:{r}", model.feature_names).tolist()))
+    def csv_cases(tag, header, hostile, id_cell):
+        """Every CSV case of one random file of header, and of its csv.QUOTE_ALL copy."""
+        label_kinds = rng.choice(LABEL_CELLS, size=int(rng.integers(1, 4)))
+        integral = rng.random() < 0.5
+        lines = [",".join(header)]
+        for r in range(int(rng.integers(0, 12))):
+            cells = dict(zip(names, map(repr, row().tolist())), id=id_cell(r))
+            cells["y"] = str(rng.integers(0, k)) if integral else str(rng.choice(label_kinds))
+            for name in names:
+                if rng.random() < 0.02:
+                    cells[name] = str(rng.choice(hostile))
+            line = ",".join(cells[h] for h in header)
+            lines.append(" " if rng.random() < 0.02 else
+                         line + ("," if rng.random() < 0.02 else ""))
+        stem = "sweep" if tag == "csv" else f"sweep-{tag}"
+        plain, quoted = Path(f"{stem}-{seed}.csv"), Path(f"{stem}-{seed}-quoted.csv")
+        plain.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with open(quoted, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(csv.reader(lines))
+        spec = f":{int(rng.integers(0, len(lines)))}"
+        for key, path in (("plain", plain), ("quoted", quoted)):
+            record(f"{tag}/{key}/label", lambda path=path: dataset(wx.load_csv(path, "y")))
+            record(f"{tag}/{key}/columns",
+                   lambda path=path: dataset(wx.load_csv(path, "y", names)))
+            record(f"{tag}/{key}/all", lambda path=path: dataset(wx.load_csv(path)))
+            record(f"{tag}/{key}/row", lambda path=path: repr(
+                cli._parse_input_row(f"@{path}{spec}", model.feature_names).tolist()))
+        # every row of both files, one past the end included
+        for key, path in (("plain", plain), ("quoted", quoted)):
+            for r in range(len(lines)):
+                record(f"{tag}/{key}/rows/{r}", lambda path=path, r=r: repr(
+                    cli._parse_input_row(f"@{path}:{r}", model.feature_names).tolist()))
+
+    csv_cases("csv", [str(h) for h in rng.permutation(
+        names + ["y"] + (["id"] if seed % 3 == 0 else []))], HOSTILE_CELLS, lambda r: f"r{r}")
+    # record boundaries, recorded after every case above: each id cell, and some feature
+    # cells, hold a character str.splitlines() breaks at and the csv module does not
+    csv_cases("breaks", [str(h) for h in rng.permutation(names + ["y", "id"])],
+              HOSTILE_CELLS + BREAK_CELLS, lambda r: f"r{rng.choice(BREAKS)}{r}")
     return out
 
 
