@@ -5,7 +5,7 @@ posterior log-odds into a prior term plus exact per-attribute weight-of-
 evidence scores, sequenced over nested contrastive hypotheses.
 """
 
-from .contrast import ContrastParams, best_contrast, regularizer, score_subset
+from .contrast import ContrastParams, best_contrast, score_subset
 from .core import (
     bayes_decomposition,
     information_value,
@@ -44,7 +44,6 @@ from .gaussian import (
     posterior,
     predicted_class,
     save_model,
-    set_conditional_log_likelihood,
 )
 from .types import (
     AttributePartition,
@@ -88,13 +87,11 @@ __all__ = [
     "predicted_class",
     "prior_log_odds",
     "query_oracle",
-    "regularizer",
     "report_to_dict",
     "run_validation",
     "save_model",
     "score_attributes",
     "score_subset",
-    "set_conditional_log_likelihood",
     "woe",
     "woe_chain",
     "woe_conditional",

@@ -93,27 +93,16 @@ def _penalty(size_u: int, size_v: int, alpha: float) -> float:
     return alpha * (size_u - size_v / 2.0) ** 2
 
 
-def regularizer(entailed, full_set, alpha_reg: float) -> float:
-    """R(U) = alpha_reg * (|U| - |V|/2)^2, zero at an even split.
-
-    alpha_reg is checked as ContrastParams checks it.
-    """
-    u = as_hypothesis(entailed)
-    v = as_hypothesis(full_set)
-    if not u.issubset(v):
-        raise InvalidHypothesisError("entailed set must be a subset of the class universe")
-    return _penalty(len(u), len(v), ContrastParams(alpha_reg=alpha_reg).alpha_reg)
-
-
 def score_subset(entailed, full_set, evidence, model: GaussianClassModel,
                  params: ContrastParams) -> float:
     """Objective value of one candidate split: woe(U/V\\U : x) - R(U)."""
     u = as_hypothesis(entailed)
     v = as_hypothesis(full_set)
-    penalty = regularizer(u, v, params.alpha_reg)
+    if not u.issubset(v):
+        raise InvalidHypothesisError("entailed set must be a subset of the class universe")
     if len(u) == len(v):
         raise EmptyContrastError("entailed set equals the class universe, contrast is empty")
-    return woe(u, v.difference(u), evidence, model) - penalty
+    return woe(u, v.difference(u), evidence, model) - _penalty(len(u), len(v), params.alpha_reg)
 
 
 @lru_cache(maxsize=16)

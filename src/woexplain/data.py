@@ -118,23 +118,28 @@ def _parse_labels(cells: Iterable[str], column: str) -> tuple[np.ndarray, dict[s
 
 
 def _read_records(path: "str | Path") -> tuple[list[str], list[str]]:
-    """The checked header and the body lines.
+    """The checked header and the body lines, each with its line break.
 
-    The file is read and split into lines at once, at line feeds alone:
-    reading it as text has made every line break one, and the csv
-    module ends a record nowhere else. (str.splitlines() would also
-    break at form feeds, the file, group and record separators and
-    Unicode's line and paragraph separators.) The header is csv.reader's
-    first record, and the body is every line after the lines that
-    record took; no body line is split or converted here.
+    The lines are those of the file opened with newline="", as the csv
+    docs prescribe: a line ends at \\n, \\r or \\r\\n alone and keeps its
+    break, so csv.reader and np.loadtxt keep a quoted line break in its
+    cell. (str.splitlines() would also break at form feeds, the file,
+    group and record separators and Unicode's line and paragraph
+    separators.) The header is csv.reader's first record, and the body is
+    every line after the lines that record took; no body line is split or
+    converted here.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig", newline="") as fh:
+            lines = fh.readlines()
     except UnicodeDecodeError as exc:
+        # readlines decodes chunk by chunk and counts a bad byte's position
+        # from its chunk; the whole file decoded at once counts from its start
+        try:
+            Path(path).read_text(encoding="utf-8-sig")
+        except UnicodeDecodeError as whole:
+            exc = whole
         raise CsvParseError(f"file {path} is not valid UTF-8: {exc}") from exc
-    lines = text.split("\n")
-    if not lines[-1]:
-        del lines[-1]
     reader = csv.reader(lines)
     try:
         header = next(reader, None)
@@ -291,7 +296,8 @@ def _one_pass(
     empty line (which it skips) or a quoted line break does; or when a
     feature is not finite.
     """
-    if not lines or "\0" in "".join(lines) or max(map(len, lines)) > csv.field_size_limit():
+    if (not lines or any("\0" in line for line in lines)
+            or max(map(len, lines)) > csv.field_size_limit()):
         return None
     # a column read as empty text ("U0") counts towards the width but is never kept
     kinds = dict.fromkeys(range(width), "U0") | dict.fromkeys(feature_cols, float)
@@ -338,13 +344,15 @@ def _body_record(lines: list[str], index: int) -> tuple[list[str] | None, int]:
     No cell is converted. Where each line is one record, as csv.reader
     reads it (no quote, no NUL, no empty line and no line longer than
     csv.field_size_limit()), the lines are counted and only line index is
-    split at its commas. Otherwise csv.reader reads the body to its end,
-    so a malformed record anywhere raises _per_record's error.
+    split at its commas, its break left off. Otherwise csv.reader reads
+    the body to its end, so a malformed record anywhere raises
+    _per_record's error.
     """
-    text = "".join(lines)
-    if ('"' not in text and "\0" not in text and "" not in lines
+    if (not any('"' in line or "\0" in line or line in ("\n", "\r", "\r\n")
+                for line in lines)
             and max(map(len, lines), default=0) <= csv.field_size_limit()):
-        return (lines[index].split(",") if 0 <= index < len(lines) else None), len(lines)
+        return ((lines[index].rstrip("\r\n").split(",") if 0 <= index < len(lines) else None),
+                len(lines))
     record, count = None, 0
     try:
         for cells in csv.reader(lines):

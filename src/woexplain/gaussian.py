@@ -19,11 +19,10 @@ one column per row: any order is read at any row in one call, and a
 single input is the one-row case. An input's terms along a full order,
 whose sums are the per-class joints J, have one reader (_order_terms):
 the order at each row of a stack, from the root, with no public
-re-check. explain, validate, the one-call routes of core, best_contrast,
-posterior and the public primitive log_density_terms, after its own
-checks, all read J there. Composite hypotheses Y in C are prior-weighted
-mixtures combined by mixture_log_ratio, which makes chained conditional
-scores telescope exactly.
+re-check. explain, validate, the one-call routes of core, best_contrast
+and posterior all read J there. Composite hypotheses Y in C are
+prior-weighted mixtures combined by mixture_log_ratio, which makes
+chained conditional scores telescope exactly.
 
 All probability arithmetic happens in log space.
 """
@@ -35,7 +34,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,7 +49,7 @@ from .errors import (
     NumericalConditioningError,
     UnknownLabelError,
 )
-from .types import Evidence, HypothesisSet, as_evidence, as_hypothesis
+from .types import Evidence, as_evidence
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -244,7 +243,7 @@ def _prefix_states(prefixes, x: np.ndarray, model: GaussianClassModel,
     holds its prefix for each of the R rows (_Stack). memo maps prefixes
     to their states; the empty prefix is memo's root, or a new one
     (_root). Only reads with a nonempty prefix need this: explain's
-    rounds (core._stacked_woe) and set_conditional_log_likelihood. A read
+    rounds (core._stacked_woe) and class_conditional_log_density. A read
     of empty-prefix orders alone builds its root in _densities.
     A nonempty prefix extends the longest memo entry that begins it, or
     the root, by conditioning on its remaining coordinates in order
@@ -257,24 +256,22 @@ def _prefix_states(prefixes, x: np.ndarray, model: GaussianClassModel,
     if model.mode != FULL:
         return {}
     root = memo.get(()) or (_root(x, model), 0)
-    grown: dict = {}
-    lengths = sorted({len(k) for k in memo}, reverse=True)
-    for prefix in dict.fromkeys(prefixes):
-        if prefix:
-            done = next((prefix[:n] for n in lengths if prefix[:n] in memo), ())
-            stack, d = memo.get(done, root)
-            grown.setdefault((len(prefix) - len(done), id(stack)), (stack, []))[1].append(
-                (prefix, d))
-    if not grown:
+    prefixes = [prefix for prefix in dict.fromkeys(prefixes) if prefix]
+    if not prefixes:
         return {(): root}
+    lengths = sorted({len(k) for k in memo}, reverse=True)
+    done = [next((prefix[:n] for n in lengths if prefix[:n] in memo), ()) for prefix in prefixes]
+    starts = [memo.get(k, root) for k in done]
     parts = []
     n_rows = len(x)
-    for (j, _), (stack, entries) in grown.items():
-        cols = [d + r for _, d in entries for r in range(n_rows)]
+    for members in _grouped((len(prefix) - len(k), id(stack)) for prefix, k, (stack, _)
+                            in zip(prefixes, done, starts)).values():
+        stack = starts[members[0]][0]
+        cols = [starts[i][1] + r for i in members for r in range(n_rows)]
         aug = stack.aug[:, cols]
-        pivots = np.array([prefix[len(prefix) - j:] for prefix, _ in entries])
+        pivots = np.array([prefixes[i][len(done[i]):] for i in members])
         base = _condition(aug, stack.base[:, cols], np.repeat(pivots, n_rows, axis=0))
-        parts.append((base, aug, [prefix for prefix, _ in entries]))
+        parts.append((base, aug, [prefixes[i] for i in members]))
     if len(parts) == 1:
         (base, aug, order), = parts
     else:
@@ -361,19 +358,6 @@ def _order_terms(order: tuple, x: np.ndarray, model: GaussianClassModel,
     whatever its value.
     """
     return _densities([order] * len(x), 0, x, model, states, range(len(x)))[1]
-
-
-def _scattered(order: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """The values of a checked order at their features of an n-vector, checked as Evidence.
-
-    A non-finite value raises InvalidDataError naming its feature. The
-    other features hold 0.0 and are never read.
-    """
-    x = np.zeros(n)
-    x[order] = values
-    observed = np.zeros(n, dtype=bool)
-    observed[order] = True
-    return Evidence(x, observed).values
 
 
 @dataclass(frozen=True)
@@ -475,35 +459,6 @@ class GaussianClassModel:
         var = self.covariances[c, i] if self.mode == DIAGONAL else self.covariances[c, i, i]
         return float(self.means[c, i]), float(var)
 
-    def log_density_terms(self, order: Sequence[int], values: Sequence[float]) -> np.ndarray:
-        """Sequential conditional log densities of every class along `order`.
-
-        Returns a (K, m) array whose entry [c, i] is log P(X_{o_i} = v_i
-        | X_{o_1..o_{i-1}} = v_1..v_{i-1}, Y = c), so the prefix sums of
-        row c are the joint log densities of every prefix of the order.
-        Once checked, the values are placed at their features of an
-        n-vector, which is read through the one reader of J every route
-        uses (_order_terms); a full covariance is read from that vector's
-        root state. There the covariance permuted into the order is
-        factored as S = L L^T; with z = L^-1 (v - mu) the i-th term is
-        -(log 2 pi + 2 log L_ii + z_i^2)/2 (Rasmussen & Williams, GPML,
-        App. A). Diagonal mode is the case L = diag(sqrt(var)).
-
-        A non-finite value raises InvalidDataError naming its feature,
-        as Evidence does. Past about 1e154 standard deviations the
-        squared distance overflows and the term is -inf, silently: the
-        density is 0 there. A covariance that fails to factor raises
-        NumericalConditioningError naming the first such class.
-        """
-        if np.ndim(order) != 1:
-            raise InvalidPartitionError("order must be a 1-D sequence of indices")
-        (idx,) = _index_rows([order], self.n_features, "order")
-        v = np.asarray(values, dtype=float).reshape(-1)
-        if v.shape != idx.shape:
-            raise InvalidDataError(f"{v.size} values for {idx.size} ordered indices")
-        x = _scattered(idx, v, self.n_features)[None]
-        return _order_terms(tuple(idx.tolist()), x, self, {})[:, 0]
-
     def class_conditional_log_density(
         self,
         label: int,
@@ -514,13 +469,36 @@ class GaussianClassModel:
     ) -> float:
         """log P(X_target = x_target | X_prefix = x_prefix, Y = label).
 
-        set_conditional_log_likelihood of the one class, so the same
-        conditional route as woe_conditional. In diagonal mode the prefix
-        has no effect. An empty target yields log 1 = 0.
+        The sum of the class's target terms after its prefix terms, read
+        from the route woe_conditional reads (_densities): a one-class
+        mixture is its delta alone, so woe_conditional([c], [d], ...) is
+        this for c minus this for d, bit for bit. In diagonal mode the
+        prefix has no effect. An empty target yields log 1 = 0. The
+        values are placed at their features of an n-vector, checked as
+        Evidence: a non-finite value raises InvalidDataError naming its
+        feature, and the other features are never read. Past about 1e154
+        standard deviations the squared distance overflows and the density
+        is -inf, silently; where the terms are undefined
+        DegenerateDensityError is raised.
         """
-        return set_conditional_log_likelihood(
-            self, self.check_label(label), target, x_target, prefix, x_prefix
-        )
+        c = self.check_label(label)
+        t_idx, p_idx = tuple(target), tuple(prefix)
+        x_t = np.asarray(x_target, dtype=float).reshape(-1)
+        if x_t.size != len(t_idx):
+            raise InvalidDataError(f"{x_t.size} target values for {len(t_idx)} target indices")
+        x_p = np.asarray(x_prefix, dtype=float).reshape(-1)
+        if x_p.size != len(p_idx):
+            raise InvalidDataError(f"{x_p.size} prefix values for {len(p_idx)} prefix indices")
+        (order,) = _index_rows([p_idx + t_idx], self.n_features, "order")
+        x = np.zeros(self.n_features)
+        x[order] = np.concatenate([x_p, x_t])
+        observed = np.zeros(self.n_features, dtype=bool)
+        observed[order] = True
+        x = Evidence(x, observed).values[None]
+        order = tuple(order.tolist())
+        p = len(p_idx)
+        _, terms, _ = _densities([order], p, x, self, _prefix_states([order[:p]], x, self, {}))
+        return float(_defined(terms.sum(axis=2)[c, 0]))
 
 
 def mixture_log_ratio(base: np.ndarray, delta: np.ndarray) -> "float | np.ndarray":
@@ -587,47 +565,6 @@ def _checked_evidence(e, model: GaussianClassModel) -> Evidence:
             f"evidence has {ev.n_features} features, model expects {model.n_features}"
         )
     return ev
-
-
-def set_conditional_log_likelihood(
-    model: GaussianClassModel,
-    hypothesis: "HypothesisSet | int | Iterable[int]",
-    target: Sequence[int],
-    x_target: Sequence[float],
-    prefix: Sequence[int] = (),
-    x_prefix: Sequence[float] = (),
-) -> float:
-    """log P(X_target = x_target | X_prefix = x_prefix, Y in C).
-
-    The composite hypothesis is a mixture of its member classes with
-    weights w_c proportional to P(c) P(x_prefix | c), renormalized over C:
-    mixture_log_ratio with base b_c = log P(c) + log P(x_prefix | c) and
-    delta the conditional target log density. This form makes chained
-    scores telescope. -inf where no class of C gives the target a finite
-    density given the prefix. Where no class of C (of two or more) gives
-    the prefix one the weights are undefined, and DegenerateDensityError
-    is raised, as in woe_conditional.
-
-    b_c and the delta come from the route woe_conditional reads
-    (_densities), so woe_conditional([c], [d], ...) is this for {c}
-    minus this for {d}, bit for bit. A non-finite value raises
-    InvalidDataError naming its feature, as Evidence does.
-    """
-    h = list(as_hypothesis(hypothesis).check_against(model.n_classes))
-    t_idx, p_idx = tuple(target), tuple(prefix)
-    x_t = np.asarray(x_target, dtype=float).reshape(-1)
-    if x_t.size != len(t_idx):
-        raise InvalidDataError(f"{x_t.size} target values for {len(t_idx)} target indices")
-    x_p = np.asarray(x_prefix, dtype=float).reshape(-1)
-    if x_p.size != len(p_idx):
-        raise InvalidDataError(f"{x_p.size} prefix values for {len(p_idx)} prefix indices")
-    (order,) = _index_rows([p_idx + t_idx], model.n_features, "order")
-    x = _scattered(order, np.concatenate([x_p, x_t]), model.n_features)[None]
-    order = tuple(order.tolist())
-    p = len(p_idx)
-    base, terms, _ = _densities([order], p, x, model, _prefix_states([order[:p]], x, model, {}))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _defined(mixture_log_ratio(base[h, 0], terms.sum(axis=2)[h, 0]))
 
 
 def posterior(model: GaussianClassModel, evidence: "Evidence | Sequence[float]") -> np.ndarray:

@@ -20,8 +20,8 @@ from woexplain import (
     GaussianClassModel,
     HypothesisSet,
     best_contrast,
-    regularizer,
     score_subset,
+    woe,
 )
 from woexplain import contrast
 from woexplain.core import first_max
@@ -115,28 +115,38 @@ class TestContrastParams:
             make()
 
 
+def penalized(u, v, alpha, penalty):
+    """Whether score_subset of U in V is woe(U / V\\U) minus penalty, bit for bit."""
+    model = random_model(np.random.default_rng(8), max(v) + 1, 2)
+    x = [0.3, -1.2]
+    rest = [c for c in v if c not in u]
+    return score_subset(u, v, x, model, ContrastParams(alpha_reg=alpha)) == (
+        woe(u, rest, x, model) - penalty)
+
+
 class TestRegularizer:
+    """score_subset subtracts R(U) = alpha_reg * (|U| - |V|/2)^2."""
+
     def test_even_split_is_free(self):
-        assert regularizer([0, 1], [0, 1, 2, 3], 0.7) == 0.0
+        assert penalized([0, 1], [0, 1, 2, 3], 0.7, 0.0)
 
     def test_singleton_of_four(self):
-        assert regularizer([0], [0, 1, 2, 3], 1.0) == 1.0
+        assert penalized([0], [0, 1, 2, 3], 1.0, 1.0)
 
     def test_nine_of_ten(self):
-        assert regularizer(list(range(9)), list(range(10)), 0.5) == 8.0
+        assert penalized(list(range(9)), list(range(10)), 0.5, 8.0)
 
     def test_requires_subset(self):
-        with pytest.raises(InvalidHypothesisError):
-            regularizer([0, 4], [0, 1, 2], 1.0)
+        model = random_model(np.random.default_rng(9), 3, 2)
+        with pytest.raises(InvalidHypothesisError, match="^entailed set must be a subset"):
+            score_subset([0, 4], [0, 1, 2], [0.0, 0.0], model, ContrastParams(alpha_reg=1.0))
 
     def test_refuses_what_contrast_params_refuse(self):
         """alpha_reg is checked by ContrastParams' own rule, with its error."""
         for alpha in ("x", None, -1.0, math.inf, math.nan, 10**400):
             with pytest.raises(InvalidParameterError, match=r"^alpha_reg must be >= 0"):
                 ContrastParams(alpha_reg=alpha)
-            with pytest.raises(InvalidParameterError, match=r"^alpha_reg must be >= 0"):
-                regularizer([0], [0, 1, 2, 3], alpha)
-        assert regularizer([0], [0, 1, 2, 3], "0.5") == 0.5
+        assert penalized([0], [0, 1, 2, 3], "0.5", 0.5)
 
 
 class TestScoreSubset:
@@ -164,8 +174,8 @@ class TestScoreSubset:
         v = list(range(5))
         for u in ([0], [1, 3], [0, 2, 4]):
             rest = [c for c in v if c not in u]
-            woe_u = score_subset(u, v, x, model, params) + regularizer(u, v, 0.3)
-            woe_rest = score_subset(rest, v, x, model, params) + regularizer(rest, v, 0.3)
+            woe_u = score_subset(u, v, x, model, params) + 0.3 * (len(u) - 2.5) ** 2
+            woe_rest = score_subset(rest, v, x, model, params) + 0.3 * (len(rest) - 2.5) ** 2
             assert woe_u == -woe_rest
 
     def test_three_class_closed_form(self):

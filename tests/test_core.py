@@ -44,7 +44,7 @@ from woexplain.errors import (
     UnknownLabelError,
 )
 
-from woexplain.gaussian import mixture_log_ratio
+from woexplain.gaussian import _order_terms, mixture_log_ratio
 
 from oracles import joint_logpdf, random_model, random_ordered_partition, woe_between
 
@@ -274,7 +274,7 @@ class TestWoeConditional:
             cases = [
                 lambda: woe_conditional([0], [1], (bad,), (), x, model),
                 lambda: woe_conditional([0], [1], (2,), (bad,), x, model),
-                lambda: model.log_density_terms((bad,), [0.0]),
+                lambda: model.class_conditional_log_density(0, (bad,), [0.0]),
                 lambda: model.marginal_moments(0, bad),
                 lambda: woe_chain([0], [1], [(0, bad), (2,)], x, model),
                 lambda: AttributePartition(((0, bad), (2,))),
@@ -559,7 +559,7 @@ class TestStackedChains:
                 a, b = map(sorted, random_sets(rng, k))
                 ordering = random_ordered_partition(rng, range(n))
                 order = [i for g in ordering for i in g]
-                terms = model.log_density_terms(order, x[order])
+                terms = _order_terms(tuple(order), x[None], model, {})[:, 0]
                 base, start, expected = np.log(model.priors), 0, []
                 for group in ordering:
                     delta = terms[:, start:start + len(group)].sum(axis=1)

@@ -24,10 +24,9 @@ from woexplain.errors import ConfigError, CsvParseError, InvalidDataError, Oracl
 
 
 def csv_lines(text):
-    """The lines of text, without their breaks, where the csv module reading a file of text
-    ends them: at \\r, \\n and \\r\\n alone. csv.reader reads a quoted line break of these
-    lines as nothing, as load_csv does."""
-    return [line.rstrip("\r\n") for line in io.StringIO(text, newline="")]
+    """The lines of text, each with its break, as the csv module reading a file of text
+    takes them: ended at \\r, \\n and \\r\\n alone, so a quoted line break stays in its cell."""
+    return list(io.StringIO(text, newline=""))
 
 
 def write_text(path, text):
@@ -165,6 +164,17 @@ class TestLoadCsv:
         binary.write_bytes(b"a,b\n\xff\xfe,2\n")
         with pytest.raises(CsvParseError, match="UTF-8"):
             csv_header(binary)
+
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_invalid_utf8_names_its_position_in_the_file(self, tmp_path, bom):
+        """A bad byte past the reader's first chunks is named at its offset in the
+        file, not in the chunk being decoded (the BOM is not counted)."""
+        path = tmp_path / "late.csv"
+        path.write_bytes(bom + b"a,b\n" + b"1,2\n" * 5000 + b"\xff,3\n")
+        for read in (load_csv, csv_header):
+            with pytest.raises(CsvParseError, match=r"can't decode byte 0xff in "
+                                                    r"position 20004: invalid start byte$"):
+                read(path)
 
 
 def per_cell_rows(text, columns):
@@ -495,6 +505,8 @@ class TestBlocksMatchRecordByRecord:
                 continue
             header, body = data._read_records(path)
             assert header == want, case
+            lines = csv_lines(text)
+            assert body == lines[len(lines) - len(body):], case
             assert list(csv.reader(body)) == records[1:], case
         assert without_empty_lines > 150
 
@@ -830,12 +842,57 @@ class TestRecordsEndWhereTheCsvModuleEndsThem:
                             text, path, row, [1, 3]), (ch, text, path, row)
 
 
+class TestQuotedLineBreaksAreCellText:
+    """A line break inside quotes (\\n, \\r or \\r\\n) is cell text, as the csv module reading
+    the file keeps it: no reader drops it."""
+
+    BREAKS = ("\n", "\r", "\r\n")
+
+    @staticmethod
+    def written(path, text):
+        path.write_text(text, encoding="utf-8", newline="")
+        return path
+
+    @pytest.mark.parametrize("brk", BREAKS, ids=["LF", "CR", "CRLF"])
+    def test_feature_cell_raises_the_per_cell_error(self, tmp_path, brk):
+        text = f'y,f,g\n1,2,5\n0,"3{brk}4",6\n1,2,3\n'
+        path = self.written(tmp_path / "t.csv", text)
+        message = f"cell {'3' + brk + '4'!r} does not parse as a number (row 2, column 'f')"
+        assert csv_error(path, label_column="y") == (message, 2, "f")
+        assert read_rows_outcome(path, ("f", "g")) == (message, 2, "f")
+        assert outcome(path, label_column="y") == TestOnePassMatchesTheReferences().reference(
+            text, "y", None)
+
+    @pytest.mark.parametrize("brk", BREAKS, ids=["LF", "CR", "CRLF"])
+    def test_label_cell_maps_as_itself(self, tmp_path, brk):
+        text = f'f,y\n1,"a{brk}b"\n2,c\n3,"a{brk}b"\n'
+        ds = load_csv(self.written(tmp_path / "t.csv", text), label_column="y")
+        assert ds.label_mapping == {f"a{brk}b": 0, "c": 1}
+        assert ds.labels.tolist() == [0, 1, 0]
+        assert ds.rows.tolist() == [[1.0], [2.0], [3.0]]
+
+    @pytest.mark.parametrize("brk", BREAKS, ids=["LF", "CR", "CRLF"])
+    def test_input_row_reads_its_own_record(self, tmp_path, brk):
+        """ROW 1 holds the break in a feature cell and raises its error; the records around
+        it, one with a break in its id cell, read their own values."""
+        text = f'id,f,g\n"r{brk}0",1,2\nr1,"3{brk}4",5\nr2,6,7\n'
+        path = self.written(tmp_path / "t.csv", text)
+        message = f"cell {'3' + brk + '4'!r} does not parse as a number (row 2, column 'f')"
+        assert input_row_outcome(path, ("f", "g"), 1) == ("CsvParseError", message, 2, "f")
+        assert _parse_input_row(f"@{path}:0", ("f", "g")).tolist() == [1.0, 2.0]
+        assert _parse_input_row(f"@{path}:2", ("f", "g")).tolist() == [6.0, 7.0]
+        for row in range(-1, 4):
+            assert input_row_outcome(path, ("f", "g"), row) == one_record_reference(
+                text, path, row, [1, 2]), row
+
+
 class TestLoadCsvMemory:
     def test_peak_stays_below_a_list_of_float_lists(self, tmp_path):
         """A 20,000 x 10 file (3.9 MB) peaked at 13.7 MB when every row was a list of
-        floats before becoming an array, and peaks at 9.2 MB converted in one np.loadtxt
-        pass: the file text beside its lines, while reading, and the lines beside their
-        join for the NUL check, while converting (Python 3.11, numpy 2.4)."""
+        floats before becoming an array, at 9.2 MB converted in one np.loadtxt pass with
+        the file text beside its lines and the lines beside their join for the NUL check,
+        and peaks at 8.5 MB read straight into its lines, which the NUL check reads in
+        place (Python 3.11, numpy 2.4)."""
         rng = np.random.default_rng(3)
         rows = rng.normal(size=(20_000, 10))
         text = "".join(",".join(map(repr, map(float, row))) + "\n" for row in rows)

@@ -28,7 +28,6 @@ from woexplain import (
     posterior,
     predicted_class,
     save_model,
-    set_conditional_log_likelihood,
     woe_conditional,
 )
 from woexplain.errors import (
@@ -42,7 +41,13 @@ from woexplain.errors import (
     NumericalConditioningError,
     UnknownLabelError,
 )
-from woexplain.gaussian import _densities, _prefix_states, mixture_log_ratio
+from woexplain.gaussian import (
+    _defined,
+    _densities,
+    _order_terms,
+    _prefix_states,
+    mixture_log_ratio,
+)
 
 from oracles import (
     conditional_logpdf as oracle_conditional_logpdf,
@@ -53,7 +58,23 @@ from oracles import (
 )
 
 
+def set_likelihood(model, classes, target, x_target, prefix=(), x_prefix=()):
+    """log P(X_target = x_target | X_prefix = x_prefix, Y in classes), read from the kernel
+    woe_conditional_many reads: the prefix's state, the order's base and target terms, and
+    their mixture over the classes. Undefined weights raise as the package's routes raise."""
+    order = tuple(prefix) + tuple(target)
+    x = np.zeros((1, model.n_features))
+    x[0, list(order)] = np.concatenate([np.ravel(x_prefix), np.ravel(x_target)])
+    p = len(prefix)
+    base, terms, _ = _densities([order], p, x, model, _prefix_states([order[:p]], x, model, {}))
+    h = list(classes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _defined(mixture_log_ratio(base[h, 0], terms.sum(axis=2)[h, 0]))
+
+
 class TestLogDensityTerms:
+    """J's one reader (_order_terms) against the oracles."""
+
     def test_prefix_sums_are_joint_densities(self):
         """Row c's prefix sums give class c's joint density of every prefix."""
         rng = np.random.default_rng(64)
@@ -62,10 +83,10 @@ class TestLogDensityTerms:
                 model = random_model(rng, 3, 5, mode=mode)
                 order = [int(i) for i in rng.permutation(5)]
                 x = rng.normal(0.0, 2.0, size=5)
-                sums = np.cumsum(model.log_density_terms(order, x), axis=1)
+                sums = np.cumsum(_order_terms(tuple(order), x[None], model, {})[:, 0], axis=1)
                 for c in range(3):
                     for m in range(1, 6):
-                        oracle = oracle_joint_logpdf(model, c, order[:m], x[:m])
+                        oracle = oracle_joint_logpdf(model, c, order[:m], x[order[:m]])
                         assert_allclose(sums[c, m - 1], oracle, rtol=1e-10)
 
     def test_covariance_that_fails_to_factor_names_its_class(self):
@@ -79,49 +100,51 @@ class TestLogDensityTerms:
             feature_names=("a", "b", "c"),
         )
         message = "^the covariance of class 1 is not positive definite$"
+        x = np.zeros((1, 3))
         with pytest.raises(NumericalConditioningError, match=message):
-            model.log_density_terms([2, 1, 0], [0.0, 0.0, 0.0])
+            _order_terms((2, 1, 0), x, model, {})
         with pytest.raises(NumericalConditioningError, match=message):
-            model.log_density_terms([2, 0], [0.0, 0.0])
+            _order_terms((2, 0), x, model, {})
+        with pytest.raises(NumericalConditioningError, match=message):
+            model.class_conditional_log_density(0, (0,), [0.0], (2,), [0.0])
         # submatrices that do factor are scored as usual
-        for order in ([0, 1], [1, 2]):
-            assert np.isfinite(model.log_density_terms(order, [0.0, 0.0])).all()
+        for order in ((0, 1), (1, 2)):
+            assert np.isfinite(_order_terms(order, x, model, {})).all()
 
     def test_empty_order(self):
         rng = np.random.default_rng(65)
         for mode in ("full", "diagonal"):
-            terms = random_model(rng, 3, 2, mode=mode).log_density_terms((), [])
-            assert terms.shape == (3, 0)
+            terms = _order_terms((), np.zeros((1, 2)), random_model(rng, 3, 2, mode=mode), {})
+            assert terms.shape == (3, 1, 0)
 
     def test_order_errors(self):
+        """The public route that takes an order checks it, and its values, with these errors."""
         rng = np.random.default_rng(67)
         model = random_model(rng, 2, 3)
-        with pytest.raises(InvalidPartitionError, match="index 3 outside 0..2"):
-            model.log_density_terms([1, 3], [0.0, 0.0])
-        with pytest.raises(InvalidPartitionError, match="duplicate index"):
-            model.log_density_terms([2, 2], [0.0, 0.0])
-        with pytest.raises(InvalidPartitionError, match="integers"):
-            model.log_density_terms(np.array([0.0, 1.0]), [0.0, 0.0])
-        with pytest.raises(InvalidPartitionError, match="^order must be a 1-D sequence"):
-            model.log_density_terms([[0, 1], [1, 2]], [[0.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(InvalidDataError, match="^3 values for 2 ordered indices$"):
-            model.log_density_terms([0, 1], [0.0, 0.0, 0.0])
+        score = model.class_conditional_log_density
+        with pytest.raises(InvalidPartitionError, match="^order index 3 outside 0..2$"):
+            score(0, [1, 3], [0.0, 0.0])
+        with pytest.raises(InvalidPartitionError, match=r"^duplicate index in order: \[2, 0, 2\]$"):
+            score(0, [0, 2], [0.0, 0.0], [2], [0.0])
+        with pytest.raises(InvalidPartitionError, match="^order indices must be integers$"):
+            score(0, np.array([0.0, 1.0]), [0.0, 0.0])
+        with pytest.raises(InvalidPartitionError, match="^order indices must be integers$"):
+            score(0, [[0, 1], [1, 2]], [0.0, 0.0])
+        with pytest.raises(InvalidDataError, match="^3 target values for 2 target indices$"):
+            score(0, [0, 1], [0.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("mode", ["full", "diagonal"])
     def test_non_finite_value_names_its_feature(self, mode):
-        """Every route that takes values by index checks them as Evidence does."""
+        """The route that takes values by index checks them as Evidence does."""
         rng = np.random.default_rng(68)
         model = random_model(rng, 3, 4, mode=mode)
+        score = model.class_conditional_log_density
         for bad in (np.nan, np.inf, -np.inf):
             message = "^non-finite value at observed feature 2$"
             with pytest.raises(InvalidDataError, match=message):
-                model.log_density_terms([0, 2], [0.5, bad])
-            for score in (model.class_conditional_log_density,
-                          lambda c, *args: set_conditional_log_likelihood(model, [c, 2], *args)):
-                with pytest.raises(InvalidDataError, match=message):
-                    score(0, (2,), [bad])
-                with pytest.raises(InvalidDataError, match=message):
-                    score(0, (1,), [0.5], (3, 2), [0.1, bad])
+                score(0, (2,), [bad])
+            with pytest.raises(InvalidDataError, match=message):
+                score(0, (1,), [0.5], (3, 2), [0.1, bad])
 
 
 class TestRootColumns:
@@ -142,7 +165,7 @@ class TestRootColumns:
                 _, terms, where = _densities(orders, 0, x, model, states, rows)
                 assert len(set(where.tolist())) == len(set(zip(orders, rows)))
                 for order, r, col in zip(orders, rows, where):
-                    alone = model.log_density_terms(order, x[r, list(order)])
+                    alone = _order_terms(order, x[r][None], model, {})[:, 0]
                     assert terms[:, col].tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("mode", ["full", "diagonal"])
@@ -277,8 +300,8 @@ class TestSetLikelihood:
             cut = int(rng.integers(1, 7))
             prefix, target = tuple(perm[:cut]), tuple(perm[cut:cut + int(rng.integers(1, 8 - cut))])
             c, d = (int(i) for i in rng.choice(4, size=2, replace=False))
-            sides = [set_conditional_log_likelihood(model, [h], target, x[list(target)],
-                                                    prefix, x[list(prefix)]) for h in (c, d)]
+            sides = [set_likelihood(model, [h], target, x[list(target)], prefix, x[list(prefix)])
+                     for h in (c, d)]
             assert woe_conditional([c], [d], target, prefix, x, model) == sides[0] - sides[1]
             assert sides[0] == model.class_conditional_log_density(
                 c, target, x[list(target)], prefix, x[list(prefix)])
@@ -292,9 +315,7 @@ class TestSetLikelihood:
         direct = model.class_conditional_log_density(
             1, target, x[[0, 2]], prefix, x[[1, 3]]
         )
-        mixture = set_conditional_log_likelihood(
-            model, [1], target, x[[0, 2]], prefix, x[[1, 3]]
-        )
+        mixture = set_likelihood(model, [1], target, x[[0, 2]], prefix, x[[1, 3]])
         assert mixture == direct
 
     def test_full_universe_is_total_probability(self):
@@ -302,7 +323,7 @@ class TestSetLikelihood:
         rng = np.random.default_rng(50)
         model = random_model(rng, 4, 3)
         x = rng.normal(size=3)
-        ours = set_conditional_log_likelihood(model, [0, 1, 2, 3], (0, 1, 2), x)
+        ours = set_likelihood(model, [0, 1, 2, 3], (0, 1, 2), x)
         lls = np.array([oracle_joint_logpdf(model, c, (0, 1, 2), x) for c in range(4)])
         assert_allclose(ours, logsumexp(np.log(model.priors) + lls), rtol=1e-12)
 
@@ -314,9 +335,7 @@ class TestSetLikelihood:
             x_t = rng.normal(size=len(target))
             x_p = rng.normal(size=len(prefix))
             classes = sorted(rng.choice(4, size=int(rng.integers(2, 5)), replace=False))
-            ours = set_conditional_log_likelihood(
-                model, [int(c) for c in classes], target, x_t, prefix, x_p
-            )
+            ours = set_likelihood(model, [int(c) for c in classes], target, x_t, prefix, x_p)
             oracle = oracle_set_conditional(model, classes, target, x_t, prefix, x_p)
             assert_allclose(ours, oracle, rtol=1e-9, atol=1e-11)
 
@@ -328,7 +347,7 @@ class TestSetLikelihood:
         span = np.abs(model.means).max() + 10.0 * np.sqrt(model.covariances.max())
         grid = np.linspace(-span, span, 4001)
         dens = np.array([
-            np.exp(set_conditional_log_likelihood(model, [0, 1], (0,), [g], (1,), x_p))
+            np.exp(set_likelihood(model, [0, 1], (0,), [g], (1,), x_p))
             for g in grid
         ])
         assert_allclose(trapezoid(dens, grid), 1.0, atol=1e-4)
@@ -343,9 +362,7 @@ class TestSetLikelihood:
         dens = np.empty((grid.size, grid.size))
         for i, u in enumerate(grid):
             for j, v in enumerate(grid):
-                dens[i, j] = np.exp(set_conditional_log_likelihood(
-                    model, [0, 1], (0, 1), [u, v], (2,), x_p
-                ))
+                dens[i, j] = np.exp(set_likelihood(model, [0, 1], (0, 1), [u, v], (2,), x_p))
         total = trapezoid(trapezoid(dens, grid, axis=1), grid)
         assert_allclose(total, 1.0, atol=1e-4)
 
@@ -359,8 +376,8 @@ class TestSetLikelihood:
             mode="full",
             feature_names=("a", "b"),
         ).validate()
-        assert set_conditional_log_likelihood(model, [0, 1], [0], [1e200]) == -np.inf
-        assert np.isfinite(set_conditional_log_likelihood(model, [1, 2], [0], [1e200]))
+        assert set_likelihood(model, [0, 1], [0], [1e200]) == -np.inf
+        assert np.isfinite(set_likelihood(model, [1, 2], [0], [1e200]))
 
     def test_prefix_without_density_under_the_hypothesis_raises(self):
         """No class of [0, 1] gives the prefix 1e200 a density: its weights are undefined,
@@ -373,10 +390,10 @@ class TestSetLikelihood:
             feature_names=("a", "b"),
         ).validate()
         with pytest.raises(DegenerateDensityError, match="lies too far from every class mean"):
-            set_conditional_log_likelihood(model, [0, 1], [1], [0.5], [0], [1e200])
+            set_likelihood(model, [0, 1], [1], [0.5], [0], [1e200])
         with pytest.raises(DegenerateDensityError, match="lies too far from every class mean"):
             woe_conditional([0, 1], [2], (1,), (0,), [1e200, 0.5], model)
-        assert np.isfinite(set_conditional_log_likelihood(model, [1, 2], [1], [0.5], [0], [1e200]))
+        assert np.isfinite(set_likelihood(model, [1, 2], [1], [0.5], [0], [1e200]))
 
 
 @st.composite
@@ -642,8 +659,8 @@ EDGE_ERRORS = {
                             InvalidModelError, "non-finite entries in means"),
     "validate/variance": (lambda: _model(covariances=((1.0, 0.0), (1.0, 1.0))).validate(),
                           InvalidModelError, "variance of feature 1 in class 0 is not positive"),
-    "set_likelihood/prefix-values": (
-        lambda: set_conditional_log_likelihood(_model(), 0, [0], [0.0], [1], [0.0, 1.0]),
+    "class_density/prefix-values": (
+        lambda: _model().class_conditional_log_density(0, [0], [0.0], [1], [0.0, 1.0]),
         InvalidDataError, "2 prefix values for 1 prefix indices"),
     "fit/1d": (lambda: fit(np.zeros(4), [0, 0, 1, 1]),
                InvalidDataError, "data must be a 2-D array, got shape (4,)"),

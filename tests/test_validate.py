@@ -25,7 +25,7 @@ from woexplain.errors import (
     NumericalConditioningError,
     WoeError,
 )
-from woexplain.gaussian import GaussianClassModel
+from woexplain.gaussian import GaussianClassModel, _order_terms
 from woexplain.types import HypothesisSet
 from woexplain.validate import (
     BRUTE_MAX_ROWS,
@@ -211,7 +211,7 @@ def replayed_error(model, data, trials, seed):
     row_ids = [int(i) for i in rng.integers(0, data.shape[0], size=trials)]
     try:
         for i in dict.fromkeys(row_ids):
-            model.log_density_terms(range(n), data[i])
+            _order_terms(tuple(range(n)), data[i][None], model, {})
         for i in row_ids:
             a, b = _random_split(rng, k)
             prior_log_odds(a, b, model)
@@ -224,7 +224,7 @@ def replayed_error(model, data, trials, seed):
 
 
 class CountingBackend:
-    """A stand-in model with the model's arrays that counts calls of the density primitive."""
+    """A stand-in model with the model's arrays that counts calls of the public density route."""
 
     def __init__(self, model):
         self.model = model
@@ -236,9 +236,9 @@ class CountingBackend:
         self.covariances = model.covariances
         self.priors = model.priors
 
-    def log_density_terms(self, order, values):
+    def class_conditional_log_density(self, *args):
         self.calls += 1
-        return self.model.log_density_terms(order, values)
+        return self.model.class_conditional_log_density(*args)
 
     def marginal_moments(self, label, feature):
         return self.model.marginal_moments(label, feature)

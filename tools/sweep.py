@@ -11,10 +11,14 @@ even s (for every tenth s with eigenvalues spread over ten decades) and
 diagonal for odd s, takes inputs 1, 50, 3e3 or 1e160 units from a class
 mean, and runs:
 
-- log_density_terms on every prefix of a random order;
+- every class's class_conditional_log_density of every prefix of a
+  random order;
 - posterior and bayes_decomposition;
 - woe_conditional_many with an empty and a nonempty prefix;
-- woe_chain and set_conditional_log_likelihood;
+- woe_chain, and every class's class_conditional_log_density of a
+  target with an empty and a nonempty prefix;
+- score_subset of the entailed set, of the contrast set and of every
+  class;
 - explain over {partition, discovery} x {conditional_chain, marginal}
   x {greedy, fixed, random}, as report JSON;
 - run_validation: 4 trials over 6 rows, and 300 trials over 40 rows,
@@ -128,9 +132,13 @@ def _cases(seed: int) -> list:
     cut = int(rng.integers(1, k))
     a, b = sorted(int(c) for c in perm[:cut]), sorted(int(c) for c in perm[cut:])
     order = [int(i) for i in rng.permutation(n)]
+
+    def densities(target, prefix):
+        return repr([model.class_conditional_log_density(c, target, x[target], prefix, x[prefix])
+                     for c in range(k)])
+
     for m in range(n + 1):
-        record(f"log_density_terms/{m}",
-               lambda m=m: repr(model.log_density_terms(order[:m], x[order[:m]]).tolist()))
+        record(f"class_conditional_log_density/{m}", lambda m=m: densities(order[:m], []))
     record("posterior", lambda: repr(wx.posterior(model, x).tolist()))
     record("bayes_decomposition", lambda: repr(wx.bayes_decomposition(a, b, x, model)))
     targets = [subset(n, int(rng.integers(1, n + 1))) for _ in range(4)]
@@ -147,9 +155,10 @@ def _cases(seed: int) -> list:
     record("woe_chain", lambda: repr(wx.woe_chain(a, b, groups, x, model)))
     target = list(targets[0])
     for key, p in (("empty", []), ("prefix", list(prefix))):
-        record(f"set_conditional_log_likelihood/{key}",
-               lambda p=p: repr(wx.set_conditional_log_likelihood(model, a, target, x[target],
-                                                                  p, x[p])))
+        record(f"class_conditional_log_density/{key}", lambda p=p: densities(target, p))
+    for key, u in (("entailed", a), ("contrast", b), ("all", range(k))):
+        record(f"score_subset/{key}", lambda u=u: repr(
+            wx.score_subset(u, range(k), x, model, wx.ContrastParams(alpha_reg=0.3))))
     partition = wx.AttributePartition(tuple(groups))
     size = int(rng.integers(1, min(3, n) + 1))
     for source, extra in (("partition", {"partition": partition}),
