@@ -30,7 +30,6 @@ from .explain import (
     ExplanationReport,
     ExplanationStep,
     explain,
-    filter_display,
     report_to_dict,
     score_attributes,
     write_report,
@@ -74,7 +73,6 @@ __all__ = [
     "best_contrast",
     "csv_header",
     "explain",
-    "filter_display",
     "fit",
     "information_value",
     "load_csv",

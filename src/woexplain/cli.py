@@ -50,8 +50,8 @@ from .explain import (
     MARGINAL,
     RANDOM,
     ExplainerParams,
+    ExplanationReport,
     explain,
-    report_to_dict,
     write_report,
 )
 from .gaussian import DIAGONAL, FULL, fit, load_model, save_model
@@ -204,26 +204,25 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_report(doc: dict, feature_names: tuple[str, ...]) -> None:
-    """Render the report dict; a view only, nothing is recomputed."""
-    print(f"predicted class: {doc['predicted_class']}")
-    for t, step in enumerate(doc["steps"], start=1):
-        entailed = ",".join(str(c) for c in step["entailed"])
-        contrast = ",".join(str(c) for c in step["contrast"])
+def _print_report(report: ExplanationReport, feature_names: tuple[str, ...]) -> None:
+    """Render the report write_report wrote; a view only, nothing is recomputed."""
+    print(f"predicted class: {report.predicted_class}")
+    for t, step in enumerate(report.steps, start=1):
+        entailed = ",".join(str(c) for c in step.entailed)
+        contrast = ",".join(str(c) for c in step.contrast)
         print(f"step {t}: entailed {{{entailed}}} vs contrast {{{contrast}}}")
-        print(f"  prior log-odds:     {step['prior_log_odds']:.12g}")
-        print(f"  posterior log-odds: {step['posterior_log_odds']:.12g}")
+        print(f"  prior log-odds:     {step.prior_log_odds:.12g}")
+        print(f"  posterior log-odds: {step.posterior_log_odds:.12g}")
         print(f"  {'attribute':<44} {'woe':>16}  display")
-        for attr in step["attributes"]:
-            name = attr.get("name")
+        for attr in step.attributes:
+            name = attr.name
             if name is None:
-                name = " ".join(feature_names[i] for i in attr["features"])
+                name = " ".join(feature_names[i] for i in attr.features)
             shown = name if len(name) <= 44 else name[:41] + "..."
-            mark = "*" if attr["displayed"] else ""
-            print(f"  {shown:<44} {attr['woe']:>+16.6f}  {mark}")
-        total = sum(a["woe"] for a in step["attributes"])
-        if step["scoring_mode"] == CONDITIONAL_CHAIN:
-            print(f"  prior + sum of woe: {step['prior_log_odds'] + total:.12g}")
+            mark = "*" if attr.displayed else ""
+            print(f"  {shown:<44} {attr.woe:>+16.6f}  {mark}")
+        if step.scoring_mode == CONDITIONAL_CHAIN:
+            print(f"  prior + sum of woe: {step.prior_log_odds + step.total_woe:.12g}")
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
@@ -250,7 +249,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     )
     report = explain(values, model, params)
     write_report(report, args.out)
-    _print_report(report_to_dict(report), model.feature_names)
+    _print_report(report, model.feature_names)
     print(f"report written to {args.out}")
     return 0
 

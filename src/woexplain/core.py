@@ -47,6 +47,7 @@ from .errors import (
     MissingEvidenceError,
 )
 from .gaussian import (
+    DIAGONAL,
     GaussianClassModel,
     _checked_evidence,
     _defined,
@@ -475,8 +476,12 @@ def information_value(feature: int, class_a: int, class_b: int,
 
     with d the difference of the two means.
     """
-    mu_a, var_a = model.marginal_moments(class_a, feature)
-    mu_b, var_b = model.marginal_moments(class_b, feature)
+    a = model.check_label(class_a)
+    ((i,),) = _index_rows([[feature]], model.n_features, "feature")
+    b = model.check_label(class_b)
+    rows = model.covariances[[a, b], i]
+    mu_a, mu_b = model.means[[a, b], i].tolist()
+    var_a, var_b = (rows if model.mode == DIAGONAL else rows[:, i]).tolist()
     for label, var in ((class_a, var_a), (class_b, var_b)):
         if var <= 0.0:
             raise DegenerateDensityError(

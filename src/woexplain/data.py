@@ -125,9 +125,9 @@ def _read_records(path: "str | Path") -> tuple[list[str], list[str]]:
     break, so csv.reader and np.loadtxt keep a quoted line break in its
     cell. (str.splitlines() would also break at form feeds, the file,
     group and record separators and Unicode's line and paragraph
-    separators.) The header is csv.reader's first record, and the body is
-    every line after the lines that record took; no body line is split or
-    converted here.
+    separators.) The header is csv.reader's first record, its names
+    stripped, nonempty and distinct, and the body is every line after the
+    lines that record took; no body line is split or converted here.
     """
     try:
         with open(path, encoding="utf-8-sig", newline="") as fh:
@@ -150,6 +150,9 @@ def _read_records(path: "str | Path") -> tuple[list[str], list[str]]:
     header = [h.strip() for h in header]
     if any(not h for h in header):
         raise CsvParseError("header contains an empty column name")
+    if len(set(header)) != len(header):
+        repeated = next(h for j, h in enumerate(header) if h in header[:j])
+        raise CsvParseError("header repeats a column name", column=repeated)
     return header, lines[reader.line_num:]
 
 

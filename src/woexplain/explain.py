@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
 
@@ -142,7 +142,10 @@ class ExplainerParams:
 
 @dataclass(frozen=True)
 class AttributeScore:
-    """WoE of one feature group for one entailed/contrast split."""
+    """WoE of one feature group for one entailed/contrast split.
+
+    displayed marks |woe| >= the display threshold it was scored with.
+    """
 
     features: tuple[int, ...]
     woe: float
@@ -167,10 +170,6 @@ class ExplanationStep:
     posterior_log_odds: float
     scoring_mode: str
     attributes: tuple[AttributeScore, ...]
-
-    @property
-    def displayed_mask(self) -> tuple[bool, ...]:
-        return tuple(a.displayed for a in self.attributes)
 
     @property
     def total_woe(self) -> float:
@@ -347,7 +346,9 @@ def _score_splits(splits: list, e: Evidence, model: GaussianClassModel,
     Every split's search runs in lockstep (see _lockstep), then the
     fixed or random chains of all splits are scored together; an
     undefined chain term raises DegenerateDensityError, as in woe_chain.
-    memo holds e's prefix states, its root included or not yet built.
+    Each score is displayed where its |woe| reaches
+    params.display_threshold. memo holds e's prefix states, its root
+    included or not yet built.
     """
     observed = list(e.observed_indices)
     found = _lockstep([_attribute_search(params, observed) for _ in splits], splits, e, model,
@@ -360,9 +361,10 @@ def _score_splits(splits: list, e: Evidence, model: GaussianClassModel,
     conditional = params.scoring_mode != MARGINAL
     names = params.partition.names if params.partition is not None else None
     return [tuple(
-        AttributeScore(features=groups[k], woe=float(s), conditional=conditional,
-                       name=names[k] if names else None)
-        for k, s in zip(order, scores)
+        AttributeScore(features=groups[k], woe=woe, conditional=conditional,
+                       name=names[k] if names else None,
+                       displayed=abs(woe) >= params.display_threshold)
+        for k, woe in zip(order, map(float, scores))
     ) for groups, order, scores in found]
 
 
@@ -374,22 +376,14 @@ def score_attributes(entailed, contrast, evidence, model: GaussianClassModel,
     are discovered against this split. conditional_chain orders the
     groups by ordering_policy and scores each conditioned on its
     predecessors; marginal keeps the given order and scores each group
-    alone. The one-split case of the search explain() runs for all its
-    steps at once.
+    alone. Attributes with |woe| >= display_threshold are displayed.
+    The one-split case of the search explain() runs for all its steps
+    at once.
     """
     a, b = _checked_pair(entailed, contrast, model)
     e = _checked_evidence(evidence, model)
     _check_attribute_source(params, e, model)
     return _score_splits([(list(a), list(b))], e, model, params, {})[0]
-
-
-def filter_display(step: ExplanationStep, threshold: float) -> ExplanationStep:
-    """Mark attributes with |woe| >= threshold as displayed.
-
-    A pure view: every numeric field is preserved, only the flags move.
-    """
-    attrs = tuple(replace(a, displayed=abs(a.woe) >= threshold) for a in step.attributes)
-    return replace(step, attributes=attrs)
 
 
 def _settings_record(params: ExplainerParams) -> dict:
@@ -452,14 +446,14 @@ def explain(evidence, model: GaussianClassModel, params: ExplainerParams) -> Exp
     # phase 3: every split's attributes at once
     attributes = _score_splits(sides, e, model, params, memo)
     steps = tuple(
-        filter_display(ExplanationStep(
+        ExplanationStep(
             entailed=entailed,
             contrast=contrast,
             prior_log_odds=prior_lo,
             posterior_log_odds=post_lo,
             scoring_mode=params.scoring_mode,
             attributes=attrs,
-        ), params.display_threshold)
+        )
         for (entailed, contrast, prior_lo), post_lo, attrs in zip(splits, posterior_lo,
                                                                   attributes)
     )

@@ -369,7 +369,7 @@ class GaussianClassModel:
         covariances: (K, n, n) in full mode, (K, n) variances in diagonal mode.
         priors: (K,) class priors, positive, summing to 1.
         mode: "diagonal" or "full".
-        feature_names: n column names, used in files and reports.
+        feature_names: n distinct column names, used in files and reports.
     """
 
     means: np.ndarray
@@ -399,6 +399,9 @@ class GaussianClassModel:
         names = tuple(str(f) for f in self.feature_names)
         if len(names) != n:
             raise InvalidModelError(f"{len(names)} feature names for {n} features")
+        if len(set(names)) != n:
+            repeated = next(f for i, f in enumerate(names) if f in names[:i])
+            raise InvalidModelError(f"feature name {repeated!r} is repeated")
         for arr in (means, covs, priors):
             arr.setflags(write=False)
         object.__setattr__(self, "means", means)
@@ -451,13 +454,6 @@ class GaussianClassModel:
         if not 0 <= label < self.n_classes:
             raise UnknownLabelError(f"label {label} outside model range 0..{self.n_classes - 1}")
         return label
-
-    def marginal_moments(self, label: int, feature: int) -> tuple[float, float]:
-        """Mean and variance of one feature under one class."""
-        c = self.check_label(label)
-        ((i,),) = _index_rows([[feature]], self.n_features, "feature")
-        var = self.covariances[c, i] if self.mode == DIAGONAL else self.covariances[c, i, i]
-        return float(self.means[c, i]), float(var)
 
     def class_conditional_log_density(
         self,
@@ -730,17 +726,18 @@ def model_from_dict(doc: dict) -> GaussianClassModel:
     entries = doc.get("classes")
     if not isinstance(entries, list) or not entries:
         raise InvalidModelError("classes must be a nonempty list")
-    try:
-        entries = sorted(entries, key=lambda e: int(e["label"]))
-        labels = [int(e["label"]) for e in entries]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidModelError("every class entry needs an integer label") from exc
+    labels = [e.get("label") if isinstance(e, dict) else None for e in entries]
+    # a JSON integer only: a bool is an int to Python, and a float would be truncated
+    if not all(isinstance(label, int) and not isinstance(label, bool) for label in labels):
+        raise InvalidModelError("every class entry needs an integer label")
+    entries = sorted(entries, key=lambda e: e["label"])
+    labels = sorted(labels)
     if labels != list(range(len(entries))):
         raise InvalidModelError(f"class labels must be exactly 0..{len(entries) - 1}, got {labels}")
     key = "cov" if mode == FULL else "var"
     try:
         priors = np.array([float(e["prior"]) for e in entries])
-        means = np.array([[float(v) for v in e["mean"]] for e in entries], dtype=float)
+        means = np.array([e["mean"] for e in entries], dtype=float)
         covs = np.array([e[key] for e in entries], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidModelError(f"malformed class entry: {exc}") from exc

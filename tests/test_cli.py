@@ -454,6 +454,37 @@ class TestExitCodes:
                      "--labels", "target"]) == 3
         assert capsys.readouterr() == ("", message)
 
+    def test_repeated_column_name_is_io_error(self, tmp_path, capsys):
+        """No command reads a file whose header names a column twice: fit would read it
+        by position and explain and validate by name, the first such column twice."""
+        data_path, model_path = fit_model(tmp_path)
+        capsys.readouterr()
+        lines = data_path.read_text(encoding="utf-8").splitlines()
+        repeated = tmp_path / "repeated.csv"
+        repeated.write_text("\n".join(["f0,f0,f2,target"] + lines[1:]) + "\n", encoding="utf-8")
+        message = "error: header repeats a column name (column 'f0')\n"
+        assert main(["fit", "--data", str(repeated), "--labels", "target",
+                     "--out", str(tmp_path / "m.json")]) == 3
+        assert capsys.readouterr() == ("", message)
+        assert not (tmp_path / "m.json").exists()
+        assert main(["explain", "--model", str(model_path), "--input", f"@{repeated}:45",
+                     "--attr-size", "1", "--out", str(tmp_path / "r.json")]) == 3
+        assert capsys.readouterr() == ("", message)
+        assert main(["validate", "--model", str(model_path), "--data", str(repeated),
+                     "--labels", "target"]) == 3
+        assert capsys.readouterr() == ("", message)
+
+    def test_text_mean_in_model_is_validation_failure(self, tmp_path, capsys):
+        _, model_path = fit_model(tmp_path)
+        capsys.readouterr()
+        doc = json.loads(model_path.read_text(encoding="utf-8"))
+        doc["classes"][1]["mean"] = "123"
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["explain", "--model", str(model_path), "--input", "1,2,3",
+                     "--attr-size", "1", "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: malformed class entry: ")
+
     def test_unreadable_model_is_validation_failure(self, tmp_path, capsys):
         broken = tmp_path / "model.json"
         broken.write_text("{not json", encoding="utf-8")

@@ -275,7 +275,7 @@ class TestWoeConditional:
                 lambda: woe_conditional([0], [1], (bad,), (), x, model),
                 lambda: woe_conditional([0], [1], (2,), (bad,), x, model),
                 lambda: model.class_conditional_log_density(0, (bad,), [0.0]),
-                lambda: model.marginal_moments(0, bad),
+                lambda: information_value(bad, 0, 1, model),
                 lambda: woe_chain([0], [1], [(0, bad), (2,)], x, model),
                 lambda: AttributePartition(((0, bad), (2,))),
             ]

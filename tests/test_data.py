@@ -124,6 +124,14 @@ class TestLoadCsv:
         only_label = write_text(tmp_path / "only.csv", "y\n1\n")
         with pytest.raises(CsvParseError, match="no feature columns"):
             load_csv(only_label, label_column="y")
+
+    def test_repeated_column_name_is_refused(self, tmp_path):
+        """Names match columns, so a name given twice would read its first column twice."""
+        path = write_text(tmp_path / "t.csv", "a,b, a ,y\n3.04,3.15,-4.82,1\n")
+        for read in (load_csv, csv_header, lambda path: load_csv(path, "y", ["a", "b"])):
+            with pytest.raises(CsvParseError,
+                               match=r"^header repeats a column name \(column 'a'\)$"):
+                read(path)
         binary = tmp_path / "bin.csv"
         binary.write_bytes(b"a,b\n\xff\xfe,2\n")
         with pytest.raises(CsvParseError, match="UTF-8"):
@@ -482,7 +490,7 @@ class TestBlocksMatchRecordByRecord:
         atoms = ["", "0", "1", "-2.5", "x", " ", "\t", "\x1f", "\u00a0", "a b", "'", "\\"]
         breaks = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                   "\u2028"]
-        without_empty_lines = 0
+        without_empty_lines = repeated = 0
         for case in range(300):
             width = int(rng.integers(1, 5))
             blank = 0.1 if rng.random() < 0.3 else 0.0
@@ -503,12 +511,19 @@ class TestBlocksMatchRecordByRecord:
                 with pytest.raises(CsvParseError, match="header contains an empty column name"):
                     data._read_records(path)
                 continue
+            if len(set(want)) != len(want):
+                # and can give it a name twice, such as 0\x1e0
+                with pytest.raises(CsvParseError, match="header repeats a column name"):
+                    data._read_records(path)
+                repeated += 1
+                continue
             header, body = data._read_records(path)
             assert header == want, case
             lines = csv_lines(text)
             assert body == lines[len(lines) - len(body):], case
             assert list(csv.reader(body)) == records[1:], case
         assert without_empty_lines > 150
+        assert repeated > 0
 
 
 def quoted_twin(path, text):

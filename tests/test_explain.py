@@ -20,17 +20,14 @@ from numpy.testing import assert_allclose
 
 from woexplain import (
     AttributePartition,
-    AttributeScore,
     ContrastParams,
     Evidence,
     ExplainerParams,
-    ExplanationStep,
     GaussianClassModel,
     HypothesisSet,
     bayes_decomposition,
     best_contrast,
     explain,
-    filter_display,
     fit,
     predicted_class,
     report_to_dict,
@@ -594,7 +591,8 @@ class TestMarginalScoresRequestedOnce:
 
 
 def assert_steps_match_one_split(x, model, params):
-    """Each step of explain() equals the public one-split routes on its split, with ==."""
+    """Each step of explain() equals the public one-split routes on its split, with ==,
+    display flags included."""
     report = explain(x, model, params)
     assert report.predicted_class == predicted_class(model, x)
     remaining = HypothesisSet(tuple(range(model.n_classes)))
@@ -604,8 +602,7 @@ def assert_steps_match_one_split(x, model, params):
         prior, _, post = bayes_decomposition(step.entailed, step.contrast, x, model)
         assert (step.prior_log_odds, step.posterior_log_odds) == (prior, post)
         alone = score_attributes(step.entailed, step.contrast, x, model, params)
-        assert [(a.features, a.woe, a.name, a.conditional) for a in step.attributes] == [
-            (a.features, a.woe, a.name, a.conditional) for a in alone]
+        assert step.attributes == alone
         remaining = step.entailed
     return report
 
@@ -691,42 +688,70 @@ class TestStepsMatchOneSplit:
         assert calls
 
 
-class TestFilterDisplay:
-    def make_step(self, scores):
-        from woexplain import HypothesisSet
+class TestDisplayThreshold:
+    """Each attribute is displayed where its |woe| reaches display_threshold, inclusive;
+    the threshold moves the flags and no number."""
 
-        return ExplanationStep(
-            entailed=HypothesisSet((0,)),
-            contrast=HypothesisSet((1,)),
-            prior_log_odds=0.1,
-            posterior_log_odds=0.1 + sum(scores),
-            scoring_mode="conditional_chain",
-            attributes=tuple(
-                AttributeScore(features=(k,), woe=s, conditional=True)
-                for k, s in enumerate(scores)
-            ),
-        )
+    PARTITION = AttributePartition(((0, 1), (2,), (3, 4), (5,)))
+
+    def setup_method(self):
+        rng = np.random.default_rng(74)
+        self.model = random_model(rng, 4, 6)
+        self.x = rng.normal(0.0, 2.0, size=6)
+
+    def params(self, threshold):
+        return ExplainerParams(partition=self.PARTITION, display_threshold=threshold)
+
+    def run(self, threshold):
+        return explain(self.x, self.model, self.params(threshold))
+
+    @staticmethod
+    def numbers(report):
+        return [(s.entailed, s.contrast, s.prior_log_odds, s.posterior_log_odds, s.total_woe,
+                 [(a.features, a.woe, a.name, a.conditional) for a in s.attributes])
+                for s in report.steps]
+
+    @staticmethod
+    def flags(report):
+        return [a.displayed for s in report.steps for a in s.attributes]
+
+    def woes(self):
+        """|woe| of every attribute of every step, read from a run at threshold 0."""
+        return [abs(a.woe) for s in self.run(0.0).steps for a in s.attributes]
 
     def test_rule_of_thumb_threshold(self):
-        step = filter_display(self.make_step([2.5, -0.4, -3.1]), 2.0)
-        assert step.displayed_mask == (True, False, True)
+        woes = self.woes()
+        report = self.run(2.0)
+        assert self.flags(report) == [w >= 2.0 for w in woes]
+        assert True in self.flags(report) and False in self.flags(report)
 
     def test_zero_threshold_shows_all(self):
-        step = filter_display(self.make_step([2.5, -0.4, -3.1]), 0.0)
-        assert step.displayed_mask == (True, True, True)
+        assert all(self.flags(self.run(0.0)))
 
     def test_infinite_threshold_hides_all_but_keeps_numbers(self):
-        original = self.make_step([2.5, -0.4, -3.1])
-        filtered = filter_display(original, math.inf)
-        assert filtered.displayed_mask == (False, False, False)
-        assert filtered.total_woe == original.total_woe
-        assert [a.woe for a in filtered.attributes] == [a.woe for a in original.attributes]
-        assert filtered.entailed == original.entailed
-        assert filtered.posterior_log_odds == original.posterior_log_odds
+        shown, hidden = self.run(0.0), self.run(math.inf)
+        assert not any(self.flags(hidden))
+        assert self.numbers(hidden) == self.numbers(shown)
+        assert hidden.predicted_class == shown.predicted_class
 
     def test_boundary_is_inclusive(self):
-        step = filter_display(self.make_step([2.0, -2.0, 1.999]), 2.0)
-        assert step.displayed_mask == (True, True, False)
+        woes = self.woes()
+        for k in (int(np.argmin(woes)), len(woes) // 2, int(np.argmax(woes))):
+            report = self.run(woes[k])
+            assert self.flags(report)[k]
+            assert self.flags(report) == [w >= woes[k] for w in woes]
+            assert self.numbers(report) == self.numbers(self.run(0.0))
+
+    def test_score_attributes_flags_follow_the_threshold(self):
+        """score_attributes applies explain()'s rule, so the two routes flag alike."""
+        step = self.run(0.0).steps[0]
+        woes = [abs(a.woe) for a in step.attributes]
+        for threshold in (0.0, 2.0, sorted(woes)[1], math.inf):
+            alone = score_attributes(step.entailed, step.contrast, self.x, self.model,
+                                     self.params(threshold))
+            assert [a.displayed for a in alone] == [w >= threshold for w in woes]
+            assert alone == self.run(threshold).steps[0].attributes
+        assert not any(a.displayed for a in alone)
 
 
 class TestScoringModeCollapse:

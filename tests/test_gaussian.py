@@ -655,6 +655,8 @@ EDGE_ERRORS = {
                            InvalidModelError, "priors shape (1,) does not match (2,)"),
     "model/names": (lambda: _model(names=("a",)),
                     InvalidModelError, "1 feature names for 2 features"),
+    "model/repeated-names": (lambda: _model(names=("a", "a")),
+                             InvalidModelError, "feature name 'a' is repeated"),
     "validate/non-finite": (lambda: _model(means=((0.0, np.nan), (1.0, 1.0))).validate(),
                             InvalidModelError, "non-finite entries in means"),
     "validate/variance": (lambda: _model(covariances=((1.0, 0.0), (1.0, 1.0))).validate(),
@@ -741,3 +743,30 @@ class TestPersistence:
         not_json.write_text("{not json", encoding="utf-8")
         with pytest.raises(InvalidModelError, match="JSON"):
             load_model(not_json)
+
+    @pytest.mark.parametrize("labels", [(0.7, 1.2), (0.0, 1.0), (False, True), ("0", "1")])
+    def test_labels_are_json_integers(self, tmp_path, labels):
+        """A float label is not truncated, and a bool or a string is no label."""
+        doc = model_to_dict(_model())
+        for entry, label in zip(doc["classes"], labels):
+            entry["label"] = label
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(InvalidModelError,
+                           match="^every class entry needs an integer label$"):
+            load_model(path)
+
+    def test_a_text_mean_is_not_split_into_digits(self, tmp_path):
+        """"12" is no vector of the two features 1.0 and 2.0."""
+        doc = model_to_dict(_model())
+        doc["classes"][0]["mean"] = "12"
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(InvalidModelError, match="^malformed class entry: "):
+            load_model(path)
+        for entry in doc["classes"]:
+            entry["mean"] = "12"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(InvalidModelError,
+                           match="^class means do not match feature_names in length$"):
+            load_model(path)

@@ -240,9 +240,6 @@ class CountingBackend:
         self.calls += 1
         return self.model.class_conditional_log_density(*args)
 
-    def marginal_moments(self, label, feature):
-        return self.model.marginal_moments(label, feature)
-
 
 class TestSharedFactorization:
     @pytest.mark.parametrize("mode", ["full", "diagonal"])

@@ -41,7 +41,10 @@ mean, and runs:
   and some feature cells hold the characters str.splitlines() breaks a
   line at and the csv module does not (vertical tab, form feed, the
   file, group and record separators, next line, and Unicode's line and
-  paragraph separators).
+  paragraph separators);
+- the same on a third file, always with an id column, whose id cells
+  and some feature cells hold a quoted \\n, \\r or \\r\\n, and on a
+  copy of it that ends its lines with a bare \\r.
 
 An outcome is the exact repr of what a call returns, or the type and
 message of what it raises, plus the warnings it emits. The sweep prints
@@ -70,6 +73,10 @@ LABEL_CELLS = ("2", " 0 ", "1.0", "1e0", "0.5", "-1", "1e300", "nan", "cat", '"1
 BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 # each as padding, inside a number and alone
 BREAK_CELLS = tuple(cell for c in BREAKS for cell in (f"{c}7{c}", f"1{c}5", c))
+# the line breaks the csv module reads, each quoted as padding, inside a number and alone
+QUOTED_BREAKS = ("\n", "\r", "\r\n")
+QUOTED_BREAK_CELLS = tuple(f'"{cell}"' for c in QUOTED_BREAKS
+                           for cell in (f"{c}7{c}", f"1{c}5", c))
 SHOWN = 10  # differences listed
 
 
@@ -207,8 +214,9 @@ def _cases(seed: int) -> list:
         return repr((ds.header, ds.rows.shape, ds.rows.tolist(), labels, ds.label_mapping,
                      ds.label_name, ds.label_index))
 
-    def csv_cases(tag, header, hostile, id_cell):
-        """Every CSV case of one random file of header, and of its csv.QUOTE_ALL copy."""
+    def csv_cases(tag, header, hostile, id_cell, cr_copy=False):
+        """Every CSV case of one random file of header, of its csv.QUOTE_ALL copy and,
+        with cr_copy, of a copy whose lines end with a bare \\r."""
         label_kinds = rng.choice(LABEL_CELLS, size=int(rng.integers(1, 4)))
         integral = rng.random() < 0.5
         lines = [",".join(header)]
@@ -226,16 +234,21 @@ def _cases(seed: int) -> list:
         plain.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with open(quoted, "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh, quoting=csv.QUOTE_ALL).writerows(csv.reader(lines))
+        files = [("plain", plain), ("quoted", quoted)]
+        if cr_copy:
+            cr = Path(f"{stem}-{seed}-cr.csv")
+            cr.write_text("\r".join(lines) + "\r", encoding="utf-8", newline="")
+            files.append(("cr", cr))
         spec = f":{int(rng.integers(0, len(lines)))}"
-        for key, path in (("plain", plain), ("quoted", quoted)):
+        for key, path in files:
             record(f"{tag}/{key}/label", lambda path=path: dataset(wx.load_csv(path, "y")))
             record(f"{tag}/{key}/columns",
                    lambda path=path: dataset(wx.load_csv(path, "y", names)))
             record(f"{tag}/{key}/all", lambda path=path: dataset(wx.load_csv(path)))
             record(f"{tag}/{key}/row", lambda path=path: repr(
                 cli._parse_input_row(f"@{path}{spec}", model.feature_names).tolist()))
-        # every row of both files, one past the end included
-        for key, path in (("plain", plain), ("quoted", quoted)):
+        # every row of every file, one past the end included
+        for key, path in files:
             for r in range(len(lines)):
                 record(f"{tag}/{key}/rows/{r}", lambda path=path, r=r: repr(
                     cli._parse_input_row(f"@{path}:{r}", model.feature_names).tolist()))
@@ -246,6 +259,10 @@ def _cases(seed: int) -> list:
     # cells, hold a character str.splitlines() breaks at and the csv module does not
     csv_cases("breaks", [str(h) for h in rng.permutation(names + ["y", "id"])],
               HOSTILE_CELLS + BREAK_CELLS, lambda r: f"r{rng.choice(BREAKS)}{r}")
+    # quoted line breaks the csv module keeps in their cells, recorded after every case above
+    csv_cases("quoted-breaks", [str(h) for h in rng.permutation(names + ["y", "id"])],
+              HOSTILE_CELLS + QUOTED_BREAK_CELLS, lambda r: f'"r{rng.choice(QUOTED_BREAKS)}{r}"',
+              cr_copy=True)
     return out
 
 
