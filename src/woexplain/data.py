@@ -19,12 +19,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import _checked_count
 from .errors import (
     ConfigError,
     CsvParseError,
     InvalidDataError,
-    InvalidParameterError,
+    InvalidPartitionError,
     OracleProtocolError,
 )
 from .types import AttributePartition
@@ -450,16 +449,16 @@ def query_oracle(command: str, dataset: Dataset) -> np.ndarray:
 
 def load_partition(
     path: "str | Path",
-    feature_names: Sequence[str] | None = None,
-    n_features: int | None = None,
+    feature_names: Sequence[str],
     lenient: bool = False,
 ) -> AttributePartition:
     """Read a JSON partition file: {"groups": [{"name", "features"}, ...]}.
 
-    Feature entries may be indices or header names (names need
-    feature_names). Groups must be disjoint and, in strict mode, cover
+    Feature entries may be indices or names from feature_names. The
+    groups are checked as AttributePartition checks them, and must cover
     every feature; with lenient=True the leftovers become one final
-    auto-named residual group. Group order in the file is preserved.
+    auto-named residual group. Group order in the file is preserved, and
+    every fault of the file's content is a ConfigError.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
@@ -468,21 +467,10 @@ def load_partition(
         raise ConfigError(f"partition file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("groups"), list) or not doc["groups"]:
         raise ConfigError('partition file must contain a nonempty "groups" list')
-
-    if feature_names is not None:
-        n = len(feature_names)
-        name_to_index = {str(name): i for i, name in enumerate(feature_names)}
-    elif n_features is not None:
-        try:
-            n = _checked_count(n_features, "n_features", 1)
-        except InvalidParameterError as exc:
-            raise ConfigError(str(exc)) from None
-        name_to_index = {}
-    else:
-        raise ConfigError("resolving a partition needs feature_names or n_features")
-
-    owner: dict[int, str] = {}
-    groups: list[tuple[int, ...]] = []
+    n = len(feature_names)
+    # a JSON integer in range or a feature name, to its index
+    lookup = {i: i for i in range(n)} | {str(name): i for i, name in enumerate(feature_names)}
+    groups: list[list[int]] = []
     names: list[str | None] = []
     for k, entry in enumerate(doc["groups"]):
         if not isinstance(entry, dict):
@@ -490,45 +478,33 @@ def load_partition(
         gname = entry.get("name")
         label = repr(gname) if gname is not None else str(k)
         feats = entry.get("features")
-        if not isinstance(feats, list) or not feats:
+        if not isinstance(feats, list):
             raise ConfigError(f"group {label} is empty or missing its features list")
-        resolved = []
         for item in feats:
-            if isinstance(item, bool):
+            # type(), not isinstance(): True is an int to isinstance and would look up 1
+            if type(item) not in (int, str):
                 raise ConfigError(f"group {label} has a non-feature entry {item!r}")
-            if isinstance(item, int):
-                idx = item
-            elif isinstance(item, str):
-                if item not in name_to_index:
-                    raise ConfigError(f"group {label} names unknown feature {item!r}")
-                idx = name_to_index[item]
-            else:
-                raise ConfigError(f"group {label} has a non-feature entry {item!r}")
-            if not 0 <= idx < n:
-                raise ConfigError(f"group {label} index {idx} outside 0..{n - 1}")
-            if idx in owner:
-                raise ConfigError(
-                    f"feature {idx} appears in both group {owner[idx]} and group {label}"
-                )
-            if idx in resolved:
-                raise ConfigError(f"group {label} lists feature {idx} twice")
-            resolved.append(idx)
-        for idx in resolved:
-            owner[idx] = label
-        groups.append(tuple(sorted(resolved)))
+            if isinstance(item, str) and item not in lookup:
+                raise ConfigError(f"group {label} names unknown feature {item!r}")
+            if item not in lookup:
+                raise ConfigError(f"group {label} index {item} outside 0..{n - 1}")
+        groups.append([lookup[item] for item in feats])
         names.append(str(gname) if gname is not None else None)
-
-    missing = sorted(set(range(n)) - set(owner))
+    missing = sorted(set(range(n)).difference(*groups))
     if missing:
-        if not lenient:
-            raise ConfigError(
-                f"features {missing} are not assigned to any group "
-                "(pass lenient to collect them into a residual group)"
-            )
-        groups.append(tuple(missing))
-        names.append("residual")
-
+        # the residual's name reaches only a lenient caller: strict mode refuses the partition
+        groups.append(missing)
+        names.append("residual" if lenient else None)
     final_names = None
     if any(nm is not None for nm in names):
         final_names = tuple(nm if nm is not None else f"group{k}" for k, nm in enumerate(names))
-    return AttributePartition(groups=tuple(groups), names=final_names)
+    try:
+        partition = AttributePartition(groups=tuple(groups), names=final_names)
+    except InvalidPartitionError as exc:
+        raise ConfigError(str(exc)) from exc
+    if missing and not lenient:
+        raise ConfigError(
+            f"features {missing} are not assigned to any group "
+            "(pass lenient to collect them into a residual group)"
+        )
+    return partition

@@ -127,7 +127,7 @@ class ExplainerParams:
             raise InvalidParameterError(f"unknown scoring_mode {self.scoring_mode!r}")
         try:
             threshold = float(self.display_threshold)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             threshold = math.nan
         if not threshold >= 0.0:
             raise InvalidParameterError(

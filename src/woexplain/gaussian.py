@@ -33,6 +33,7 @@ import json
 import operator
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -736,10 +737,22 @@ def model_from_dict(doc: dict) -> GaussianClassModel:
         raise InvalidModelError(f"class labels must be exactly 0..{len(entries) - 1}, got {labels}")
     key = "cov" if mode == FULL else "var"
     try:
+        # float() and np.array would also read "0.5", "1e0" and true as numbers; a level
+        # that is not a list adds no item here, and the shape checks below refuse it
+        for field, depth in (("prior", 0), ("mean", 1), (key, 2 if mode == FULL else 1)):
+            for e in entries:
+                items = [e[field]]
+                for _ in range(depth):
+                    items = chain.from_iterable(v for v in items if isinstance(v, list))
+                bad = set(map(type, items)) - {int, float}
+                if bad:
+                    raise InvalidModelError(
+                        f"class {e['label']} {field} must hold JSON numbers only, got "
+                        + ", ".join(sorted(t.__name__ for t in bad)))
         priors = np.array([float(e["prior"]) for e in entries])
         means = np.array([e["mean"] for e in entries], dtype=float)
         covs = np.array([e[key] for e in entries], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidModelError(f"malformed class entry: {exc}") from exc
     if means.ndim != 2 or means.shape[1] != len(names):
         raise InvalidModelError("class means do not match feature_names in length")

@@ -144,41 +144,47 @@ class AttributePartition:
 
     Groups are index tuples, stored sorted within each group; group order
     itself is meaningful and preserved. Optional names run parallel to
-    groups.
+    groups. Errors label a group by repr(name) when there are names and
+    by its position otherwise; a feature repeated within a group or
+    across groups is named where it first repeats, in the given order.
     """
 
     groups: tuple[tuple[int, ...], ...]
     names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        norm = []
-        for k, group in enumerate(self.groups):
-            try:
-                idx = tuple(sorted(operator.index(i) for i in group))
-            except (TypeError, ValueError) as exc:
-                raise InvalidPartitionError(f"group {k} has non-integer indices") from exc
-            if not idx:
-                raise InvalidPartitionError(f"group {k} is empty")
-            if idx[0] < 0:
-                raise InvalidPartitionError(f"group {k} has negative index {idx[0]}")
-            norm.append(idx)
-        if not norm:
+        groups = tuple(self.groups)
+        names = None if self.names is None else tuple(str(n) for n in self.names)
+        if names is not None and len(names) != len(groups):
+            raise InvalidPartitionError(f"{len(names)} names for {len(groups)} groups")
+        labels = [str(k) for k in range(len(groups))] if names is None else list(map(repr, names))
+        if not groups:
             raise InvalidPartitionError("partition must have at least one group")
-        flat = sorted(i for g in norm for i in g)
-        if len(set(flat)) != len(flat):
-            dup = next(i for i, j in zip(flat, flat[1:]) if i == j)
-            raise InvalidPartitionError(f"feature {dup} appears in more than one group")
-        if flat != list(range(len(flat))):
-            missing = next(i for i, v in enumerate(flat) if v != i)
+        owner: dict[int, int] = {}
+        norm = []
+        for k, group in enumerate(groups):
+            try:
+                idx = [operator.index(i) for i in group]
+            except (TypeError, ValueError) as exc:
+                raise InvalidPartitionError(
+                    f"group {labels[k]} has non-integer indices") from exc
+            if not idx:
+                raise InvalidPartitionError(f"group {labels[k]} is empty")
+            if min(idx) < 0:
+                raise InvalidPartitionError(f"group {labels[k]} has negative index {min(idx)}")
+            for i in idx:
+                if i in owner:
+                    if owner[i] == k:
+                        raise InvalidPartitionError(f"group {labels[k]} lists feature {i} twice")
+                    raise InvalidPartitionError(f"feature {i} appears in both group "
+                                                f"{labels[owner[i]]} and group {labels[k]}")
+                owner[i] = k
+            norm.append(tuple(sorted(idx)))
+        missing = next((i for i in range(len(owner)) if i not in owner), None)
+        if missing is not None:
             raise InvalidPartitionError(f"feature {missing} is not covered by any group")
         object.__setattr__(self, "groups", tuple(norm))
-        if self.names is not None:
-            names = tuple(str(n) for n in self.names)
-            if len(names) != len(norm):
-                raise InvalidPartitionError(
-                    f"{len(names)} names for {len(norm)} groups"
-                )
-            object.__setattr__(self, "names", names)
+        object.__setattr__(self, "names", names)
 
     @property
     def n_features(self) -> int:

@@ -1073,18 +1073,9 @@ class TestLoadPartition:
             {"features": [0, 1]},
             {"features": [2]},
         ]})
-        p = load_partition(path, n_features=4)
+        p = load_partition(path, feature_names=["a", "b", "c", "d"])
         assert p.groups == ((3,), (0, 1), (2,))
         assert p.names is None
-
-    def test_n_features_must_be_a_positive_integer(self, tmp_path):
-        """n_features follows the integer rule of every count parameter: an integral float
-        passes, anything else is a ConfigError rather than a bare error or a truncation."""
-        path = self.write_partition(tmp_path, {"groups": [{"features": [0, 1]}]})
-        assert load_partition(path, n_features=2.0).groups == ((0, 1),)
-        for n in ("x", 2.5, 0, -1, math.nan, math.inf, [2]):
-            with pytest.raises(ConfigError, match=r"^n_features must be an integer >= 1, got "):
-                load_partition(path, n_features=n)
 
     def test_thirty_features_in_ten_triples(self, tmp_path):
         names = [f"f{i}" for i in range(30)]
@@ -1101,7 +1092,7 @@ class TestLoadPartition:
             {"name": "named", "features": [0]},
             {"features": [1]},
         ]})
-        p = load_partition(path, n_features=2)
+        p = load_partition(path, feature_names=["a", "b"])
         assert p.names == ("named", "group1")
 
     def test_lenient_collects_residual(self, tmp_path):
@@ -1109,8 +1100,8 @@ class TestLoadPartition:
             {"name": "pair", "features": [1, 3]},
         ]})
         with pytest.raises(ConfigError, match=r"\[0, 2, 4\]"):
-            load_partition(path, n_features=5)
-        p = load_partition(path, n_features=5, lenient=True)
+            load_partition(path, feature_names=list("abcde"))
+        p = load_partition(path, feature_names=list("abcde"), lenient=True)
         assert p.groups == ((1, 3), (0, 2, 4))
         assert p.names == ("pair", "residual")
 
@@ -1120,12 +1111,12 @@ class TestLoadPartition:
             {"name": "b", "features": [1, 2]},
         ]})
         with pytest.raises(ConfigError, match="'a'.*'b'"):
-            load_partition(overlap, n_features=3)
+            load_partition(overlap, feature_names=["a", "b", "c"])
         duplicate = self.write_partition(tmp_path, {"groups": [
             {"features": [0, 0]},
         ]})
         with pytest.raises(ConfigError, match="twice"):
-            load_partition(duplicate, n_features=1)
+            load_partition(duplicate, feature_names=["a"])
         unknown = self.write_partition(tmp_path, {"groups": [
             {"features": ["nope"]},
         ]})
@@ -1135,17 +1126,17 @@ class TestLoadPartition:
             {"features": [5]},
         ]})
         with pytest.raises(ConfigError, match="outside"):
-            load_partition(out_of_range, n_features=2)
+            load_partition(out_of_range, feature_names=["a", "b"])
         empty_group = self.write_partition(tmp_path, {"groups": [
             {"name": "void", "features": []},
         ]})
         with pytest.raises(ConfigError, match="'void'"):
-            load_partition(empty_group, n_features=2)
+            load_partition(empty_group, feature_names=["a", "b"])
         boolean = self.write_partition(tmp_path, {"groups": [
             {"features": [True]},
         ]})
         with pytest.raises(ConfigError, match="non-feature"):
-            load_partition(boolean, n_features=2)
+            load_partition(boolean, feature_names=["a", "b"])
         # an unnamed group is named by its position in the file
         for groups, message in [
             (["ab"], "group 0 must be an object with a features list"),
@@ -1157,7 +1148,7 @@ class TestLoadPartition:
             ([{"features": [0, 1]}, {"features": [1]}],
              "feature 1 appears in both group 0 and group 1"),
             ([{"name": "x", "features": [0]}, {"features": [0]}],
-             "feature 0 appears in both group 'x' and group 1"),
+             "feature 0 appears in both group 'x' and group 'group1'"),
             ([{"features": [1, 1]}], "group 0 lists feature 1 twice"),
         ]:
             path = self.write_partition(tmp_path, {"groups": groups})
@@ -1168,10 +1159,7 @@ class TestLoadPartition:
     def test_file_level_errors(self, tmp_path):
         not_json = write_text(tmp_path / "p.json", "{broken")
         with pytest.raises(ConfigError, match="JSON"):
-            load_partition(not_json, n_features=2)
+            load_partition(not_json, feature_names=["a", "b"])
         no_groups = self.write_partition(tmp_path, {"partition": []})
         with pytest.raises(ConfigError, match="groups"):
-            load_partition(no_groups, n_features=2)
-        path = self.write_partition(tmp_path, {"groups": [{"features": [0]}]})
-        with pytest.raises(ConfigError, match="feature_names or n_features"):
-            load_partition(path)
+            load_partition(no_groups, feature_names=["a", "b"])

@@ -782,7 +782,7 @@ class TestParamsAndReportShape:
             ExplainerParams(partition=partition, attribute_size=1)
         with pytest.raises(InvalidParameterError):
             ExplainerParams(attribute_size=0)
-        for threshold in (-1.0, math.nan, "x", None):
+        for threshold in (-1.0, math.nan, "x", None, 10**400):
             with pytest.raises(InvalidParameterError, match="display_threshold"):
                 ExplainerParams(partition=partition, display_threshold=threshold)
         with pytest.raises(InvalidParameterError):

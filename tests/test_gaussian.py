@@ -756,6 +756,34 @@ class TestPersistence:
                            match="^every class entry needs an integer label$"):
             load_model(path)
 
+    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    def test_model_numbers_are_json_numbers(self, tmp_path, mode):
+        """Text and bools are refused wherever a number belongs, naming the class and the
+        field; JSON integers load as floats, and one too large for a float is refused."""
+        doc = model_to_dict(random_model(np.random.default_rng(64), 2, 2, mode=mode))
+        key = "cov" if mode == "full" else "var"
+        text = [["2", 0], [0, 1]] if mode == "full" else ["2", "1e0"]
+        path = tmp_path / "model.json"
+        for field, value, message in [
+            ("prior", "0.5", "class 1 prior must hold JSON numbers only, got str"),
+            ("mean", ["1", True], "class 1 mean must hold JSON numbers only, got bool, str"),
+            (key, text, f"class 1 {key} must hold JSON numbers only, got str"),
+        ]:
+            bad = json.loads(json.dumps(doc))
+            bad["classes"][1][field] = value
+            path.write_text(json.dumps(bad), encoding="utf-8")
+            with pytest.raises(InvalidModelError) as caught:
+                load_model(path)
+            assert str(caught.value) == message
+        doc["classes"][1]["mean"] = [1, -2]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert load_model(path).means[1].tolist() == [1.0, -2.0]
+        doc["classes"][1]["mean"] = [1, 10**400]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(InvalidModelError,
+                           match="^malformed class entry: int too large to convert to float$"):
+            load_model(path)
+
     def test_a_text_mean_is_not_split_into_digits(self, tmp_path):
         """"12" is no vector of the two features 1.0 and 2.0."""
         doc = model_to_dict(_model())

@@ -118,3 +118,16 @@ class TestAttributePartition:
             AttributePartition(((-1, 0),))
         with pytest.raises(InvalidPartitionError):
             AttributePartition(((0,), (1,)), names=("only one",))
+
+    def test_repeated_features_name_their_groups(self):
+        """A feature listed twice in one group is told apart from one in two groups; a group
+        is labelled by repr(name) when the partition has names, by position otherwise."""
+        for groups, names, message in [
+            (((0, 0), (1,)), None, "group 0 lists feature 0 twice"),
+            (((1,), (0, 2, 0)), ("a", "b"), "group 'b' lists feature 0 twice"),
+            (((0, 1), (2, 1)), None, "feature 1 appears in both group 0 and group 1"),
+            (((0, 1), (2, 1)), ("a", "b"), "feature 1 appears in both group 'a' and group 'b'"),
+        ]:
+            with pytest.raises(InvalidPartitionError) as caught:
+                AttributePartition(groups, names)
+            assert str(caught.value) == message

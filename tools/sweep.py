@@ -44,7 +44,18 @@ mean, and runs:
   paragraph separators);
 - the same on a third file, always with an id column, whose id cells
   and some feature cells hold a quoted \\n, \\r or \\r\\n, and on a
-  copy of it that ends its lines with a bare \\r.
+  copy of it that ends its lines with a bare \\r;
+- load_partition, strict and lenient, of a random partition file whose
+  groups name their features by name or index, with every group named
+  (seed % 3 == 2), none (seed % 3 == 1) or some: as drawn; where there
+  are groups enough, with a feature also in a second group, with a group
+  left out, and with both; and with one group holding a repeated
+  feature, an unknown name, an index of n or -1, true, a float, or
+  nothing;
+- model_from_dict of the model's document, as saved and with one class
+  holding a text prior, a text or true mean entry, a text variance or
+  covariance entry, integer means, a mean entry of 10**400 and, for a
+  diagonal model, integer variances.
 
 An outcome is the exact repr of what a call returns, or the type and
 message of what it raises, plus the warnings it emits. The sweep prints
@@ -263,6 +274,69 @@ def _cases(seed: int) -> list:
     csv_cases("quoted-breaks", [str(h) for h in rng.permutation(names + ["y", "id"])],
               HOSTILE_CELLS + QUOTED_BREAK_CELLS, lambda r: f'"r{rng.choice(QUOTED_BREAKS)}{r}"',
               cr_copy=True)
+
+    # partition files, drawn after every case above: a random valid file, then one fault each
+    def partition_file(groups, named):
+        return {"groups": [dict({"features": [names[i] if rng.random() < 0.5 else i for i in g]},
+                                **({"name": f"g{j}"} if named[j] else {}))
+                           for j, g in enumerate(groups)]}
+
+    cuts = sorted(int(c) for c in rng.choice(np.arange(1, n), size=int(rng.integers(0, n)),
+                                             replace=False))
+    groups = [[int(i) for i in g] for g in np.split(rng.permutation(n), cuts)]
+    named = [bool(v) for v in rng.random(len(groups)) < (0.5, 0.0, 1.0)[seed % 3]]
+    docs = {"valid": partition_file(groups, named)}
+    if len(groups) > 1:
+        j, m = (int(v) for v in rng.choice(len(groups), size=2, replace=False))
+        overlap = [g + [groups[j][0]] if i == m else g for i, g in enumerate(groups)]
+        docs["overlap"] = partition_file(overlap, named)
+        # the overlap, and a third group left out: the overlap is the error reported
+        x = min({0, 1, 2} - {j, m})
+        if x < len(groups):
+            docs["overlap-missing"] = partition_file(overlap[:x] + overlap[x + 1:],
+                                                     named[:x] + named[x + 1:])
+        docs["missing"] = partition_file([g for i, g in enumerate(groups) if i != j],
+                                         [v for i, v in enumerate(named) if i != j])
+    j = int(rng.integers(len(groups)))
+    for key, change in (("duplicate", lambda g: g + [g[0]]), ("unknown", lambda g: g + ["nope"]),
+                        ("above", lambda g: g + [n]), ("negative", lambda g: [-1] + g),
+                        ("bool", lambda g: g + [True]),
+                        ("float", lambda g: g + [float(groups[j][0])]), ("empty", lambda g: [])):
+        doc = partition_file(groups, named)
+        doc["groups"][j]["features"] = change(doc["groups"][j]["features"])
+        docs[key] = doc
+    for key, doc in docs.items():
+        path = Path(f"sweep-{seed}-{key}.json")
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for mode, lenient in (("strict", False), ("lenient", True)):
+            record(f"partition/{key}/{mode}", lambda path=path, lenient=lenient: repr(
+                wx.load_partition(path, model.feature_names, lenient=lenient)))
+
+    # model documents, drawn after every case above: text, bool and integer numbers
+    def loaded(doc):
+        m = wx.model_from_dict(json.loads(json.dumps(doc)))
+        return repr((m.priors.tolist(), m.means.tolist(), m.covariances.tolist()))
+
+    key = "cov" if model.mode == "full" else "var"
+    c = int(rng.integers(k))
+    entry = wx.model_to_dict(model)["classes"][c]
+    mean, cov = entry["mean"], entry[key]
+    changes = {
+        "as-saved": {},
+        "text-prior": {"prior": str(entry["prior"])},
+        "text-mean": {"mean": [str(mean[0])] + mean[1:]},
+        "bool-mean": {"mean": mean[:-1] + [True]},
+        f"text-{key}": {key: [["1e0"] + cov[0][1:]] + cov[1:] if key == "cov"
+                        else ["1e0"] + cov[1:]},
+        "int-mean": {"mean": [int(round(v)) for v in mean]},
+        "huge-int-mean": {"mean": [10**400] + mean[1:]},
+    }
+    if key == "var":
+        changes["int-var"] = {"var": [int(v) + 1 for v in cov]}
+    for name, fields in changes.items():
+        doc = wx.model_to_dict(model)
+        doc["classes"][c].update(fields)
+        record(f"model/{name}", lambda doc=doc: loaded(doc))
     return out
 
 
