@@ -470,13 +470,18 @@ def load_partition(
     n = len(feature_names)
     # a JSON integer in range or a feature name, to its index
     lookup = {i: i for i in range(n)} | {str(name): i for i, name in enumerate(feature_names)}
+    entries = doc["groups"]
+    given = [e.get("name") if isinstance(e, dict) else None for e in entries]
+    # the names the report shows when the file names any group, an unnamed one being
+    # 'group{k}'; every message labels a group as AttributePartition does, by repr(name),
+    # or by its position when the file names none, whatever the residual is called
+    names = ([f"group{k}" if nm is None else str(nm) for k, nm in enumerate(given)]
+             if any(nm is not None for nm in given) else None)
+    labels = list(map(repr, names)) if names else list(map(str, range(len(entries))))
     groups: list[list[int]] = []
-    names: list[str | None] = []
-    for k, entry in enumerate(doc["groups"]):
+    for label, entry in zip(labels, entries):
         if not isinstance(entry, dict):
-            raise ConfigError(f"group {k} must be an object with a features list")
-        gname = entry.get("name")
-        label = repr(gname) if gname is not None else str(k)
+            raise ConfigError(f"group {label} must be an object with a features list")
         feats = entry.get("features")
         if not isinstance(feats, list):
             raise ConfigError(f"group {label} is empty or missing its features list")
@@ -489,17 +494,14 @@ def load_partition(
             if item not in lookup:
                 raise ConfigError(f"group {label} index {item} outside 0..{n - 1}")
         groups.append([lookup[item] for item in feats])
-        names.append(str(gname) if gname is not None else None)
     missing = sorted(set(range(n)).difference(*groups))
     if missing:
-        # the residual's name reaches only a lenient caller: strict mode refuses the partition
+        # a residual holds only unassigned features, so no group error can name it
         groups.append(missing)
-        names.append("residual" if lenient else None)
-    final_names = None
-    if any(nm is not None for nm in names):
-        final_names = tuple(nm if nm is not None else f"group{k}" for k, nm in enumerate(names))
+        if names is not None:
+            names.append("residual")
     try:
-        partition = AttributePartition(groups=tuple(groups), names=final_names)
+        partition = AttributePartition(groups=groups, names=names)
     except InvalidPartitionError as exc:
         raise ConfigError(str(exc)) from exc
     if missing and not lenient:
@@ -507,4 +509,8 @@ def load_partition(
             f"features {missing} are not assigned to any group "
             "(pass lenient to collect them into a residual group)"
         )
+    if missing and names is None:
+        # the residual is named, so every group of the file takes its report name
+        names = [f"group{k}" for k in range(len(entries))] + ["residual"]
+        partition = AttributePartition(groups=partition.groups, names=names)
     return partition

@@ -54,7 +54,8 @@ from .types import Evidence, as_evidence
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-MODEL_FORMAT_VERSION = 1
+# version 2 writes each full covariance as its lower triangle; version 1 is still read
+MODEL_FORMAT_VERSION = 2
 
 DIAGONAL = "diagonal"
 FULL = "full"
@@ -440,11 +441,14 @@ class GaussianClassModel:
                 c, i = map(int, np.argwhere(self.covariances <= 0.0)[0])
                 raise InvalidModelError(f"variance of feature {i} in class {c} is not positive")
         else:
-            for c in range(self.n_classes):
-                cov = self.covariances[c]
-                if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-10 * (1.0 + np.abs(cov).max())):
-                    raise InvalidModelError(f"covariance of class {c} is not symmetric")
-            _factor(self.covariances, InvalidModelError)
+            covs = self.covariances
+            # per class: every |cov - cov.T| entry within 1e-10 (1 + max |cov|)
+            skew = np.abs(covs - covs.transpose(0, 2, 1)).max(axis=(1, 2))
+            asymmetric = skew > 1e-10 * (1.0 + np.abs(covs).max(axis=(1, 2)))
+            if asymmetric.any():
+                c = int(np.argmax(asymmetric))
+                raise InvalidModelError(f"covariance of class {c} is not symmetric")
+            _factor(covs, InvalidModelError)
         return self
 
     def check_label(self, label: int) -> int:
@@ -691,7 +695,11 @@ def fit(
 
 
 def model_to_dict(model: GaussianClassModel) -> dict:
-    """Serializable form of a model; field order is fixed for stable files."""
+    """Serializable form of a model; field order is fixed for stable files.
+
+    A full covariance is written as its lower triangle: row i of "cov"
+    holds the i + 1 entries up to the diagonal.
+    """
     classes = []
     for c in range(model.n_classes):
         entry = {
@@ -699,7 +707,10 @@ def model_to_dict(model: GaussianClassModel) -> dict:
             "prior": float(model.priors[c]),
             "mean": model.means[c].tolist(),
         }
-        entry["cov" if model.mode == FULL else "var"] = model.covariances[c].tolist()
+        if model.mode == FULL:
+            entry["cov"] = [row[:i + 1] for i, row in enumerate(model.covariances[c].tolist())]
+        else:
+            entry["var"] = model.covariances[c].tolist()
         classes.append(entry)
     return {
         "version": MODEL_FORMAT_VERSION,
@@ -709,14 +720,36 @@ def model_to_dict(model: GaussianClassModel) -> dict:
     }
 
 
+def _triangles(entries: list, n: int) -> np.ndarray:
+    """The (K, n, n) stack of the lower-triangle covariances of version 2."""
+    for e in entries:
+        cov = e["cov"]
+        if not (isinstance(cov, list) and len(cov) == n
+                and all(isinstance(row, list) and len(row) == i + 1 for i, row in enumerate(cov))):
+            raise InvalidModelError(
+                f"class {e['label']} cov must be a lower triangle: {n} lists, "
+                "list i holding i + 1 numbers")
+    flat = np.array(list(chain.from_iterable(chain.from_iterable(e["cov"] for e in entries))),
+                    dtype=float).reshape(len(entries), -1)
+    rows, cols = np.tril_indices(n)
+    covs = np.empty((len(entries), n, n))
+    covs[:, rows, cols] = flat
+    covs[:, cols, rows] = flat
+    return covs
+
+
 def model_from_dict(doc: dict) -> GaussianClassModel:
-    """Rebuild a model from its serialized form, then validate it."""
+    """Rebuild a model from its serialized form, then validate it.
+
+    Reads model format 2, whose full covariances are lower triangles,
+    and format 1, whose full covariances are whole matrices.
+    """
     if not isinstance(doc, dict):
         raise InvalidModelError("model document must be a JSON object")
     version = doc.get("version")
-    if version != MODEL_FORMAT_VERSION:
+    if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
         raise InvalidModelError(
-            f"unsupported model version {version!r}, expected {MODEL_FORMAT_VERSION}"
+            f"unsupported model version {version!r}, expected 1 or {MODEL_FORMAT_VERSION}"
         )
     mode = doc.get("mode")
     if mode not in (DIAGONAL, FULL):
@@ -751,7 +784,10 @@ def model_from_dict(doc: dict) -> GaussianClassModel:
                         + ", ".join(sorted(t.__name__ for t in bad)))
         priors = np.array([float(e["prior"]) for e in entries])
         means = np.array([e["mean"] for e in entries], dtype=float)
-        covs = np.array([e[key] for e in entries], dtype=float)
+        if mode == FULL and version == 2:
+            covs = _triangles(entries, len(names))
+        else:
+            covs = np.array([e[key] for e in entries], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InvalidModelError(f"malformed class entry: {exc}") from exc
     if means.ndim != 2 or means.shape[1] != len(names):

@@ -1156,6 +1156,31 @@ class TestLoadPartition:
                 load_partition(path, feature_names=["a", "b"])
             assert str(caught.value) == message
 
+    @pytest.mark.parametrize("lenient", [False, True])
+    def test_one_label_per_group_in_a_file(self, tmp_path, lenient):
+        """An unnamed group is 'group{k}' in every message once another group has a name,
+        and its position in every message otherwise; the residual's name changes neither."""
+        for groups, message in [
+            ([{"name": "x", "features": ["a"]}, {"features": ["d"]}],
+             "group 'group1' names unknown feature 'd'"),
+            ([{"name": "x", "features": ["a"]}, {"features": ["a", "b"]}],
+             "feature 0 appears in both group 'x' and group 'group1'"),
+            ([{"name": "x", "features": ["a"]}, "b"],
+             "group 'group1' must be an object with a features list"),
+            ([{"features": ["a"]}, {"features": ["a"]}],
+             "feature 0 appears in both group 0 and group 1"),
+            ([{"features": ["a", "a"]}], "group 0 lists feature 0 twice"),
+            ([{"features": ["a"]}, {"features": []}], "group 1 is empty"),
+        ]:
+            path = self.write_partition(tmp_path, {"groups": groups})
+            with pytest.raises(ConfigError) as caught:
+                load_partition(path, feature_names=["a", "b", "c"], lenient=lenient)
+            assert str(caught.value) == message
+        path = self.write_partition(tmp_path, {"groups": [{"features": [2]}, {"features": [0]}]})
+        p = load_partition(path, feature_names=["a", "b", "c"], lenient=True)
+        assert p.groups == ((2,), (0,), (1,))
+        assert p.names == ("group0", "group1", "residual")
+
     def test_file_level_errors(self, tmp_path):
         not_json = write_text(tmp_path / "p.json", "{broken")
         with pytest.raises(ConfigError, match="JSON"):

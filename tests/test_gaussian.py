@@ -710,19 +710,93 @@ class TestPersistence:
 
     def test_save_is_byte_stable(self, tmp_path):
         rng = np.random.default_rng(61)
-        model = random_model(rng, 2, 3, mode="diagonal")
-        first, second = tmp_path / "a.json", tmp_path / "b.json"
-        save_model(model, first)
-        save_model(load_model(first), second)
-        assert first.read_bytes() == second.read_bytes()
+        for mode in ("diagonal", "full"):
+            model = random_model(rng, 2, 3, mode=mode)
+            first, second = tmp_path / "a.json", tmp_path / "b.json"
+            save_model(model, first)
+            save_model(load_model(first), second)
+            assert first.read_bytes() == second.read_bytes()
 
     def test_document_shape(self):
         rng = np.random.default_rng(62)
-        doc = model_to_dict(random_model(rng, 2, 2))
+        model = random_model(rng, 3, 4)
+        doc = model_to_dict(model)
         assert list(doc) == ["version", "mode", "feature_names", "classes"]
+        assert doc["version"] == 2
         assert list(doc["classes"][0]) == ["label", "prior", "mean", "cov"]
+        # each full covariance is its lower triangle: row i holds i + 1 entries
+        for c, entry in enumerate(doc["classes"]):
+            assert entry["cov"] == [row[:i + 1]
+                                    for i, row in enumerate(model.covariances[c].tolist())]
         doc_diag = model_to_dict(random_model(rng, 2, 2, mode="diagonal"))
         assert list(doc_diag["classes"][0]) == ["label", "prior", "mean", "var"]
+
+    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    def test_format_1_loads_to_the_bits_of_format_2(self, mode):
+        """A version-1 document, whole matrices in full mode, is the same model."""
+        model = random_model(np.random.default_rng(66), 3, 4, mode=mode)
+        doc = model_to_dict(model)
+        old = json.loads(json.dumps(doc))
+        old["version"] = 1
+        if mode == "full":
+            for c, entry in enumerate(old["classes"]):
+                entry["cov"] = model.covariances[c].tolist()
+        new, legacy = model_from_dict(doc), model_from_dict(old)
+        assert doc["version"] == 2
+        for field in ("means", "covariances", "priors"):
+            assert getattr(new, field).tobytes() == getattr(legacy, field).tobytes()
+            assert getattr(new, field).tobytes() == getattr(model, field).tobytes()
+        assert model_to_dict(legacy) == doc
+
+    def test_format_2_covariances_must_be_lower_triangles(self):
+        doc = model_to_dict(random_model(np.random.default_rng(67), 3, 3))
+        triangle = doc["classes"][1]["cov"]
+        message = "class 1 cov must be a lower triangle: 3 lists, list i holding i + 1 numbers"
+        for cov in [
+            [row + [0.0] * (2 - i) for i, row in enumerate(triangle)],  # whole rows
+            triangle[:2],  # a row missing
+            triangle + [[0.0, 0.0, 0.0, 1.0]],  # a row too many
+            [triangle[0], triangle[2], triangle[1]],  # rows out of order
+            [triangle[0], triangle[1], 2.0],  # a number for a row
+            "[[1.0]]",
+        ]:
+            bad = json.loads(json.dumps(doc))
+            bad["classes"][1]["cov"] = cov
+            with pytest.raises(InvalidModelError) as caught:
+                model_from_dict(bad)
+            assert str(caught.value) == message
+        # a version-1 document keeps whole rows
+        bad = json.loads(json.dumps(doc))
+        bad["version"] = 1
+        with pytest.raises(InvalidModelError, match="^malformed class entry: "):
+            model_from_dict(bad)
+
+    @pytest.mark.parametrize("version", [0, 3, 99, "2", 2.0, True, None])
+    def test_unsupported_version_message(self, version):
+        doc = dict(model_to_dict(_model()), version=version)
+        with pytest.raises(InvalidModelError) as caught:
+            model_from_dict(doc)
+        assert str(caught.value) == f"unsupported model version {version!r}, expected 1 or 2"
+
+    def test_asymmetry_names_the_first_class_past_its_own_tolerance(self):
+        """Each class is held to 1e-10 (1 + max |cov_c|): class 0's large entries do not
+        widen the tolerance of class 2."""
+        big = [[1e6, 1e-5], [0.0, 1e6]]  # within 1e-10 (1 + 1e6)
+        skew = [[1.0, 0.3], [0.3 + 1e-8, 1.0]]  # past 1e-10 (1 + 1)
+        eye = np.eye(2).tolist()
+        doc = model_to_dict(_model(mode="full", means=np.zeros((3, 2)),
+                                   covariances=np.tile(np.eye(2), (3, 1, 1)),
+                                   priors=(0.25, 0.25, 0.5)))
+        doc["version"] = 1
+        for covs, c in [((big, eye, skew), 2), ((big, skew, skew), 1), ((skew, eye, eye), 0)]:
+            for entry, cov in zip(doc["classes"], covs):
+                entry["cov"] = cov
+            with pytest.raises(InvalidModelError) as caught:
+                model_from_dict(doc)
+            assert str(caught.value) == f"covariance of class {c} is not symmetric"
+        for entry, cov in zip(doc["classes"], (big, eye, eye)):
+            entry["cov"] = cov
+        assert model_from_dict(doc).covariances[0].tolist() == big
 
     def test_bad_documents_rejected(self, tmp_path):
         rng = np.random.default_rng(63)

@@ -55,7 +55,9 @@ mean, and runs:
 - model_from_dict of the model's document, as saved and with one class
   holding a text prior, a text or true mean entry, a text variance or
   covariance entry, integer means, a mean entry of 10**400 and, for a
-  diagonal model, integer variances.
+  diagonal model, integer variances; then of the model as a version-1
+  document, whole covariance matrices in full mode, and, for a full
+  model, of a version-2 document that keeps whole rows.
 
 An outcome is the exact repr of what a call returns, or the type and
 message of what it raises, plus the warnings it emits. The sweep prints
@@ -336,6 +338,16 @@ def _cases(seed: int) -> list:
     for name, fields in changes.items():
         doc = wx.model_to_dict(model)
         doc["classes"][c].update(fields)
+        record(f"model/{name}", lambda doc=doc: loaded(doc))
+
+    # the model as format 1 writes it, and whole rows under format 2's number: no draw
+    for name, version in (("format-1", 1), ("full-rows-v2", 2)):
+        if version == 2 and model.mode != "full":
+            continue
+        doc = dict(wx.model_to_dict(model), version=version)
+        if model.mode == "full":
+            for entry, cov in zip(doc["classes"], model.covariances.tolist()):
+                entry["cov"] = cov
         record(f"model/{name}", lambda doc=doc: loaded(doc))
     return out
 
