@@ -13,6 +13,12 @@ Examples:
         --scoring conditional --threshold 2.0 --out report.json
     woexplain validate --model model.json --data train.csv --labels diagnosis --trials 200
 
+explain @file.csv:ROW and validate convert only the records they use:
+ROW, or the rows validate samples. A faulty cell or width in any other
+record is not read, and a malformed quoted record anywhere stops either
+command. validate checks the file first, then the feature count,
+--trials, --seed and the model's class count, then the sampled cells.
+
 Exit codes: 0 success, 1 validation failure, 2 usage or configuration
 error, 3 I/O or oracle failure.
 """
@@ -26,11 +32,9 @@ import numpy as np
 
 from .contrast import ContrastParams
 from .data import (
-    Dataset,
-    _body_record,
+    _body_records,
     _columns,
     _parse_cells,
-    _parse_records,
     _read_records,
     load_csv,
     load_partition,
@@ -55,7 +59,7 @@ from .explain import (
     write_report,
 )
 from .gaussian import DIAGONAL, FULL, fit, load_model, save_model
-from .validate import run_validation
+from .validate import _Rows, run_validation
 
 _SCORING = {"conditional": CONDITIONAL_CHAIN, "marginal": MARGINAL}
 _ORDERING = {"greedy": GREEDY_MAX_WOE, "fixed": FIXED, "random": RANDOM}
@@ -129,16 +133,26 @@ def _feature_columns(header: list[str], feature_names: tuple[str, ...],
     return _columns(header, label, feature_names if by_name else None)[0]
 
 
-def _read_rows(path: str, feature_names: tuple[str, ...],
-               label_column: str | None = None) -> Dataset:
-    """Every row of a CSV file as the model's features (_feature_columns), for validate.
+def _sampled_rows(path: str, feature_names: tuple[str, ...],
+                  label_column: str | None = None) -> _Rows:
+    """The records of a CSV file as the model's features (_feature_columns), for validate.
 
-    The label column is never converted, so any text there reads. The
-    file is read once: its header picks the columns its body is parsed
-    for, and every record is converted.
+    The file is read once and its records are counted (_body_records),
+    so a malformed quoted record anywhere stops it. Only the records
+    run_validation samples are converted, each once and in ascending
+    order, by the per-cell parse whose values and errors every whole-file
+    route matches: a faulty cell or width elsewhere is never read, and
+    the label column is never converted, so any text there reads.
     """
     header, body = _read_records(path)
-    return _parse_records(header, body, _feature_columns(header, feature_names, label_column))
+    feature_cols = _feature_columns(header, feature_names, label_column)
+    n_rows, record = _body_records(body)
+
+    def take(ids: np.ndarray) -> np.ndarray:
+        return np.array([_parse_cells(record(i), feature_cols, header, i + 1)
+                         for i in ids.tolist()])
+
+    return _Rows((n_rows, len(feature_cols)), take)
 
 
 def _parse_input_row(spec: str, feature_names: tuple[str, ...]) -> np.ndarray:
@@ -149,7 +163,7 @@ def _parse_input_row(spec: str, feature_names: tuple[str, ...]) -> np.ndarray:
     per-cell parse whose values and errors every whole-file route
     matches. The other records are counted for the range check and
     never converted, so a faulty cell or width elsewhere does not stop
-    it; a malformed quoted record anywhere does (_body_record).
+    it; a malformed quoted record anywhere does (_body_records).
     """
     n_features = len(feature_names)
     if spec.startswith("@"):
@@ -162,10 +176,10 @@ def _parse_input_row(spec: str, feature_names: tuple[str, ...]) -> np.ndarray:
             raise ConfigError(f"row index {index_text!r} is not an integer") from None
         header, body = _read_records(path)
         feature_cols = _feature_columns(header, feature_names)
-        record, n_rows = _body_record(body, row)
-        if record is None:
+        n_rows, record = _body_records(body)
+        if not 0 <= row < n_rows:
             raise ConfigError(f"row {row} outside 0..{n_rows - 1} in {path}")
-        values = np.array(_parse_cells(record, feature_cols, header, row + 1))
+        values = np.array(_parse_cells(record(row), feature_cols, header, row + 1))
     else:
         try:
             values = np.array([float(tok) for tok in spec.split(",")])
@@ -256,8 +270,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    dataset = _read_rows(args.data, model.feature_names, args.labels)
-    checks = run_validation(model, dataset.rows, trials=args.trials, seed=args.seed)
+    rows = _sampled_rows(args.data, model.feature_names, args.labels)
+    checks = run_validation(model, rows, trials=args.trials, seed=args.seed)
     failed = False
     for check in checks:
         status = "PASS" if check.passed else "FAIL"

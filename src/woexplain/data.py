@@ -15,7 +15,7 @@ import math
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -340,30 +340,29 @@ def _per_record(
     return np.array(rows, dtype=float).reshape(len(rows), len(feature_cols)), label_cells
 
 
-def _body_record(lines: list[str], index: int) -> tuple[list[str] | None, int]:
-    """Body record index (None outside the body) and the number of body records.
+def _body_records(lines: list[str]) -> tuple[int, Callable[[int], list[str]]]:
+    """The number of body records, and a function giving record i's cells.
 
-    No cell is converted. Where each line is one record, as csv.reader
-    reads it (no quote, no NUL, no empty line and no line longer than
-    csv.field_size_limit()), the lines are counted and only line index is
-    split at its commas, its break left off. Otherwise csv.reader reads
-    the body to its end, so a malformed record anywhere raises
-    _per_record's error.
+    The body is scanned once and no cell is converted. Where each line is
+    one record, as csv.reader reads it (no quote, no NUL, no empty line
+    and no line longer than csv.field_size_limit()), the lines are
+    counted and record i is line i split at its commas, its break left
+    off. Otherwise csv.reader reads the body to its end, so a malformed
+    record anywhere raises _per_record's error, and the line each record
+    starts at is kept: record i is csv.reader's one record of its own
+    lines.
     """
     if (not any('"' in line or "\0" in line or line in ("\n", "\r", "\r\n")
                 for line in lines)
             and max(map(len, lines), default=0) <= csv.field_size_limit()):
-        return ((lines[index].rstrip("\r\n").split(",") if 0 <= index < len(lines) else None),
-                len(lines))
-    record, count = None, 0
+        return len(lines), lambda i: lines[i].rstrip("\r\n").split(",")
+    reader, starts = csv.reader(lines), [0]
     try:
-        for cells in csv.reader(lines):
-            if count == index:
-                record = cells
-            count += 1
+        for _ in reader:
+            starts.append(reader.line_num)
     except csv.Error as exc:
-        raise CsvParseError(f"malformed CSV record: {exc}", row=count + 1) from exc
-    return record, count
+        raise CsvParseError(f"malformed CSV record: {exc}", row=len(starts)) from exc
+    return len(starts) - 1, lambda i: next(csv.reader(lines[starts[i]:starts[i + 1]]))
 
 
 def _format_value(v: float) -> str:

@@ -14,13 +14,15 @@ rows. The Bayes, total and chain mixtures of all the chunk's trials are
 reduced together. Every number keeps the bits of the public one-call
 routes, and every error is the one a trial-by-trial loop raises first:
 a failed factor names the first failing order's class, whatever is
-stacked beside it.
+stacked beside it. Only the sampled rows are read: the CLI passes a
+row source (_Rows) that converts those records of its CSV file alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
 
@@ -66,6 +68,19 @@ class InvariantCheck:
     max_deviation: float
     tolerance: float
     detail: str = ""
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """The rows run_validation samples: their shape, and a converter of row ids.
+
+    take gets the distinct sampled ids, a nonempty ascending array, and
+    returns their rows, (len(ids), shape[1]); the CLI's source reads only
+    those records of a CSV file.
+    """
+
+    shape: tuple[int, ...]
+    take: Callable[[np.ndarray], np.ndarray]
 
 
 def _identity_check(name: str, deviations: tuple, rows: list[int]) -> InvariantCheck:
@@ -180,24 +195,31 @@ def run_validation(
 ) -> list[InvariantCheck]:
     """Run every invariant on `trials` rows sampled (with replacement).
 
-    The trials run in chunks of at most gaussian.BATCH_ELEMENTS root
-    entries, each chunk's rows stacked as the columns of one root state
-    (_trial_deviations), so no stacked block grows with `trials`. The
-    Bayes check, the predicted class, the contrast search and the
-    brute-force enumeration all read each row's joint J, with the
-    arithmetic of the public one-call routes, and the enumeration scores
-    the rows that share a predicted class together (_enumerated). An
-    identity whose deviation is NaN on some row fails, with that NaN as
-    its worst. Errors come as a loop over the trials gives them: a
-    non-finite sampled row first, then a model that cannot score J, then
-    each trial's in turn.
+    The shape and the parameters are checked first. Then the row ids are
+    drawn and each distinct sampled row is read once, in ascending row
+    order, so the CLI's row source (_Rows) converts those records of its
+    file and no other. The trials run in chunks of at most
+    gaussian.BATCH_ELEMENTS root entries, each chunk's rows stacked as the
+    columns of one root state (_trial_deviations), so no stacked block
+    grows with `trials`. The Bayes check, the predicted class, the
+    contrast search and the brute-force enumeration all read each row's
+    joint J, with the arithmetic of the public one-call routes, and the
+    enumeration scores the rows that share a predicted class together
+    (_enumerated). An identity whose deviation is NaN on some row fails,
+    with that NaN as its worst. Errors come as a loop over the trials
+    gives them, once the sampled rows are read: a non-finite sampled row
+    first, then a model that cannot score J, then each trial's in turn.
     """
-    x = np.asarray(data, dtype=float)
-    if x.ndim != 2 or x.shape[1] != model.n_features:
+    if isinstance(data, _Rows):
+        rows = data
+    else:
+        x = np.asarray(data, dtype=float)
+        rows = _Rows(x.shape, x.__getitem__)
+    if len(rows.shape) != 2 or rows.shape[1] != model.n_features:
         raise InvalidDataError(
-            f"data shape {x.shape} does not match model with {model.n_features} features"
+            f"data shape {rows.shape} does not match model with {model.n_features} features"
         )
-    if x.shape[0] == 0:
+    if rows.shape[0] == 0:
         raise InvalidDataError("no data rows to validate on")
     try:
         trials = _checked_count(trials, "trials", 1)
@@ -210,17 +232,20 @@ def run_validation(
     rng = np.random.default_rng(seed)
     n = model.n_features
     k = model.n_classes
-    row_ids = [int(i) for i in rng.integers(0, x.shape[0], size=trials)]
+    row_ids = [int(i) for i in rng.integers(0, rows.shape[0], size=trials)]
+    # each distinct sampled row is read once; the trials index them by rank, in row order
     sampled = np.unique(row_ids)
-    unseen = set(sampled[~np.isfinite(x[sampled]).all(axis=1)].tolist())
-    if unseen:
+    xs = rows.take(sampled)
+    ranks = np.searchsorted(sampled, row_ids).tolist()
+    unseen = ~np.isfinite(xs).all(axis=1)
+    if unseen.any():
         # the first sampled row with a non-finite value raises Evidence's error for it
-        _checked_evidence(x[next(i for i in row_ids if i in unseen)], model)
+        _checked_evidence(xs[next(j for j in ranks if unseen[j])], model)
 
     step = max(1, gaussian.BATCH_ELEMENTS // (k * (n + 1) ** 2))
     deviations, joints = [], []
     for lo in range(0, trials, step):
-        found, joint = _trial_deviations(rng, row_ids[lo:lo + step], x, model)
+        found, joint = _trial_deviations(rng, ranks[lo:lo + step], xs, model)
         deviations += found
         joints.append(joint[:max(0, BRUTE_MAX_ROWS - lo)])
 

@@ -4,6 +4,7 @@ Everything runs in-process through main(argv) so stdout/stderr are
 captured by capsys and exit codes are the return values.
 """
 
+import csv
 import json
 import logging
 import re
@@ -294,8 +295,6 @@ class TestExplainReadsOneRow:
 
     def test_quoted_and_reordered_copies_give_the_same_report(self, tmp_path, capsys):
         """A csv.QUOTE_ALL copy, and an id-led copy in another column order, matched by name."""
-        import csv
-
         data_path, model_path = fit_model(tmp_path, n_classes=3)
         header, *records = list(csv.reader(data_path.read_text(encoding="utf-8").splitlines()))
         quoted, reordered = tmp_path / "quoted.csv", tmp_path / "reordered.csv"
@@ -394,6 +393,103 @@ class TestValidateCommand:
             labelled.write_text(",".join(names) + ",target\n" + "".join(
                 ",".join(r[:3] + [cell]) + "\n" for r in records[1:]))
             assert printed(labelled) == expected, cell
+
+
+class TestValidateReadsOnlyItsSampledRows:
+    """validate converts only the records it samples; the others are only counted."""
+
+    FAULTS = TestExplainReadsOneRow.FAULTS
+    # the distinct records np.random.default_rng(0).integers(0, 180, size=20) draws
+    SAMPLED = [2, 7, 13, 31, 48, 55, 90, 92, 97, 100, 109, 113, 114, 116, 131, 146, 153, 164,
+               168, 174]
+
+    def validated(self, capsys, model_path, path, *args):
+        """Exit code, stdout and stderr of one validate of 20 trials at seed 0."""
+        capsys.readouterr()
+        code = main(["validate", "--model", str(model_path), "--data", str(path),
+                     "--labels", "target", "--trials", "20", "--seed", "0", *args])
+        printed = capsys.readouterr()
+        return code, printed.out, printed.err
+
+    def faulty_copy(self, data_path, tmp_path, faults, name="faulty.csv"):
+        """data_path with each (kind, record) fault of faults applied."""
+        header, *records = data_path.read_text(encoding="utf-8").splitlines()
+        for kind, record in faults:
+            records[record] = ",".join(self.FAULTS[kind](records[record].split(",")))
+        path = tmp_path / name
+        path.write_text("\n".join([header] + records) + "\n", encoding="utf-8")
+        return path
+
+    def test_the_draw_is_the_listed_one(self):
+        rows = np.random.default_rng(0).integers(0, 180, size=20).tolist()
+        assert sorted(set(rows)) == self.SAMPLED
+
+    @pytest.mark.parametrize("kind", sorted(FAULTS))
+    def test_a_faulty_unsampled_record_is_not_read(self, tmp_path, capsys, kind):
+        data_path, model_path = fit_model(tmp_path, n_classes=3)
+        expected = self.validated(capsys, model_path, data_path)
+        assert expected[0] == 0 and expected[2] == "" and "PASS  bayes-identity" in expected[1]
+        for record in (0, 3, 91, 179):
+            path = self.faulty_copy(data_path, tmp_path, [(kind, record)])
+            assert self.validated(capsys, model_path, path) == expected, record
+        path = self.faulty_copy(data_path, tmp_path, [
+            (kind, r) for r in range(180) if r not in self.SAMPLED])
+        assert self.validated(capsys, model_path, path) == expected
+
+    @pytest.mark.parametrize("kind, message", [
+        ("bad cell", "cell 'oops' does not parse as a number (row 14, column 'f1')"),
+        ("short record", "expected 4 cells, got 2 (row 14)"),
+        ("non-finite", "cell '-inf' is not finite (row 14, column 'f2')"),
+    ])
+    def test_the_first_faulty_sampled_record_is_named(self, tmp_path, capsys, kind, message):
+        """Sampled records 13 and 90 are faulty, and unsampled record 0 is too: record 13 is
+        named, with the error a whole-file read gives when it is the first faulty record."""
+        data_path, model_path = fit_model(tmp_path, n_classes=3)
+        path = self.faulty_copy(data_path, tmp_path, [(kind, 0), (kind, 13), (kind, 90)])
+        assert self.validated(capsys, model_path, path) == (3, "", f"error: {message}\n")
+        alone = self.faulty_copy(data_path, tmp_path, [(kind, 13)], name="alone.csv")
+        assert main(["fit", "--data", str(alone), "--labels", "target",
+                     "--out", str(tmp_path / "m.json")]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_a_malformed_record_anywhere_stops_it(self, tmp_path, capsys):
+        """A quoted label cell past csv.field_size_limit() in unsampled record 179 is read by
+        the count: exit 3, and before the parameter checks."""
+        data_path, model_path = fit_model(tmp_path, n_classes=3)
+        text = data_path.read_text(encoding="utf-8")
+        head, comma, _ = text.rstrip("\n").rpartition(",")
+        limit = csv.field_size_limit()
+        path = tmp_path / "long-field.csv"
+        path.write_text(head + comma + '"' + "1" * (limit + 1) + '"\n', encoding="utf-8")
+        expected = (3, "", f"error: malformed CSV record: field larger than field limit "
+                           f"({limit}) (row 180)\n")
+        assert self.validated(capsys, model_path, path) == expected
+        assert self.validated(capsys, model_path, path, "--trials", "0") == expected
+
+    def test_parameters_are_checked_before_the_sampled_cells(self, tmp_path, capsys):
+        """File, header and quoting errors; then the feature count, --trials, --seed and a
+        single-class model; then the sampled cells."""
+        data_path, model_path = fit_model(tmp_path, n_classes=3)
+        path = self.faulty_copy(data_path, tmp_path, [("bad cell", 13)])
+        for args, message in (
+                (["--trials", "0"], "trials must be an integer >= 1, got 0"),
+                (["--seed", "-1"], "seed must be an integer >= 0, got -1")):
+            code, out, err = self.validated(capsys, model_path, path, *args)
+            assert (code, out) == (2, "") and message in err
+        header, *records = path.read_text(encoding="utf-8").splitlines()
+        unnamed = tmp_path / "unnamed.csv"
+        unnamed.write_text("\n".join(["g0,g1,g2,g3"] + records) + "\n", encoding="utf-8")
+        assert self.validated(capsys, model_path, unnamed) == (
+            2, "", "error: data shape (180, 4) does not match model with 3 features\n")
+        doc = json.loads(model_path.read_text(encoding="utf-8"))
+        doc["classes"] = doc["classes"][:1]
+        doc["classes"][0]["prior"] = 1.0
+        lonely = tmp_path / "lonely.json"
+        lonely.write_text(json.dumps(doc), encoding="utf-8")
+        assert self.validated(capsys, lonely, path) == (
+            2, "", "error: model has a single class, nothing to contrast\n")
+        assert self.validated(capsys, model_path, path) == (
+            3, "", "error: cell 'oops' does not parse as a number (row 14, column 'f1')\n")
 
 
 def test_main_leaves_logging_alone(tmp_path, monkeypatch):

@@ -12,15 +12,27 @@ import pytest
 
 from woexplain import (
     Dataset,
+    GaussianClassModel,
     csv_header,
     load_csv,
     load_partition,
     query_oracle,
+    run_validation,
+    save_model,
     write_csv,
 )
 from woexplain import data
-from woexplain.cli import _parse_input_row, _read_rows
-from woexplain.errors import ConfigError, CsvParseError, InvalidDataError, OracleProtocolError
+from woexplain.cli import _parse_input_row, _sampled_rows
+from woexplain.cli import main as cli_main
+from woexplain.errors import (
+    ConfigError,
+    CsvParseError,
+    InvalidDataError,
+    OracleProtocolError,
+    WoeError,
+)
+
+from oracles import random_model
 
 
 def csv_lines(text):
@@ -32,6 +44,12 @@ def csv_lines(text):
 def write_text(path, text):
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def every_record(path, names, label_column=None):
+    """The rows validate's CLI source gives for path with every record sampled, in order."""
+    source = _sampled_rows(str(path), names, label_column)
+    return source.take(np.arange(source.shape[0]))
 
 
 class TestLoadCsv:
@@ -664,10 +682,11 @@ class TestOnePassMatchesTheReferences:
             path = write_text(tmp_path / "t.csv", text)
             assert load_csv(path, label_column=label).rows.tolist() == rows
             assert routes == route, text
-        # validate's reader leaves the label column unread: the text-label file takes one pass
+        # validate converts only the records it samples, the label column unread: no
+        # whole-file route runs, even with every record sampled
         routes.clear()
-        assert _read_rows(str(path), ("x", "y"), "label").rows.tolist() == rows
-        assert routes == ["one pass"]
+        assert every_record(path, ("x", "y"), "label").tolist() == rows
+        assert routes == []
 
     def test_a_late_text_label_costs_one_pass(self, tmp_path, monkeypatch):
         """Integer labels ending in one text cell are read by a single np.loadtxt call, whose
@@ -762,7 +781,7 @@ class TestInputRowMatchesAOneRecordReference:
                                 (tuple(f"x{j}" for j in range(len(header))), range(len(header)))):
                 for path in (plain, quoted):
                     try:
-                        rows = _read_rows(str(path), names).rows
+                        rows = every_record(path, names)
                     except CsvParseError:
                         rows = None
                     for row in range(-1, n_body + 1):
@@ -789,7 +808,7 @@ class TestInputRowMatchesAOneRecordReference:
             raise AssertionError("a whole-file converter ran")
 
         monkeypatch.setattr(cli, "_parse_cells", spy)
-        monkeypatch.setattr(cli, "_parse_records", refuse)
+        monkeypatch.setattr(data, "_parse_records", refuse)
         monkeypatch.setattr(data, "_one_pass", refuse)
         monkeypatch.setattr(data, "_per_record", refuse)
         text = "id,b,a\nr0,1,oops\nr1,2.5,-3\nr2,\nr3,4,inf\n"
@@ -819,13 +838,139 @@ class TestInputRowMatchesAOneRecordReference:
                 _parse_input_row(f"@{path}:{row}", ("a", "b"))
 
 
-def read_rows_outcome(path, names):
-    """validate's _read_rows as load_csv's outcome parts, or its error as (message, row, column)."""
+def named_model(rng, names):
+    """A random 3-class full model whose features are names."""
+    model = random_model(rng, 3, len(names))
+    return GaussianClassModel(means=model.means, covariances=model.covariances,
+                              priors=model.priors, mode=model.mode,
+                              feature_names=tuple(names)).validate()
+
+
+def printed_checks(model, rows, trials, seed):
+    """The (exit code, stdout, stderr) validate prints for run_validation on rows."""
     try:
-        ds = _read_rows(str(path), names)
+        checks = run_validation(model, rows, trials=trials, seed=seed)
+    except WoeError as exc:
+        return 2, "", f"error: {exc}\n"
+    out = "".join(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: max deviation "
+                  f"{c.max_deviation:.3e} (tolerance {c.tolerance:.0e}) {c.detail}\n"
+                  for c in checks)
+    return int(not all(c.passed for c in checks)), out, ""
+
+
+def sampled_reference(text, path, columns, model, trials, seed):
+    """validate's (exit code, stdout, stderr) for text at path, record by record.
+
+    A csv.Error anywhere comes first, then an empty body. Then the
+    records run_validation's draw samples are read in ascending order by
+    one_record_reference: the first faulty one is the error; otherwise
+    the checks are run_validation's on rows holding the sampled records
+    and NaN in every other row.
+    """
+    reader = csv.reader(csv_lines(text))
+    next(reader)
+    n_body = 0
+    try:
+        for _ in reader:
+            n_body += 1
+    except csv.Error:
+        return 3, "", f"error: {one_record_reference(text, path, 0, columns)[1]}\n"
+    if n_body == 0:
+        return 2, "", "error: no data rows to validate on\n"
+    rows = np.full((n_body, len(columns)), np.nan)
+    for i in np.unique(np.random.default_rng(seed).integers(0, n_body, size=trials)).tolist():
+        got = one_record_reference(text, path, i, columns)
+        if not isinstance(got, bytes):
+            return 3, "", f"error: {got[1]}\n"
+        rows[i] = np.frombuffer(got)
+    return printed_checks(model, rows, trials, seed)
+
+
+class TestValidateMatchesTheSampledRecordReference:
+    """validate converts the records it samples and no other, each as a per-cell parse of it
+    gives; where the whole file converts, it prints run_validation's checks on its rows."""
+
+    @staticmethod
+    def validated(capsys, model_path, path, label, trials, seed):
+        capsys.readouterr()
+        code = cli_main(["validate", "--model", str(model_path), "--data", str(path),
+                         *(["--labels", label] if label else []),
+                         "--trials", str(trials), "--seed", str(seed)])
+        printed = capsys.readouterr()
+        return code, printed.out, printed.err
+
+    def test_seeded_files(self, tmp_path, capsys):
+        """The seeded files of the one-pass references and their quoted twins, 3 trials each:
+        the sampled-record reference always, and the whole file's rows where they convert."""
+        plain_file = TestOnePassMatchesTheReferences().plain_file
+        rng, models = np.random.default_rng(37), np.random.default_rng(38)
+        model_path = tmp_path / "model.json"
+        whole_file, only_sampled, faulty = 0, 0, 0
+        for case in range(150):
+            label, columns, text = plain_file(rng)
+            header = [h.strip() for h in next(csv.reader(csv_lines(text)))]
+            features = columns or [name for name in header if name != label]
+            cols = [header.index(name) for name in features]
+            model = named_model(models, features)
+            save_model(model, model_path)
+            plain = write_text(tmp_path / "t.csv", text)
+            try:
+                rows = load_csv(plain, columns=features).rows
+            except CsvParseError:
+                rows = None
+            for path in (plain, quoted_twin(tmp_path / "q.csv", text)):
+                got = self.validated(capsys, model_path, path, label, 3, case)
+                assert got == sampled_reference(text, path, cols, model, 3, case), (case, text)
+                if rows is not None:
+                    assert got == printed_checks(model, rows, 3, case), (case, text)
+                    whole_file += 1
+                elif got[0] != 3:
+                    only_sampled += 1
+                else:
+                    faulty += 1
+        assert whole_file > 100 and only_sampled > 20 and faulty > 20
+
+    def test_only_the_sampled_records_are_converted(self, tmp_path, monkeypatch, capsys):
+        """No whole-file converter runs, and the per-cell parse sees each distinct sampled
+        record once, in ascending order, on a plain file and its QUOTE_ALL twin."""
+        from woexplain import cli
+
+        parse_cells, parsed = cli._parse_cells, []
+
+        def spy(record, feature_cols, header, r):
+            parsed.append(r)
+            return parse_cells(record, feature_cols, header, r)
+
+        def refuse(*args):
+            raise AssertionError("a whole-file converter ran")
+
+        monkeypatch.setattr(cli, "_parse_cells", spy)
+        monkeypatch.setattr(data, "_parse_records", refuse)
+        monkeypatch.setattr(data, "_one_pass", refuse)
+        monkeypatch.setattr(data, "_per_record", refuse)
+        rng = np.random.default_rng(41)
+        text = "id,b,y,a\n" + "".join(
+            f"r{i},{float(u)!r},{'cat' if i % 3 else 1},{float(v)!r}\n"
+            for i, (u, v) in enumerate(rng.normal(size=(40, 2))))
+        model_path = tmp_path / "model.json"
+        save_model(named_model(rng, ("a", "b")), model_path)
+        for path in (write_text(tmp_path / "t.csv", text), quoted_twin(tmp_path / "q.csv", text)):
+            for trials, seed in ((1, 0), (25, 3), (200, 1)):
+                parsed.clear()
+                assert self.validated(capsys, model_path, path, "y", trials, seed)[0] == 0
+                ids = np.random.default_rng(seed).integers(0, 40, size=trials)
+                # record i is body row i + 1
+                assert parsed == [i + 1 for i in sorted(set(ids.tolist()))]
+
+
+def every_record_outcome(path, names):
+    """validate's rows with every record sampled, as load_csv's outcome parts of the columns
+    names, or its error as (message, row, column)."""
+    try:
+        rows = every_record(path, names)
     except CsvParseError as exc:
         return str(exc), exc.row, exc.column
-    return ds.header, ds.rows.shape, ds.rows.tobytes(), None, None, None, None
+    return tuple(names), rows.shape, rows.tobytes(), None, None, None, None
 
 
 class TestRecordsEndWhereTheCsvModuleEndsThem:
@@ -838,7 +983,7 @@ class TestRecordsEndWhereTheCsvModuleEndsThem:
 
     def test_in_feature_label_and_ignored_cells(self, tmp_path):
         """Each character padding or inside a feature cell, a label cell and an unread id
-        cell: load_csv, validate's _read_rows and explain's @file.csv:ROW give what the
+        cell: load_csv, validate's rows and explain's @file.csv:ROW give what the
         references give from the csv module's records, on the file and its quoted twin."""
         reference = TestOnePassMatchesTheReferences().reference
         for ch in self.BREAKS:
@@ -850,7 +995,7 @@ class TestRecordsEndWhereTheCsvModuleEndsThem:
                     for label_column, columns in (("y", ["b", "a"]), ("y", None), (None, ["a"])):
                         assert outcome(path, label_column=label_column, columns=columns) == \
                             reference(text, label_column, columns), (ch, text, path)
-                    assert read_rows_outcome(path, ("a", "b")) == reference(
+                    assert every_record_outcome(path, ("a", "b")) == reference(
                         text, None, ["a", "b"]), (ch, text, path)
                     for row in range(-1, 3):
                         assert input_row_outcome(path, ("a", "b"), row) == one_record_reference(
@@ -874,7 +1019,7 @@ class TestQuotedLineBreaksAreCellText:
         path = self.written(tmp_path / "t.csv", text)
         message = f"cell {'3' + brk + '4'!r} does not parse as a number (row 2, column 'f')"
         assert csv_error(path, label_column="y") == (message, 2, "f")
-        assert read_rows_outcome(path, ("f", "g")) == (message, 2, "f")
+        assert every_record_outcome(path, ("f", "g")) == (message, 2, "f")
         assert outcome(path, label_column="y") == TestOnePassMatchesTheReferences().reference(
             text, "y", None)
 

@@ -57,7 +57,9 @@ mean, and runs:
   covariance entry, integer means, a mean entry of 10**400 and, for a
   diagonal model, integer variances; then of the model as a version-1
   document, whole covariance matrices in full mode, and, for a full
-  model, of a version-2 document that keeps whole rows.
+  model, of a version-2 document that keeps whole rows;
+- the CLI's validate, 5 trials at seed 0 with the label column y, of the
+  saved model on every CSV file above: plain, quoted and bare-\r copies.
 
 An outcome is the exact repr of what a call returns, or the type and
 message of what it raises, plus the warnings it emits. The sweep prints
@@ -68,7 +70,9 @@ ten differences, and exits 1 on any difference.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -221,6 +225,7 @@ def _cases(seed: int) -> list:
     from woexplain import cli
 
     names = list(model.feature_names)
+    written = []  # (tag, key, path) of every CSV file, for validate
 
     def dataset(ds):
         labels = None if ds.labels is None else ds.labels.tolist()
@@ -252,6 +257,7 @@ def _cases(seed: int) -> list:
             cr = Path(f"{stem}-{seed}-cr.csv")
             cr.write_text("\r".join(lines) + "\r", encoding="utf-8", newline="")
             files.append(("cr", cr))
+        written.extend((tag, key, path) for key, path in files)
         spec = f":{int(rng.integers(0, len(lines)))}"
         for key, path in files:
             record(f"{tag}/{key}/label", lambda path=path: dataset(wx.load_csv(path, "y")))
@@ -349,6 +355,20 @@ def _cases(seed: int) -> list:
             for entry, cov in zip(doc["classes"], model.covariances.tolist()):
                 entry["cov"] = cov
         record(f"model/{name}", lambda doc=doc: loaded(doc))
+
+    # validate of the saved model on every CSV file, recorded last: no draw
+    model_path = Path(f"sweep-{seed}-model.json")
+    wx.save_model(model, model_path)
+
+    def validated(path):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(["validate", "--model", str(model_path), "--data", str(path),
+                             "--labels", "y", "--trials", "5", "--seed", "0"])
+        return repr((code, stdout.getvalue(), stderr.getvalue()))
+
+    for tag, key, path in written:
+        record(f"{tag}/{key}/validate", lambda path=path: validated(path))
     return out
 
 
