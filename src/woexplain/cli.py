@@ -59,7 +59,7 @@ from .explain import (
     write_report,
 )
 from .gaussian import DIAGONAL, FULL, fit, load_model, save_model
-from .validate import _Rows, run_validation
+from .validate import IDENTITY_TOL, _Rows, run_validation
 
 _SCORING = {"conditional": CONDITIONAL_CHAIN, "marginal": MARGINAL}
 _ORDERING = {"greedy": GREEDY_MAX_WOE, "fixed": FIXED, "random": RANDOM}
@@ -276,8 +276,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
         failed = failed or not check.passed
+        # a tolerance past the 1e-9 floor is the worst row's own, printed as the deviation is
+        tolerance = format(check.tolerance, ".3e" if check.tolerance > IDENTITY_TOL else ".0e")
         print(f"{status}  {check.name}: max deviation {check.max_deviation:.3e} "
-              f"(tolerance {check.tolerance:.0e}) {check.detail}")
+              f"(tolerance {tolerance}) {check.detail}")
     return 1 if failed else 0
 
 

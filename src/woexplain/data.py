@@ -12,8 +12,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import subprocess
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -340,6 +342,21 @@ def _per_record(
     return np.array(rows, dtype=float).reshape(len(rows), len(feature_cols)), label_cells
 
 
+def _one_record_per_line(lines: list[str]) -> bool:
+    """Whether csv.reader reads each line as one record, tested with no Python step per line.
+
+    That is so where no line holds a quote or a NUL, none is an empty
+    line and none is longer than csv.field_size_limit(). Each test runs
+    a C loop over the lines and no copy of the body is made. The empty
+    lines are looked for in the list, by length and then by value: a set
+    test would hash every line of a file just read.
+    """
+    return (not any(map(operator.contains, lines, repeat('"')))
+            and not any(map(operator.contains, lines, repeat("\0")))
+            and "\n" not in lines and "\r" not in lines and "\r\n" not in lines
+            and max(map(len, lines), default=0) <= csv.field_size_limit())
+
+
 def _body_records(lines: list[str]) -> tuple[int, Callable[[int], list[str]]]:
     """The number of body records, and a function giving record i's cells.
 
@@ -352,9 +369,7 @@ def _body_records(lines: list[str]) -> tuple[int, Callable[[int], list[str]]]:
     starts at is kept: record i is csv.reader's one record of its own
     lines.
     """
-    if (not any('"' in line or "\0" in line or line in ("\n", "\r", "\r\n")
-                for line in lines)
-            and max(map(len, lines), default=0) <= csv.field_size_limit()):
+    if _one_record_per_line(lines):
         return len(lines), lambda i: lines[i].rstrip("\r\n").split(",")
     reader, starts = csv.reader(lines), [0]
     try:

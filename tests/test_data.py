@@ -853,7 +853,8 @@ def printed_checks(model, rows, trials, seed):
     except WoeError as exc:
         return 2, "", f"error: {exc}\n"
     out = "".join(f"{'PASS' if c.passed else 'FAIL'}  {c.name}: max deviation "
-                  f"{c.max_deviation:.3e} (tolerance {c.tolerance:.0e}) {c.detail}\n"
+                  f"{c.max_deviation:.3e} (tolerance "
+                  f"{c.tolerance:{'.3e' if c.tolerance > 1e-9 else '.0e'}}) {c.detail}\n"
                   for c in checks)
     return int(not all(c.passed for c in checks)), out, ""
 
@@ -1000,6 +1001,55 @@ class TestRecordsEndWhereTheCsvModuleEndsThem:
                     for row in range(-1, 3):
                         assert input_row_outcome(path, ("a", "b"), row) == one_record_reference(
                             text, path, row, [1, 3]), (ch, text, path, row)
+
+
+def generator_scan(lines):
+    """The line scan _body_records made one Python step per line, kept as the reference."""
+    return (not any('"' in line or "\0" in line or line in ("\n", "\r", "\r\n")
+                    for line in lines)
+            and max(map(len, lines), default=0) <= csv.field_size_limit())
+
+
+class TestBodyScan:
+    """_body_records tests its body for one record per line at C speed, with the branch,
+    the count and the cells of the per-line scan."""
+
+    PIECES = ("1.5", "-2", "x", '"q"', '"a,b"', '"3\n4"', '"open', "\0", "", "y" * 45)
+    BREAKS = ("\n", "\r", "\r\n")
+
+    def test_seeded_bodies(self, lowered_field_limit):
+        rng = np.random.default_rng(31)
+        branches = set()
+        for case in range(400):
+            lines = []
+            for _ in range(int(rng.integers(0, 6))):
+                cells = [self.PIECES[int(j)] for j in
+                         rng.choice(len(self.PIECES), size=int(rng.integers(1, 4)),
+                                    p=np.r_[[0.3, 0.3, 0.2], [0.2 / 7] * 7])]
+                lines += csv_lines(",".join(cells) + self.BREAKS[int(rng.integers(3))])
+                if rng.random() < 0.1:
+                    lines.append(self.BREAKS[int(rng.integers(3))])
+            plain = generator_scan(lines)
+            assert data._one_record_per_line(lines) == plain, lines
+            branches.add(plain)
+            try:
+                records = list(csv.reader(lines))
+            except csv.Error:
+                with pytest.raises(CsvParseError):
+                    data._body_records(lines)
+                continue
+            count, record = data._body_records(lines)
+            assert count == len(records), lines
+            assert [record(i) for i in range(count)] == records, lines
+        assert branches == {True, False}
+
+    def test_each_kind_of_line_takes_the_csv_reader(self, lowered_field_limit):
+        plain = ["1,2\n", "3,4\r\n", "5,6"]
+        assert data._one_record_per_line(plain) and generator_scan(plain)
+        assert data._one_record_per_line([]) and generator_scan([])
+        for odd in ('"7",8\n', "7,\x008\n", "\n", "\r", "\r\n", "9," + "9" * 40 + "\n"):
+            lines = plain[:2] + [odd] + plain[2:]
+            assert not data._one_record_per_line(lines) and not generator_scan(lines), odd
 
 
 class TestQuotedLineBreaksAreCellText:

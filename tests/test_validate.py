@@ -15,8 +15,9 @@ from woexplain import (
     score_subset,
     woe_chain,
 )
-from woexplain import gaussian, prior_log_odds, validate as validate_module
-from woexplain.contrast import ContrastParams
+from woexplain import contrast as contrast_module, gaussian, prior_log_odds
+from woexplain import validate as validate_module
+from woexplain.contrast import ContrastParams, _penalty
 from woexplain.core import _chains
 from woexplain.errors import (
     InvalidDataError,
@@ -30,6 +31,7 @@ from woexplain.types import HypothesisSet
 from woexplain.validate import (
     BRUTE_MAX_ROWS,
     IDENTITY_TOL,
+    ROUNDING_C,
     InvariantCheck,
     _random_partition,
     _random_split,
@@ -147,30 +149,43 @@ def replayed_checks(model, data, trials, seed):
     """run_validation's checks, rebuilt through the public one-call routes, a trial at a time.
 
     Replays the sampling draws in run_validation's order: the row ids,
-    then per trial the split, the partition and the reordering.
+    then per trial the split, the partition and the reordering. Each
+    trial's tolerance is max(IDENTITY_TOL, ROUNDING_C * eps * S), S the
+    magnitudes its identity adds and cancels: the woes and, once per woe,
+    the row's finite |log prior| and |J| of every class.
     """
     rng = np.random.default_rng(seed)
     k, n = model.n_classes, model.n_features
     row_ids = [int(i) for i in rng.integers(0, data.shape[0], size=trials)]
-    worst = {name: (0.0, row_ids[0]) for name in ("bayes", "add", "ord")}
+    log_prior = np.log(model.priors)
+    trials_seen = {"bayes": [], "add": [], "ord": []}
 
-    def note(name, dev, row):
-        if dev > worst[name][0]:
-            worst[name] = (dev, row)
+    def note(name, dev, magnitudes, row):
+        tol = max(IDENTITY_TOL, ROUNDING_C * np.finfo(float).eps * magnitudes)
+        trials_seen[name].append((dev, tol, row))
 
     for i in row_ids:
+        joint = _order_terms(tuple(range(n)), data[i][None], model, {}).sum(axis=2)[:, 0]
+        formed = float(np.where(np.isfinite(joint), np.abs(joint), 0.0).sum()
+                       + np.abs(log_prior[np.isfinite(log_prior)]).sum())
         a, b = _random_split(rng, k)
         prior, total, post = bayes_decomposition(a, b, data[i], model)
-        note("bayes", abs(post - prior - total), i)
+        note("bayes", abs(post - prior - total),
+             abs(post) + abs(prior) + abs(total) + 3 * formed, i)
         part = _random_partition(rng, n)
         reordered = [part[int(j)] for j in rng.permutation(len(part))]
-        first = sum(woe_chain(a, b, part, data[i], model))
-        second = sum(woe_chain(a, b, reordered, data[i], model))
-        note("add", abs(first - total), i)
-        note("ord", abs(first - second), i)
-    checks = [InvariantCheck(name, dev < IDENTITY_TOL, dev, IDENTITY_TOL, f"worst at row {row}")
-              for name, (dev, row) in zip(("bayes-identity", "additivity", "ordering-invariance"),
-                                          worst.values())]
+        first = woe_chain(a, b, part, data[i], model)
+        second = woe_chain(a, b, reordered, data[i], model)
+        size = sum(map(abs, first))
+        note("add", abs(sum(first) - total), size + abs(total) + (len(first) + 1) * formed, i)
+        note("ord", abs(sum(first) - sum(second)),
+             size + sum(map(abs, second)) + 2 * len(first) * formed, i)
+    checks = []
+    for name, seen in zip(("bayes-identity", "additivity", "ordering-invariance"),
+                          trials_seen.values()):
+        dev, tol, row = max(seen, key=lambda t: t[0] / t[1])
+        checks.append(InvariantCheck(name, all(d < t for d, t, _ in seen), dev, tol,
+                                     f"worst at row {row}"))
 
     params = ContrastParams()
     if k > params.max_exhaustive_classes:
@@ -374,3 +389,138 @@ class TestSharedFactorization:
         assert check.max_deviation == float(BRUTE_MAX_ROWS)
         assert check.detail == (f"{BRUTE_MAX_ROWS} rows enumerated, "
                                 f"first mismatch at row {int(row_ids[0])}")
+
+
+def far_case(seed):
+    """A 4-class diagonal model fitted on 80 rows, and 20 rows at 3e3 * N(0, 1)."""
+    rng = np.random.default_rng(seed)
+    labels = np.repeat(np.arange(4), 20)
+    model = fit(rng.normal(labels[:, None], 1.0, size=(80, 6)), labels, mode="diagonal")
+    return model, 3e3 * rng.normal(size=(20, 6))
+
+
+class TestRoundingTolerance:
+    def test_far_rows_pass(self):
+        """Far rows hold their identities to rounding: every seeded run passes, and where
+        a row's magnitudes outgrow the 1e-9 floor its tolerance is reported."""
+        raised = 0
+        for seed in range(20):
+            model, rows = far_case(seed)
+            checks = run_validation(model, rows, trials=20, seed=seed)
+            assert all(c.passed for c in checks), (seed, checks)
+            for check in checks[:3]:
+                assert check.max_deviation < check.tolerance
+                raised += check.tolerance > IDENTITY_TOL
+        assert raised == 60
+
+    @pytest.mark.parametrize("mode", ["full", "diagonal"])
+    def test_a_dropped_chain_term_fails(self, monkeypatch, mode):
+        """A planted identity error still fails where the rows are near the classes."""
+        chains = validate_module._chains
+
+        def dropped(*args):
+            return [chain[:-1] if len(chain) > 1 else [0.0] for chain in chains(*args)]
+
+        monkeypatch.setattr(validate_module, "_chains", dropped)
+        model, data = fitted_case(mode=mode)
+        checks = run_validation(model, data, trials=40, seed=1)
+        assert not checks[1].passed
+        assert checks[1].tolerance == IDENTITY_TOL
+        assert checks[1].max_deviation > 1e3 * IDENTITY_TOL
+
+    def test_floor_tolerances_report_the_largest_deviation(self):
+        """Where every tolerance is the floor, the worst row is the one of largest deviation."""
+        check = validate_module._identity_check(
+            "x", (1e-12, 3e-12, 2e-12, 3e-12), (IDENTITY_TOL,) * 4, [5, 6, 7, 8])
+        assert (check.passed, check.max_deviation, check.tolerance, check.detail) == (
+            True, 3e-12, IDENTITY_TOL, "worst at row 6")
+        check = validate_module._identity_check(
+            "x", (2e-9, 5e-9, float("nan")), (1e-9, 1e-8, 1e-9), [5, 6, 7])
+        assert not check.passed and math.isnan(check.max_deviation) and check.detail.endswith("7")
+        check = validate_module._identity_check("x", (2e-9, 5e-9), (1e-9, 1e-8), [5, 6])
+        assert (check.passed, check.max_deviation, check.tolerance) == (False, 2e-9, 1e-9)
+
+
+def reference_candidates(k, c_star):
+    """Every subset of range(k) holding c_star but not all of it, in (size, lexicographic) order."""
+    others = [c for c in range(k) if c != c_star]
+    return [tuple(sorted((c_star, *combo))) for size in range(1, k)
+            for combo in combinations(others, size - 1)]
+
+
+def reference_enumerated(c_stars, joints, log_prior, alpha):
+    """The enumeration with one tuple and one complement per candidate."""
+    k = joints.shape[1]
+    best = []
+    for c_star, joint in zip(c_stars, joints):
+        candidates = reference_candidates(k, c_star)
+        scores = []
+        for size in range(1, k):
+            found = [cand for cand in candidates if len(cand) == size]
+            u = np.array(found)
+            rest = np.array([[c for c in range(k) if c not in cand] for cand in found])
+            scores.append(gaussian.mixture_log_ratio(log_prior[u], joint[None, u])
+                          - gaussian.mixture_log_ratio(log_prior[rest], joint[None, rest])
+                          - _penalty(size, k, alpha))
+        keys = np.concatenate(scores, axis=1)[0]
+        keys[np.isnan(keys)] = -np.inf
+        top = int(keys.argmax())
+        best.append(candidates[top] if keys[top] > -np.inf else None)
+    return best
+
+
+class TestEnumerationTable:
+    def test_candidates_in_size_then_lexicographic_order(self):
+        for k in range(2, 13):
+            table = validate_module._candidate_table(k)
+            assert len(table) == k - 1
+            for c_star in range(k):
+                got = []
+                for u, rest in table:
+                    holds = (u == c_star).any(axis=1)
+                    got += [tuple(row) for row in u[holds].tolist()]
+                    assert (np.sort(np.hstack([u, rest]), axis=1) == np.arange(k)).all()
+                assert got == reference_candidates(k, c_star), (k, c_star)
+
+    def test_picks_equal_the_reference_at_twelve_classes(self):
+        """Seeded K=12 rows, with rows whose every score is -inf or NaN among them."""
+        rng = np.random.default_rng(33)
+        for mode in ("full", "diagonal"):
+            model = random_model(rng, 12, 5, mode)
+            joints = np.array([model.class_conditional_log_density(c, range(5), x, [], [])
+                               for x in rng.normal(0.0, 3.0, size=(8, 5))
+                               for c in range(12)]).reshape(8, 12)
+            joints[2] = -np.inf
+            joints[3] = np.nan
+            joints[4, ::2] = -np.inf
+            log_prior = np.log(model.priors)
+            c_stars = [0, 5, 5, 11, 3, 5, 0, 7]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got = validate_module._enumerated(c_stars, joints, log_prior, 0.05)
+                want = reference_enumerated(c_stars, joints, log_prior, 0.05)
+            assert got == want
+            assert got[2] is None and got[3] is None and got[0] is not None
+
+    def test_run_validation_never_reads_the_search_table(self, monkeypatch):
+        """The enumeration builds its own table: with contrast._subset_rows raising, and the
+        search's picks replayed, run_validation gives the same passing checks."""
+        assert not hasattr(validate_module, "_subset_rows")
+        model, data = fitted_case(n_classes=5)
+        search, picks = validate_module._best_contrast, []
+
+        def recorded(*args):
+            picks.append(search(*args))
+            return picks[-1]
+
+        monkeypatch.setattr(validate_module, "_best_contrast", recorded)
+        whole = run_validation(model, data, trials=30, seed=3)
+        replayed = iter(picks)
+
+        def refused(n):
+            raise AssertionError("the enumeration read the search's subset table")
+
+        validate_module._candidate_table.cache_clear()
+        monkeypatch.setattr(contrast_module, "_subset_rows", refused)
+        monkeypatch.setattr(validate_module, "_best_contrast", lambda *args: next(replayed))
+        assert run_validation(model, data, trials=30, seed=3) == whole
+        assert all(c.passed for c in whole)

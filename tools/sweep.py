@@ -59,7 +59,9 @@ mean, and runs:
   document, whole covariance matrices in full mode, and, for a full
   model, of a version-2 document that keeps whole rows;
 - the CLI's validate, 5 trials at seed 0 with the label column y, of the
-  saved model on every CSV file above: plain, quoted and bare-\r copies.
+  saved model on every CSV file above: plain, quoted and bare-\r copies;
+- run_validation, 20 trials over 20 far rows: class means plus 3e3 or
+  1e6 times N(0, 1) in every feature.
 
 An outcome is the exact repr of what a call returns, or the type and
 message of what it raises, plus the warnings it emits. The sweep prints
@@ -82,6 +84,7 @@ import warnings
 from pathlib import Path
 
 SCALES = (1.0, 50.0, 3e3, 1e160)
+FAR_SCALES = (3e3, 1e6)  # of the far-row validate family
 HOSTILE_CELLS = ("\x1f4\x1f", " 7 ", "\u00a03\u00a0", "1_0", "\u0661\u0662", "1e999", "nan",
                  "-inf", "", " ", "oops")
 LABEL_CELLS = ("2", " 0 ", "1.0", "1e0", "0.5", "-1", "1e300", "nan", "cat", '"1,0"', '"a\nb"',
@@ -369,6 +372,12 @@ def _cases(seed: int) -> list:
 
     for tag, key, path in written:
         record(f"{tag}/{key}/validate", lambda path=path: validated(path))
+
+    # far rows, drawn after every case above so those keep their inputs
+    for far_scale in FAR_SCALES:
+        far = model.means[rng.integers(k, size=20)] + far_scale * rng.normal(size=(20, n))
+        record(f"far/{far_scale:g}/validate",
+               lambda far=far: repr(wx.run_validation(model, far, trials=20, seed=seed)))
     return out
 
 
