@@ -10,9 +10,13 @@ covariance gives each term directly. A full covariance is read from a
 stack state (_Stack): the model's covariances and residuals x - mu at
 the root, the empty prefix, conditioned pivot by pivot on a prefix by a
 Schur-complement update (_condition) that leaves the covariance and
-residual of the other coordinates given the prefix. A target block of a
-state is factored (Cholesky, _block_terms) for its terms; from the root
-that is the covariance permuted into the order. Conditioning a state
+residual of the other coordinates given the prefix. A target is read
+from its bordered block of a state, the target's covariance with its
+residuals as the last row and column, scaled by a power of two, and a
+power-of-two corner (_carried): one Cholesky of that block
+(_block_terms) holds both the factor and the whitened residuals, so a
+read is one factorization and no solve. From the root the covariance
+is the model's permuted into the order. Conditioning a state
 further extends it, so a prefix that grows group by group is never
 refactored. The route takes a stack of input rows, and a state holds
 one column per row: any order is read at any row in one call, and a
@@ -120,14 +124,16 @@ def _distinct(keys) -> tuple[list, np.ndarray]:
 
 
 def _factor(covs: np.ndarray, error: type) -> np.ndarray:
-    """np.linalg.cholesky of a class-major stack of covariances, (K, n, n) or (K, D, m, m).
+    """np.linalg.cholesky of a class-major stack, (K, n, n) covariances or (K, D, m+1, m+1) blocks.
 
-    A failure raises error naming a class whose own matrix does not
-    factor: of D stacked orders, the first failing order's first failing
-    class (order axis outer, class axis inner), so what a read raises
-    does not depend on what is stacked beside it; a (K, n, n) stack is
-    one order. A batch fails exactly where one of its matrices does, so
-    the search, which runs on this path only, always finds one.
+    A bordered block fails where its covariance does, or past the range
+    of its border (_block_terms). A failure raises error naming a class
+    whose own matrix does not factor: of D stacked orders, the first
+    failing order's first failing class (order axis outer, class axis
+    inner), so what a read raises does not depend on what is stacked
+    beside it; a (K, n, n) stack is one order. A batch fails exactly
+    where one of its matrices does, so the search, which runs on this
+    path only, always finds one.
     """
     try:
         return np.linalg.cholesky(covs)
@@ -140,21 +146,39 @@ def _factor(covs: np.ndarray, error: type) -> np.ndarray:
                 raise error(f"the covariance of class {c} is not positive definite") from exc
 
 
-def _block_terms(covs: np.ndarray, dev: np.ndarray) -> np.ndarray:
-    """Sequential conditional log densities of (K, M, m) residuals dev under (K, M, m, m) covs.
+# the bordered read (_carried, _block_terms): its residual row and column are scaled by
+# BORDER_SCALE and its corner set to BORDER_CORNER, both powers of two, so the scaling is
+# exact and the corner stays far above s^2 |z|^2 for any whitened residuals z below the
+# float limit
+BORDER_SCALE = 2.0 ** -600
+BORDER_CORNER = 2.0 ** 1000
 
-    Each covariance is factored as S = L L^T; with z = L^-1 dev the i-th
-    term is -(log 2 pi + 2 log L_ii + z_i^2)/2. Each matrix is factored
-    and solved on its own, so a block's terms do not depend on what is
-    stacked with it. A covariance that fails to factor raises
-    NumericalConditioningError naming the first failing order's first
-    failing class (_factor).
+
+def _block_terms(blocks: np.ndarray) -> np.ndarray:
+    """Sequential conditional log densities of (K, M, m+1, m+1) bordered blocks, one Cholesky each.
+
+    Each block is [[S, s d], [s d^T, big]]: a covariance S, the residuals
+    d scaled by s = BORDER_SCALE and the corner big = BORDER_CORNER
+    (_carried). Its Cholesky factor holds L, with S = L L^T, as its
+    leading block and s z^T, with z = L^-1 d, as its last row (Golub &
+    Van Loan, Matrix Computations, 4th ed., 4.2), so the i-th term
+    -(log 2 pi + 2 log L_ii + z_i^2)/2 needs no second factorization.
+    The scale keeps the last pivot, big - s^2 |z|^2, positive while
+    |z| < 2^1100, past the float limit, so a far row factors; past about
+    1e154 standard deviations z^2 overflows and the term is -inf. The
+    range is finite at both ends: a |z| past 2^1100, which needs an
+    eigenvalue of S below about 7e-46 and a row near the float limit,
+    fails to factor, and a residual below 2^-422 is scaled into the
+    subnormals and loses digits, which matters only where the variances
+    are as small (below about 1e-240). Each block is factored on its
+    own, so a block's terms do not depend on what is stacked with it. A
+    block that fails to factor raises NumericalConditioningError naming
+    the first failing order's first failing class (_factor).
     """
-    chol = _factor(covs, NumericalConditioningError)
-    # batched over classes; scipy's solve_triangular takes one matrix at scipy 1.10
-    z = np.linalg.solve(chol, dev[..., None])[..., 0]
-    log_var = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1))
+    chol = _factor(blocks, NumericalConditioningError)
+    log_var = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)[..., :-1])
     with np.errstate(over="ignore"):
+        z = chol[..., -1, :-1] / BORDER_SCALE
         return -0.5 * (LOG_2PI + log_var + z * z)
 
 
@@ -204,7 +228,7 @@ def _condition(aug: np.ndarray, base: np.ndarray, pivots: np.ndarray) -> np.ndar
     return base
 
 
-# covariance entries (classes x orders x m x m) one stacked density call may gather
+# bordered block entries (classes x orders x (m+1) x (m+1)) one stacked density call may gather
 BATCH_ELEMENTS = 1 << 20
 
 
@@ -290,25 +314,48 @@ def _carried(orders: list, rows: np.ndarray, p: int, states: dict,
 
     Order d is read at input row rows[d], from column rows[d] of its
     prefix's state. Every prefix has a state, and all are in one stack.
-    Each target's block of its prefix's conditioned covariance and its
-    residuals are gathered, in chunks of at most BATCH_ELEMENTS entries,
-    and factored (_block_terms) one matrix at a time, so chunks never
-    move a score.
+    Each target's bordered block, its rows and columns of the prefix's
+    conditioned covariance and residual (indices target + [n]), is taken
+    in one gather, in chunks of at most BATCH_ELEMENTS entries; its
+    residual row and column are scaled by BORDER_SCALE and its corner is
+    set to BORDER_CORNER, and each block is factored on its own
+    (_block_terms), so chunks never move a score. The scaled row is also
+    written to the column, whichever triangle the factorization reads.
+    A residual that is not finite is factored as 0: an infinite one's
+    term is -inf, its log density rounded, and a NaN one's term and
+    every later term of its block are NaN, undefined.
     """
     stack = states[orders[0][:p]][0]
     cols = np.array([states[order[:p]][1] for order in orders], dtype=np.intp) + rows
     t = len(orders[0]) - p
     if not t:
         return stack.base[:, cols], np.zeros((model.n_classes, len(orders), 0))
-    idx = np.array(orders, dtype=np.intp)[:, p:]
-    step = max(1, BATCH_ELEMENTS // (model.n_classes * t * t))
-    aug, n = stack.aug, model.n_features
+    n = model.n_features
+    idx = np.array([order[p:] + (n,) for order in orders], dtype=np.intp)
+    step = max(1, BATCH_ELEMENTS // (model.n_classes * (t + 1) ** 2))
+
+    def terms(d, i):
+        blocks = stack.aug[:, d[:, None, None], i[:, :, None], i[:, None, :]]
+        border = blocks[..., t, :t] * BORDER_SCALE
+        bad = ~np.isfinite(border)
+        lost = bad.any()
+        if lost:
+            # conditioning overflowed a residual: inputs near the float limit
+            far = np.isinf(border) & (bad.cumsum(axis=-1) == 1)
+            bad = np.logical_or.accumulate(bad, axis=-1)
+            border[bad] = 0.0
+        blocks[..., t, :t] = blocks[..., :t, t] = border
+        blocks[..., t, t] = BORDER_CORNER
+        out = _block_terms(blocks)
+        if lost:
+            out[bad] = np.nan
+            out[far] = -np.inf
+        return out
+
     # concatenate keeps the chunks' memory layout, which fixes the last bit of a sum of terms
     return stack.base[:, cols], np.concatenate([
-        _block_terms(aug[:, d[:, None, None], i[:, :, None], i[:, None, :]],
-                     aug[:, d[:, None], n, i])
-        for d, i in ((cols[lo:lo + step], idx[lo:lo + step])
-                     for lo in range(0, len(orders), step))], axis=1)
+        terms(cols[lo:lo + step], idx[lo:lo + step]) for lo in range(0, len(orders), step)],
+        axis=1)
 
 
 def _densities(orders: list, p: int, x: np.ndarray, model: GaussianClassModel,

@@ -4,7 +4,12 @@ Everything here computes densities and evidence weights straight from
 scipy.stats, the probability chain rule, and explicit mixture sums. No
 conditioning, Cholesky, or scoring code is shared with the package, so
 agreement between the two routes is a real cross-check.
+
+contract_bound is the numerics contract's tolerance (README, "Numerics
+contract"), computed here from the oracle's own densities.
 """
+
+import math
 
 import numpy as np
 from scipy import stats
@@ -22,6 +27,32 @@ def joint_logpdf(model, c, indices, values):
         return float(np.sum(stats.norm.logpdf(values, mean, sd)))
     cov = model.covariances[c][np.ix_(idx, idx)]
     return float(stats.multivariate_normal(mean, cov).logpdf(values))
+
+
+# c in the contract's bound c * eps * kappa * (sum over the classes read of |log prior|
+# + |J(prefix)| + |J(prefix + target)|), with kappa the largest condition number of their
+# (prefix + target) covariance blocks, 1 in diagonal mode: the scipy oracle itself loses
+# about log10(kappa) digits, so no kappa-free c bounds both routes at kappa = 1e8 and
+# still says something at kappa = 1
+ORACLE_SLACK = 16.0
+
+
+def contract_bound(model, classes, prefix, target, x):
+    """The contract's bound on a number the package reads from the densities of x.
+
+    classes are the classes whose densities the number combines; prefix
+    and target index the full input vector x, and the number is read
+    from x[prefix + target] given x[prefix]. Each J is the oracle's
+    joint_logpdf, and J of an empty prefix is 0.
+    """
+    x = np.asarray(x, dtype=float)
+    prefix, both = list(prefix), list(prefix) + list(target)
+    scale = sum(abs(math.log(model.priors[c]))
+                + (abs(joint_logpdf(model, c, prefix, x[prefix])) if prefix else 0.0)
+                + abs(joint_logpdf(model, c, both, x[both])) for c in classes)
+    kappa = 1.0 if model.mode == "diagonal" else max(
+        np.linalg.cond(model.covariances[c][np.ix_(both, both)]) for c in classes)
+    return ORACLE_SLACK * np.finfo(float).eps * kappa * scale
 
 
 def conditional_logpdf(model, c, target, x_t, prefix, x_p):
@@ -68,6 +99,23 @@ def random_model(rng, n_classes, n_features, mode="full"):
         feature_names=tuple(f"x{i}" for i in range(n_features)),
     )
     return model.validate()
+
+
+def conditioned_model(rng, k, n, cond):
+    """A full model of k classes whose covariance eigenvalues span a factor cond."""
+    covs = []
+    for _ in range(k):
+        q = stats.ortho_group.rvs(n, random_state=rng)
+        cov = (q * (np.logspace(0.0, -np.log10(cond), n) * rng.uniform(0.5, 2.0))) @ q.T
+        covs.append((cov + cov.T) / 2.0)
+    weights = rng.uniform(0.5, 2.0, size=k)
+    return GaussianClassModel(
+        means=rng.normal(0.0, 2.0, size=(k, n)),
+        covariances=np.array(covs),
+        priors=weights / weights.sum(),
+        mode="full",
+        feature_names=tuple(f"x{i}" for i in range(n)),
+    ).validate()
 
 
 def random_split(rng, n_features):

@@ -46,7 +46,13 @@ from woexplain.errors import (
 
 from woexplain.gaussian import _order_terms, mixture_log_ratio
 
-from oracles import joint_logpdf, random_model, random_ordered_partition, woe_between
+from oracles import (
+    conditioned_model,
+    contract_bound,
+    random_model,
+    random_ordered_partition,
+    woe_between,
+)
 
 
 def two_unit_gaussians(mean_b=1.0):
@@ -341,39 +347,14 @@ class TestWoeConditionalMany:
 class TestCarriedPrefixes:
     """Full-mode scores with a nonempty prefix read the prefix's conditioned state."""
 
-    # c in the tolerance c * eps * kappa * (sum over the classes of A and B of
-    # |log prior| + |J(prefix)| + |J(prefix + target)|), with kappa the largest
-    # condition number of their (prefix + target) covariance blocks: the scipy
-    # oracle itself loses about log10(kappa) digits, so no kappa-free c bounds
-    # both routes at kappa = 1e8 and still says something at kappa = 1
-    ORACLE_SLACK = 16.0
-
-    @staticmethod
-    def conditioned_model(rng, k, n, cond):
-        """Random class covariances whose eigenvalues span a factor cond."""
-        covs = []
-        for _ in range(k):
-            q = stats.ortho_group.rvs(n, random_state=rng)
-            cov = (q * (np.logspace(0.0, -np.log10(cond), n) * rng.uniform(0.5, 2.0))) @ q.T
-            covs.append((cov + cov.T) / 2.0)
-        weights = rng.uniform(0.5, 2.0, size=k)
-        return GaussianClassModel(
-            means=rng.normal(0.0, 2.0, size=(k, n)),
-            covariances=np.array(covs),
-            priors=weights / weights.sum(),
-            mode="full",
-            feature_names=tuple(f"x{i}" for i in range(n)),
-        ).validate()
-
     def test_matches_oracle_when_ill_conditioned_and_far(self):
         """Condition numbers up to 1e8, inputs up to 50 sd out, K up to 12."""
-        eps = np.finfo(float).eps
         for seed in range(48):
             rng = np.random.default_rng(2000 + seed)
             k = (2, 3, 5, 12)[seed % 4]
             n = int(rng.integers(3, 9))
             cond = (1e2, 1e4, 1e6, 1e8)[seed // 4 % 4]
-            model = self.conditioned_model(rng, k, n, cond)
+            model = conditioned_model(rng, k, n, cond)
             c = int(rng.integers(k))
             sd = np.sqrt(np.diagonal(model.covariances[c]))
             far = (0.0, 5.0, 50.0)[seed // 16]
@@ -386,15 +367,9 @@ class TestCarriedPrefixes:
             labels = [int(i) for i in rng.permutation(k)]
             split = int(rng.integers(1, k))
             a, b = sorted(labels[:split]), sorted(labels[split:])
-            both = list(prefix + target)
-            scale = sum(abs(math.log(model.priors[cc]))
-                        + abs(joint_logpdf(model, cc, prefix, x[list(prefix)]))
-                        + abs(joint_logpdf(model, cc, both, x[both])) for cc in a + b)
-            kappa = max(np.linalg.cond(model.covariances[cc][np.ix_(both, both)])
-                        for cc in a + b)
             ours = woe_conditional(a, b, target, prefix, x, model)
             oracle = woe_between(model, a, b, target, x[list(target)], prefix, x[list(prefix)])
-            assert abs(ours - oracle) <= self.ORACLE_SLACK * eps * kappa * scale, seed
+            assert abs(ours - oracle) <= contract_bound(model, a + b, prefix, target, x), seed
 
     def test_non_positive_pivot_names_its_class(self):
         """A prefix whose covariance is not positive definite under class 1."""
@@ -577,9 +552,9 @@ class TestStackedChains:
         block_terms = gaussian._block_terms
         calls = []
 
-        def counted(covs, dev):
-            calls.append(covs.shape[1])
-            return block_terms(covs, dev)
+        def counted(blocks):
+            calls.append(blocks.shape[1])
+            return block_terms(blocks)
 
         monkeypatch.setattr(gaussian, "_block_terms", counted)
         for k, n in ((3, 9), (5, 12), (12, 20)):

@@ -670,9 +670,9 @@ class TestStepsMatchOneSplit:
         # every full-mode density read factors its blocks here, phase 1's included
         density = gaussian._block_terms
 
-        def counted(covs, dev):
-            calls.append(dev.shape)
-            return density(covs, dev)
+        def counted(blocks):
+            calls.append(blocks.shape)
+            return density(blocks)
 
         monkeypatch.setattr(gaussian, "_block_terms", counted)
         x = rng.normal(size=4)

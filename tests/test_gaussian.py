@@ -8,12 +8,13 @@ quadrature, so the two sides share no linear algebra.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import stats
 from scipy.integrate import trapezoid
 from scipy.special import expit, logsumexp
@@ -51,6 +52,8 @@ from woexplain.gaussian import (
 
 from oracles import (
     conditional_logpdf as oracle_conditional_logpdf,
+    conditioned_model,
+    contract_bound,
     joint_logpdf as oracle_joint_logpdf,
     random_model,
     random_split,
@@ -88,6 +91,8 @@ class TestLogDensityTerms:
                     for m in range(1, 6):
                         oracle = oracle_joint_logpdf(model, c, order[:m], x[order[:m]])
                         assert_allclose(sums[c, m - 1], oracle, rtol=1e-10)
+                        assert (abs(sums[c, m - 1] - oracle)
+                                <= contract_bound(model, [c], (), order[:m], x))
 
     def test_covariance_that_fails_to_factor_names_its_class(self):
         """Found class by class: the first class whose ordered covariance fails."""
@@ -145,6 +150,115 @@ class TestLogDensityTerms:
                 score(0, (2,), [bad])
             with pytest.raises(InvalidDataError, match=message):
                 score(0, (1,), [0.5], (3, 2), [0.1, bad])
+
+
+class TestBorderedRead:
+    """A block read is one Cholesky of the bordered block [[S, s d], [s d^T, big]] (_block_terms)."""
+
+    def test_terms_match_oracle_when_ill_conditioned_and_far(self):
+        """Each prefix sum of a read's terms, and its base, within the contract bound:
+        condition numbers up to 1e8, rows up to 50 sd out, empty and nonempty prefixes."""
+        for seed in range(32):
+            rng = np.random.default_rng(3100 + seed)
+            k, n = (2, 3, 5, 4)[seed % 4], int(rng.integers(2, 8))
+            model = conditioned_model(rng, k, n, (1e2, 1e4, 1e6, 1e8)[seed // 4 % 4])
+            c = int(rng.integers(k))
+            sd = np.sqrt(np.diagonal(model.covariances[c]))
+            far = (1.0, 5.0, 50.0, 50.0)[seed // 8]
+            x = model.means[c] + far * sd * rng.normal(size=n)
+            order = tuple(int(i) for i in rng.permutation(n))
+            p = int(rng.integers(0, n))
+            prefix, target = order[:p], order[p:]
+            base, terms, _ = _densities([order], p, x[None], model,
+                                        _prefix_states([prefix], x[None], model, {}))
+            sums = np.cumsum(terms[:, 0], axis=1)
+            for cc in range(k):
+                if prefix:
+                    joint = base[cc, 0] - np.log(model.priors[cc])
+                    oracle = oracle_joint_logpdf(model, cc, prefix, x[list(prefix)])
+                    assert abs(joint - oracle) <= contract_bound(model, [cc], (), prefix, x), seed
+                for i in range(len(target)):
+                    oracle = oracle_conditional_logpdf(model, cc, target[:i + 1],
+                                                       x[list(target[:i + 1])], prefix,
+                                                       x[list(prefix)])
+                    bound = contract_bound(model, [cc], prefix, target[:i + 1], x)
+                    assert abs(sums[cc, i] - oracle) <= bound, (seed, cc, i)
+
+    def test_stacked_with_overflowing_reads_keeps_lone_bits(self):
+        """Reads of rows whose residuals reach 1e150 and 1e200 sd, where z^2 overflows,
+        stacked with a read of an ordinary row, leave that read's bits as they are alone."""
+        rng = np.random.default_rng(71)
+        k, n = 4, 6
+        model = conditioned_model(rng, k, n, 1e6)
+        sd = np.sqrt(np.diagonal(model.covariances[0]))
+        x = model.means[0] + sd * np.array([rng.normal(size=n), 1e150 * rng.normal(size=n),
+                                            1e200 * rng.normal(size=n)])
+        for p in (0, 2):
+            prefixes = [tuple(int(i) for i in rng.permutation(n)[:p]) for _ in range(3)]
+            orders = [prefix + tuple(int(i) for i in rng.permutation(
+                [j for j in range(n) if j not in prefix]))[:3] for prefix in prefixes]
+            reads = [(order, r) for order in orders for r in (0, 1, 2)]
+            states = _prefix_states([order[:p] for order, _ in reads], x, model, {})
+            base, terms, where = _densities([order for order, _ in reads], p, x, model, states,
+                                            [r for _, r in reads])
+            assert not np.isfinite(terms[:, where[2::3]]).all()
+            for order in orders:
+                one = x[:1]
+                alone = _densities([order], p, one, model,
+                                   _prefix_states([order[:p]], one, model, {}))
+                col = where[reads.index((order, 0))]
+                assert base[:, col].tobytes() == alone[0][:, 0].tobytes()
+                assert terms[:, col].tobytes() == alone[1][:, 0].tobytes()
+
+    def test_row_at_1e150_sd_gives_finite_or_minus_inf_terms(self):
+        """No NaN, no LinAlgError and no warning, from the root and after a prefix."""
+        for seed in range(12):
+            rng = np.random.default_rng(3200 + seed)
+            k, n = 3, int(rng.integers(2, 8))
+            model = conditioned_model(rng, k, n, (1.0, 1e4, 1e8)[seed % 3])
+            c = int(rng.integers(k))
+            sd = np.sqrt(np.diagonal(model.covariances[c]))
+            x = (model.means[c] + 1e150 * sd * rng.choice([-1.0, 1.0], size=n))[None]
+            order = tuple(int(i) for i in rng.permutation(n))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                reads = [_order_terms(order, x, model, {})]
+                for p in range(1, n):
+                    reads.append(_densities([order], p, x, model,
+                                            _prefix_states([order[:p]], x, model, {}))[1])
+            for terms in reads:
+                assert not np.isnan(terms).any(), seed
+                assert (np.isfinite(terms) | (terms == -np.inf)).all(), seed
+
+    @staticmethod
+    def correlated_model():
+        """Two classes of one covariance, every correlation 0.9, in three features."""
+        cov = np.full((3, 3), 0.9) + 0.1 * np.eye(3)
+        return GaussianClassModel(means=np.zeros((2, 3)), covariances=np.array([cov, cov]),
+                                  priors=np.full(2, 0.5), mode="full",
+                                  feature_names=("a", "b", "c")).validate()
+
+    def test_rows_at_the_float_limit_read_minus_inf(self):
+        """Residuals near 1.7e308 factor: each log density is -inf, its value rounded,
+        where a triangular solve's inf - inf would leave it undefined."""
+        model = self.correlated_model()
+        for x in ([1.7e308, -1.7e308, -1.7e308], [1.7e308, 1.0, -1.7e308], [1e308, -1e308, 1.0]):
+            assert model.class_conditional_log_density(0, (0, 1, 2), x) == -np.inf
+
+    def test_residual_that_conditioning_overflows(self):
+        """x1 - 0.9 x0 overflows to -inf when x1 is conditioned on x0: its term is -inf,
+        its log density rounded, and no covariance is blamed. Conditioned on x1 too, x2's
+        residual is -inf + inf: its term, and every term after an infinite one, is NaN."""
+        model = self.correlated_model()
+        x = np.array([[1.7e308, -1.7e308, -1.7e308]])
+        for p, first in ((1, -np.inf), (2, np.nan)):
+            _, terms, _ = _densities([(0, 1, 2)], p, x, model,
+                                     _prefix_states([(0, 1)[:p]], x, model, {}))
+            assert_array_equal(terms[..., 0], first)
+            assert np.isnan(terms[..., 1:]).all()
+        assert model.class_conditional_log_density(0, (1,), [-1.7e308], (0,), [1.7e308]) == -np.inf
+        with pytest.raises(DegenerateDensityError, match="too far from every class mean"):
+            model.class_conditional_log_density(0, (2,), [-1.7e308], (0, 1), [1.7e308, -1.7e308])
 
 
 class TestRootColumns:

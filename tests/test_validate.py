@@ -298,9 +298,9 @@ class TestSharedFactorization:
             sizes["root"].append(stack.aug.size)
             return stack
 
-        def blocks(covs, dev):
-            sizes["block"].append(covs.size)
-            return block_terms(covs, dev)
+        def blocks(bordered):
+            sizes["block"].append(bordered.size)
+            return block_terms(bordered)
 
         monkeypatch.setattr(gaussian, "BATCH_ELEMENTS", batch)
         monkeypatch.setattr(gaussian, "_root", roots)
@@ -318,9 +318,9 @@ class TestSharedFactorization:
         block_terms = gaussian._block_terms
         factorings = []
 
-        def counted(covs, dev):
-            factorings.append(covs.shape)
-            return block_terms(covs, dev)
+        def counted(blocks):
+            factorings.append(blocks.shape)
+            return block_terms(blocks)
 
         monkeypatch.setattr(gaussian, "_block_terms", counted)
         calls = []

@@ -64,9 +64,24 @@ mean, and runs:
   1e6 times N(0, 1) in every feature.
 
 An outcome is the exact repr of what a call returns, or the type and
-message of what it raises, plus the warnings it emits. The sweep prints
-the counts of identical and differing outcomes and the first
-ten differences, and exits 1 on any difference.
+message of what it raises, plus the warnings it emits. A differing
+outcome is "within the contract" (README, "Numerics contract") when
+its kind, its warnings and, for an error, its type and message are the
+same; its text is the same once every number, and validate's "worst at
+row N", is masked, so every PASS/FAIL, passed= flag, class, group,
+order and entailed set is the same; every integer is the same; and
+every other number moves by at most CONTRACT_SLACK * eps * kappa *
+(S + its own magnitude). kappa is the largest condition number of the
+seed's class covariances (1 for a diagonal model) and S sums, over the
+rows the case reads, each row's finite sum over classes of |log prior|
++ |J|: the seed's input alone, or all of a validate case's rows, whose
+reported trial, and so its deviation and tolerance, rounding may move
+from one row to another. Both are computed with numpy alone (solve and
+slogdet), so they do not depend on the tree. The sweep prints the
+counts of identical, within-the-contract and other differing outcomes,
+each case family's largest relative difference and largest ratio to
+its bound, and the first ten other differences, and exits 1 on any
+other difference.
 """
 
 from __future__ import annotations
@@ -77,6 +92,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -98,6 +114,11 @@ QUOTED_BREAKS = ("\n", "\r", "\r\n")
 QUOTED_BREAK_CELLS = tuple(f'"{cell}"' for c in QUOTED_BREAKS
                            for cell in (f"{c}7{c}", f"1{c}5", c))
 SHOWN = 10  # differences listed
+# c of the contract's bound c * eps * kappa * sum of |terms|, as in tests/oracles.py
+CONTRACT_SLACK = 16.0
+# validate's reported row follows the worst trial, which rounding may move
+WORST_ROW = re.compile(r"worst at row \d+")
+NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?(?![\w.])")
 
 
 def _outcome(call) -> list:
@@ -133,8 +154,29 @@ def _model(rng, seed: int, wx):
                                  mode=mode, feature_names=[f"f{i}" for i in range(n)]).validate()
 
 
+def _contract_scale(model, rows) -> list:
+    """[kappa, S] of a model and the rows a case reads: the contract's factors (module doc)."""
+    import numpy as np
+
+    rows = np.asarray(rows, dtype=float).reshape(-1, model.n_features)
+    dev = rows[None] - model.means[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if model.mode == "full":
+            kappa = float(np.linalg.cond(model.covariances).max())
+            logdet = np.linalg.slogdet(model.covariances)[1]
+            white = np.linalg.solve(model.covariances[:, None], dev[..., None])[..., 0]
+            quad = np.einsum("kri,kri->kr", dev, white)
+        else:
+            kappa = 1.0
+            logdet = np.log(model.covariances).sum(axis=1)
+            quad = (dev * dev / model.covariances[:, None]).sum(axis=2)
+        joint = -0.5 * (model.n_features * np.log(2.0 * np.pi) + logdet[:, None] + quad)
+        total = (np.abs(np.log(model.priors))[:, None] + np.abs(joint)).sum(axis=0)
+    return [kappa, float(total[np.isfinite(total)].sum())]
+
+
 def _cases(seed: int) -> list:
-    """(key, outcome) of every route for one seed."""
+    """[key, outcome, [kappa, S]] of every route for one seed (_contract_scale)."""
     import numpy as np
     import woexplain as wx
 
@@ -142,8 +184,10 @@ def _cases(seed: int) -> list:
     scale = SCALES[(seed // 2) % len(SCALES)]
     out = []
 
-    def record(key, call):
-        out.append([f"{seed}/{key}", _outcome(call)])
+    def record(key, call, rows=None):
+        """rows: what the call reads, for the contract's S; the seed's input x if None."""
+        scale = x_scale if rows is None else _contract_scale(model, rows)
+        out.append([f"{seed}/{key}", _outcome(call), scale])
 
     model = _model(rng, seed, wx)
     k, n = model.n_classes, model.n_features
@@ -155,6 +199,7 @@ def _cases(seed: int) -> list:
         return tuple(int(i) for i in rng.choice(pool, size=size, replace=False))
 
     x = row()
+    x_scale = _contract_scale(model, x)
     perm = rng.permutation(k)
     cut = int(rng.integers(1, k))
     a, b = sorted(int(c) for c in perm[:cut]), sorted(int(c) for c in perm[cut:])
@@ -198,10 +243,11 @@ def _cases(seed: int) -> list:
                        lambda params=params: json.dumps(
                            wx.report_to_dict(wx.explain(x, model, params))))
     data = np.array([row() for _ in range(6)])
-    record("run_validation", lambda: repr(wx.run_validation(model, data, trials=4, seed=seed)))
+    record("run_validation", lambda: repr(wx.run_validation(model, data, trials=4, seed=seed)),
+           data)
     rows = np.array([row() for _ in range(40)])
     record("run_validation/repeated",
-           lambda: repr(wx.run_validation(model, rows, trials=300, seed=seed)))
+           lambda: repr(wx.run_validation(model, rows, trials=300, seed=seed)), rows)
 
     # partial evidence, NaN in every unobserved slot; drawn last, so the cases above keep theirs
     seen = [int(i) for i in rng.permutation(n)[:int(rng.integers(1, n + 1))]]
@@ -229,6 +275,7 @@ def _cases(seed: int) -> list:
 
     names = list(model.feature_names)
     written = []  # (tag, key, path) of every CSV file, for validate
+    csv_rows = {}  # each tag's drawn rows, for the contract's S of its validate cases
 
     def dataset(ds):
         labels = None if ds.labels is None else ds.labels.tolist()
@@ -242,7 +289,9 @@ def _cases(seed: int) -> list:
         integral = rng.random() < 0.5
         lines = [",".join(header)]
         for r in range(int(rng.integers(0, 12))):
-            cells = dict(zip(names, map(repr, row().tolist())), id=id_cell(r))
+            values = row()
+            csv_rows.setdefault(tag, []).append(values)
+            cells = dict(zip(names, map(repr, values.tolist())), id=id_cell(r))
             cells["y"] = str(rng.integers(0, k)) if integral else str(rng.choice(label_kinds))
             for name in names:
                 if rng.random() < 0.02:
@@ -371,13 +420,13 @@ def _cases(seed: int) -> list:
         return repr((code, stdout.getvalue(), stderr.getvalue()))
 
     for tag, key, path in written:
-        record(f"{tag}/{key}/validate", lambda path=path: validated(path))
+        record(f"{tag}/{key}/validate", lambda path=path: validated(path), csv_rows.get(tag, []))
 
     # far rows, drawn after every case above so those keep their inputs
     for far_scale in FAR_SCALES:
         far = model.means[rng.integers(k, size=20)] + far_scale * rng.normal(size=(20, n))
         record(f"far/{far_scale:g}/validate",
-               lambda far=far: repr(wx.run_validation(model, far, trials=20, seed=seed)))
+               lambda far=far: repr(wx.run_validation(model, far, trials=20, seed=seed)), far)
     return out
 
 
@@ -402,6 +451,29 @@ def _run(tree: Path, seeds: int, hash_seed: str) -> list:
     return json.loads(done.stdout)
 
 
+def _within_contract(a: list, b: list, kappa: float, magnitude: float):
+    """(largest relative difference, largest ratio to the bound) of two outcomes within the
+    contract (module doc), or None."""
+    if a[0] != b[0] or a[2] != b[2] or a[0] == "error":
+        return None
+    texts = [WORST_ROW.sub("worst at row #", outcome[1]) for outcome in (a, b)]
+    if NUMBER.sub("#", texts[0]) != NUMBER.sub("#", texts[1]):
+        return None
+    relative = ratio = 0.0
+    for x, y in zip(NUMBER.findall(texts[0]), NUMBER.findall(texts[1])):
+        u, v = float(x), float(y)
+        if u == v:
+            continue
+        if not any(c in x + y for c in ".eE"):
+            return None  # a count, a class, a feature or a row
+        size = max(abs(u), abs(v))
+        bound = CONTRACT_SLACK * sys.float_info.epsilon * kappa * (magnitude + size)
+        if not abs(u - v) <= bound:
+            return None
+        relative, ratio = max(relative, abs(u - v) / size), max(ratio, abs(u - v) / bound)
+    return relative, ratio
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs="*", type=Path, metavar="TREE")
@@ -414,13 +486,28 @@ def main(argv=None) -> int:
     if len(args.trees) != 2:
         parser.error("give OLD_TREE and NEW_TREE")
     old, new = (_run(tree, args.seeds, hash_seed) for tree, hash_seed in zip(args.trees, "12"))
-    if [key for key, _ in old] != [key for key, _ in new]:
+    if [key for key, *_ in old] != [key for key, *_ in new]:
         print("the trees ran different cases")
         return 1
-    differing = [(key, a, b) for (key, a), (_, b) in zip(old, new) if a != b]
-    errors = sum(outcome[0] == "error" for _, outcome in old)
-    print(f"{len(old) - len(differing)} identical, {len(differing)} differing outcomes "
-          f"over {args.seeds} seeds ({errors} of the old tree's outcomes are errors)")
+    within, differing = {}, []
+    for (key, a, scale), (_, b, _) in zip(old, new):
+        if a == b:
+            continue
+        family = key.split("/")[1]
+        moved = _within_contract(a, b, *scale)
+        if moved is None:
+            differing.append((key, a, b))
+        else:
+            count, relative, ratio = within.get(family, (0, 0.0, 0.0))
+            within[family] = (count + 1, max(relative, moved[0]), max(ratio, moved[1]))
+    errors = sum(outcome[0] == "error" for _, outcome, _ in old)
+    moved = sum(count for count, _, _ in within.values())
+    print(f"{len(old) - moved - len(differing)} identical, {moved} within the contract, "
+          f"{len(differing)} other differing outcomes over {args.seeds} seeds "
+          f"({errors} of the old tree's outcomes are errors)")
+    for family, (count, relative, ratio) in sorted(within.items()):
+        print(f"  {family}: {count} within the contract, largest relative difference "
+              f"{relative:.2e}, largest ratio to the bound {ratio:.2e}")
     for key, a, b in differing[:SHOWN]:
         print(f"{key}\n  old: {a}\n  new: {b}")
     return 1 if differing else 0
